@@ -24,6 +24,7 @@ from .groups import (
     Group,
     all_subgroups,
     d_star,
+    elem_neg,
     parse_group,
 )
 from .sequences import (
@@ -399,17 +400,19 @@ def _sweep_transform(G: Group, max_len: int, trials: int, seed: int) -> Verifica
 
 def _sweep_es_chain(G: Group, max_len: int) -> VerificationReport:
     D = davenport(G).value
-    zero = G.zero()
     checked = 0
-    for occ, counts in sweep_counts(G, max_len, min_length=D, exclude_zero=True):
+    # Only extremal S of length >= D are read: prune by the zero count.
+    sweep = () if max_len < D else sweep_counts(
+        G, max_len, min_length=D, exclude_zero=True,
+        zero_ceiling=1 << (max_len - D + 1))
+    for occ, counts in sweep:
         exponent = len(occ) - D + 1
         if counts[0] != 1 << exponent:
             continue
         S = _seq_from_sorted(G, occ)
         for a in S.support():
             rest = seq_div(S, sequence(G, {a: 1}))
-            neg_a = tuple((-x) % n for x, n in zip(a, G.invariants))
-            if neg_a not in subsums(rest):
+            if elem_neg(G, a) not in subsums(rest):
                 continue
             rep = check_es_chain(S, a, D)
             checked += 1
@@ -471,6 +474,7 @@ def _sweep_odd_structure(G: Group, max_len: int) -> VerificationReport:
         "max_len": max_len,
         "extremal_checked": len(catalog.entries),
         "skipped": skipped,
+        "stats": {"exhaustive": catalog.exhaustive},
     }
     if G.order % 2 == 0:
         details["note"] = "group order is even; behavior recorded, nothing asserted"
@@ -500,6 +504,7 @@ def _sweep_corollary(G: Group, max_len: int) -> VerificationReport:
     return VerificationReport.ok(
         "corollary-sweep", group=G.spec(), max_len=max_len,
         decompositions_checked=checked,
+        stats={"exhaustive": catalog.exhaustive},
     )
 
 
@@ -529,6 +534,7 @@ def _sweep_equivalences(G: Group, max_len: int, family_k: int) -> VerificationRe
     details["extremal_lengths"] = lengths
     details["max_extremal_length"] = catalog.max_length_found
     details["ceiling_within_t_bound"] = catalog.max_length_found <= profile.t
+    details["stats"] = {"exhaustive": catalog.exhaustive}
     status = "pass" if details["ceiling_within_t_bound"] else "fail"
     return VerificationReport("equivalences", status, details)
 
@@ -566,10 +572,11 @@ def cmd_verify(args) -> Report:
         rep = _sweep_equivalences(G, max_len, args.family_k)
     else:
         raise ValueError(f"unknown theorem id {args.theorem!r}")
+    truncated = rep.details.get("stats", {}).get("exhaustive") is False
     return Report(f"verify {args.theorem}", G.spec(),
                   {"theorem": args.theorem, "group": args.group,
                    "max_len": max_len},
-                  rep, _status_of(rep), _provenance(args))
+                  rep, _status_of(rep, truncated), _provenance(args))
 
 
 # --- argument parsing -------------------------------------------------------

@@ -254,34 +254,62 @@ def pushforward_counts(S: Sequence, H: Subgroup) -> VerificationReport:
 
 
 def sweep_counts(G: Group, max_length: int, *, min_length: int = 0,
-                 exclude_zero: bool = True):
+                 exclude_zero: bool = True, zero_ceiling: int | None = None):
     """Yield (occurrence tuple, counts list) for every multiset up to
     ``max_length``, sharing the counting DP along the enumeration tree.
 
     Equivalent to running count_all on each sequence from
     iterate_multisets (for every length), but costs O(|G|) per multiset
     instead of O(|S| * |G|).  Multisets appear in lexicographic order of
-    their occurrence tuples; lengths are interleaved.
+    their occurrence tuples (a pre-order walk of the tree); lengths are
+    interleaved.  Every yielded counts list is fresh.
+
+    With ``zero_ceiling``, a multiset whose zero count exceeds it is
+    neither yielded nor extended.  Appending a can only raise the zero
+    count (N_0(S a) = N_0(S) + N_{-a}(S)), so every multiset skipped this
+    way also exceeds the ceiling: the pruned stream is the unpruned one
+    restricted to multisets whose zero count is at most the ceiling.
     """
+    # The empty multiset has zero count 1.
+    if max_length < 0 or (zero_ceiling is not None and zero_ceiling < 1):
+        return
     elems = all_elements(G)
-    allowed = [i for i in range(len(elems)) if not (exclude_zero and i == 0)]
-    perms = [_subtraction_perm(G, elems[i]) for i in allowed]
+    terms = elems[1:] if exclude_zero else elems
+    perms = [_subtraction_perm(G, a) for a in terms]
+    width = len(terms)
     base = [0] * G.order
     base[0] = 1
-
-    def rec(start: int, occurrences: list, counts: list):
+    if min_length <= 0:
+        yield (), base
+    if max_length == 0:
+        return
+    # One frame per multiset on the current path: its counts and the next
+    # term position to try.  Terms are appended in nondecreasing position,
+    # so each multiset is reached once.
+    occurrences: list[GroupElement] = []
+    path_counts = [base]
+    next_pos = [0]
+    while next_pos:
+        pos = next_pos[-1]
+        if pos == width:
+            next_pos.pop()
+            path_counts.pop()
+            if occurrences:
+                occurrences.pop()
+            continue
+        next_pos[-1] = pos + 1
+        counts = path_counts[-1]
+        perm = perms[pos]
+        # The child's zero count, read before building its whole list.
+        if zero_ceiling is not None and counts[0] + counts[perm[0]] > zero_ceiling:
+            continue
+        child = [c + counts[p] for c, p in zip(counts, perm)]
+        occurrences.append(terms[pos])
         depth = len(occurrences)
         if depth >= min_length:
-            yield tuple(occurrences), counts
-        if depth == max_length:
-            return
-        for pos in range(start, len(allowed)):
-            perm = perms[pos]
-            new_counts = [c + counts[p] for c, p in zip(counts, perm)]
-            occurrences.append(elems[allowed[pos]])
-            yield from rec(pos, occurrences, new_counts)
+            yield tuple(occurrences), child
+        if depth < max_length:
+            path_counts.append(child)
+            next_pos.append(pos)
+        else:
             occurrences.pop()
-
-    if max_length < 0:
-        return
-    yield from rec(0, [], base)

@@ -51,14 +51,24 @@ class ExtremalCatalog:
 
 def find_extremals(G: Group, length_cap: int,
                    budget: int = DEFAULT_BUDGET) -> ExtremalCatalog:
-    """Scan every zero-free multiset up to the cap and record the extremal
-    ones.  A blown budget yields a partial catalog flagged non-exhaustive."""
+    """Scan the zero-free multisets up to the cap and record the extremal
+    ones.  A blown budget yields a partial catalog flagged non-exhaustive.
+
+    An extremal S of length L <= cap has N_0(S) = 2^(L-D+1) <= 2^(cap-D+1),
+    and the zero count never drops as terms are appended, so the sweep
+    prunes every multiset whose zero count exceeds 2^(cap-D+1).  The
+    budget counts the multisets visited after pruning.  Below cap D-1 no
+    extremal sequence exists and nothing is swept."""
     D = davenport(G).value
+    if length_cap < D - 1:
+        return ExtremalCatalog(G, D, (), 0, length_cap, True)
     lo = max(D - 1, 0)
     entries = []
     visited = 0
     exhaustive = True
-    for occ, counts in sweep_counts(G, length_cap, exclude_zero=True):
+    ceiling = 1 << (length_cap - D + 1)
+    for occ, counts in sweep_counts(G, length_cap, exclude_zero=True,
+                                    zero_ceiling=ceiling):
         visited += 1
         if visited > budget:
             exhaustive = False

@@ -333,7 +333,9 @@ def check_cyclic_characterization(n: int, max_len: int) -> VerificationReport:
         raise ValueError(f"max_len must be at least n + 1 = {n + 1}")
     G = make_group([n])
     found = []
-    for occ, counts in sweep_counts(G, max_len, min_length=n - 1, exclude_zero=True):
+    # D(C_n) = n; no extremal zero count exceeds 2^(max_len-n+1).
+    for occ, counts in sweep_counts(G, max_len, min_length=n - 1, exclude_zero=True,
+                                    zero_ceiling=1 << (max_len - n + 1)):
         e = len(occ) - n + 1
         if counts[0] == 1 << e:
             found.append(_seq_from_sorted(G, occ))

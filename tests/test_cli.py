@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from zerosum import cli
 from zerosum.cli import main
 
 
@@ -147,6 +150,35 @@ def test_extremal_budget_truncation_reports_partial(capsys):
     assert code == 0
     assert payload["status"] == "partial"
     assert payload["result"]["exhaustive"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "odd-structure", "C3xC3", "--max-len", "10"),
+    ("verify", "corollary", "C3xC3", "--max-len", "8"),
+    ("verify", "equivalences", "C12", "--max-len", "14"),
+])
+def test_verify_on_truncated_catalog_reports_partial(capsys, monkeypatch, argv):
+    real = cli.find_extremals
+    monkeypatch.setattr(cli, "find_extremals",
+                        lambda G, cap, budget=None: real(G, cap, budget=20))
+    code, payload, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert payload["status"] == "partial"
+    assert payload["result"]["details"]["stats"] == {"exhaustive": False}
+    monkeypatch.undo()
+    code, payload, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert payload["status"] == "pass"
+    assert payload["result"]["details"]["stats"] == {"exhaustive": True}
+
+
+def test_verify_es_chain_below_davenport_length(capsys):
+    # D(C2xC4) = 5: no sequence of length >= D fits under the cap
+    for max_len in ("0", "3", "4"):
+        code, payload, _ = run_json(capsys, "verify", "es-chain", "C2xC4",
+                                    "--max-len", max_len)
+        assert code == 0 and payload["status"] == "pass"
+        assert payload["result"]["details"]["pairs_checked"] == 0
 
 
 def test_reports_byte_identical_without_timestamp(capsys):

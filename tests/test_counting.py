@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zerosum import (
     all_elements,
@@ -253,6 +254,44 @@ def test_sweep_counts_min_length():
         len(occ) for occ, _ in sweep_counts(C3, 4, min_length=2, exclude_zero=True)
     }
     assert lengths == {2, 3, 4}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.sampled_from([(1,), (2,), (3,), (4,), (2, 2), (5,), (6,), (2, 4), (3, 3)]),
+    max_length=st.integers(-1, 5),
+    min_length=st.integers(0, 3),
+    exclude_zero=st.booleans(),
+    zero_ceiling=st.integers(0, 40),
+)
+def test_pruned_sweep_is_unpruned_sweep_restricted(shape, max_length, min_length,
+                                                   exclude_zero, zero_ceiling):
+    # The pruned stream, in order, is the unpruned one restricted to the
+    # multisets none of whose prefixes (the empty one included) has a zero
+    # count above the ceiling.
+    G = make_group(list(shape))
+    zero_count = {
+        occ: counts[0]
+        for occ, counts in sweep_counts(G, max_length, exclude_zero=exclude_zero)
+    }
+    expected = [
+        (occ, tuple(counts))
+        for occ, counts in sweep_counts(G, max_length, min_length=min_length,
+                                        exclude_zero=exclude_zero)
+        if all(zero_count[occ[:k]] <= zero_ceiling for k in range(len(occ) + 1))
+    ]
+    got = [
+        (occ, tuple(counts))
+        for occ, counts in sweep_counts(G, max_length, min_length=min_length,
+                                        exclude_zero=exclude_zero,
+                                        zero_ceiling=zero_ceiling)
+    ]
+    assert got == expected
+
+
+def test_sweep_counts_yields_fresh_lists():
+    seen = [counts for _, counts in sweep_counts(C3, 3, exclude_zero=False)]
+    assert len({id(c) for c in seen}) == len(seen)
 
 
 def test_count_vector_lookup_reduces():

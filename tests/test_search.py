@@ -1,6 +1,7 @@
 import pytest
 
 from zerosum import (
+    all_elements,
     conjecture1_harness,
     conjecture2_harness,
     construct_extremal,
@@ -61,6 +62,47 @@ def test_catalog_sorted_and_budget():
     assert keys == sorted(keys)
     truncated = find_extremals(C33, 6, budget=50)
     assert not truncated.exhaustive
+
+
+def test_pruned_catalog_matches_unpruned_sweep():
+    # Oracle: the unpruned sweep filtered on the zero count, at every cap
+    # from D-1 to D+2 whose unpruned sweep visits at most 100,000 nodes.
+    from math import comb
+
+    from helpers import groups_up_to_order
+    from zerosum.counting import sweep_counts
+
+    checked = 0
+    for G in groups_up_to_order(16):
+        D = davenport(G).value
+        for cap in range(D - 1, D + 3):
+            if sum(comb(G.order - 2 + L, L) for L in range(cap + 1)) > 100_000:
+                break
+            expected = [
+                (occ, counts)
+                for occ, counts in sweep_counts(G, cap, exclude_zero=True)
+                if len(occ) >= D - 1 and counts[0] == 1 << (len(occ) - D + 1)
+            ]
+            catalog = find_extremals(G, cap)
+            assert catalog.exhaustive
+            got = {S.expanded(): E for S, E in catalog.entries}
+            assert len(got) == len(expected), (G, cap)
+            for occ, counts in expected:
+                E = got[occ]
+                assert E.members == {
+                    g for g, c in zip(all_elements(G), counts) if c == counts[0]
+                }, (G, cap, occ)
+            checked += 1
+    assert checked == 59  # (group, cap) pairs within the node limit
+
+
+def test_find_extremals_below_d_minus_one_is_empty_and_exhaustive():
+    for G in (C3, C33, make_group([2, 4])):
+        D = davenport(G).value
+        for cap in range(-1, D - 1):
+            catalog = find_extremals(G, cap, budget=1)
+            assert catalog.entries == () and catalog.exhaustive
+            assert catalog.length_cap == cap and catalog.max_length_found == 0
 
 
 def test_catalog_is_enumeration_order_independent():

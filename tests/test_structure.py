@@ -190,6 +190,7 @@ def test_theorem_consistency_order_16():
             D = davenport(G).value
             cap = min(profile.t, D + 2)
             catalog = find_extremals(G, cap)
+            assert catalog.exhaustive, G
             assert catalog.max_length_found <= profile.t
 
 
