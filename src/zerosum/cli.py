@@ -39,9 +39,12 @@ from .sequences import (
 )
 from .counting import (
     ExtremalSet,
+    _below_bound,
     _extremal_members,
-    _meets_bound,
+    _one_and_all,
     count_all,
+    extremal_set,
+    limb_layout,
     subsums,
     sweep_counts,
     transform,
@@ -232,7 +235,7 @@ def cmd_count(args) -> Report:
         result["counts"] = {format_element(G, g): c for g, c in cv.as_dict().items()}
     dav = davenport(G, cap=args.davenport_cap)
     if len(S) >= dav.value - 1:
-        members = _extremal_members(G, cv.counts, len(S) - dav.value + 1)
+        members = extremal_set(S, dav.value).members
         result["extremal_set"] = {
             "davenport": dav.value,
             "exponent": len(S) - dav.value + 1,
@@ -324,17 +327,16 @@ def cmd_conjecture(args) -> Report:
 
 def _sweep_lower_bound(G: Group, max_len: int) -> VerificationReport:
     D = davenport(G).value
+    limbs = limb_layout(G, max_len)
     checked = 0
-    for occ, counts in sweep_counts(G, max_len, exclude_zero=True):
+    for occ, packed in sweep_counts(G, max_len, exclude_zero=True):
         checked += 1
-        exponent = len(occ) - D + 1
-        for c in counts:
-            if c > 0 and not _meets_bound(c, exponent):
-                S = _seq_from_sorted(G, occ)
-                return VerificationReport.fail(
-                    "lower-bound-sweep", (S,), group=G.spec(),
-                    sequence=format_sequence(S), max_len=max_len,
-                )
+        if _below_bound(limbs, packed, len(occ) - D + 1):
+            S = _seq_from_sorted(G, occ)
+            return VerificationReport.fail(
+                "lower-bound-sweep", (S,), group=G.spec(),
+                sequence=format_sequence(S), max_len=max_len,
+            )
     return VerificationReport.ok(
         "lower-bound-sweep", group=G.spec(), max_len=max_len,
         davenport=D, sequences_checked=checked,
@@ -343,17 +345,15 @@ def _sweep_lower_bound(G: Group, max_len: int) -> VerificationReport:
 
 def _sweep_one_and_all(G: Group, max_len: int) -> VerificationReport:
     D = davenport(G).value
+    limbs = limb_layout(G, max_len)
     checked = 0
     attained = 0
-    for occ, counts in sweep_counts(G, max_len, exclude_zero=True):
+    for occ, packed in sweep_counts(G, max_len, exclude_zero=True):
         checked += 1
-        exponent = len(occ) - D + 1
-        if exponent < 0:
-            continue
-        bound = 1 << exponent
-        if any(c == bound for c in counts):
+        is_attained, all_meet = _one_and_all(limbs, packed, len(occ) - D + 1)
+        if is_attained:
             attained += 1
-            if not all(c >= bound for c in counts):
+            if not all_meet:
                 S = _seq_from_sorted(G, occ)
                 return VerificationReport.fail(
                     "one-and-all-sweep", (S,), group=G.spec(),
@@ -405,9 +405,10 @@ def _sweep_es_chain(G: Group, max_len: int) -> VerificationReport:
     sweep = () if max_len < D else sweep_counts(
         G, max_len, min_length=D, exclude_zero=True,
         zero_ceiling=1 << (max_len - D + 1))
-    for occ, counts in sweep:
+    mask = limb_layout(G, max_len).mask
+    for occ, packed in sweep:
         exponent = len(occ) - D + 1
-        if counts[0] != 1 << exponent:
+        if packed & mask != 1 << exponent:
             continue
         S = _seq_from_sorted(G, occ)
         for a in S.support():
@@ -432,9 +433,10 @@ def _sweep_subgroup_es(G: Group, max_len: int) -> VerificationReport:
     lo = max(D - 1, 0)
     checked = 0
     nontrivial_found = 0
-    for occ, counts in sweep_counts(G, max_len, min_length=lo, exclude_zero=True):
+    limbs = limb_layout(G, max_len)
+    for occ, packed in sweep_counts(G, max_len, min_length=lo, exclude_zero=True):
         exponent = len(occ) - D + 1
-        members = _extremal_members(G, counts, exponent)
+        members = _extremal_members(G, limbs, packed, exponent)
         if not members:
             continue
         E = ExtremalSet(G, members, exponent)

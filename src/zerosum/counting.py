@@ -1,4 +1,4 @@
-"""Exact subsequence-sum counting.
+"""Exact subsequence-sum counting on packed count vectors.
 
 For a sequence S of length m, each of the 2^m index subsets has a sum in
 G; ``count_all`` computes the whole histogram (one exact big integer per
@@ -6,10 +6,26 @@ group element) by applying the append recurrence
 
     new[g] = old[g] + old[g - a]
 
-once per term occurrence a, for a total cost of O(m * |G|) additions.
-``count_brute_vector`` recomputes the same histogram by literally walking
-all 2^m subsets in Gray-code order (one toggle per step) and is kept as an
-independent oracle; the two must agree everywhere.
+once per term occurrence a.  ``count_brute_vector`` recomputes the same
+histogram by literally walking all 2^m subsets in Gray-code order (one
+toggle per step) and is kept as an independent oracle; the two must agree
+everywhere.
+
+Limb layout.  A count vector is one Python int: element i of
+``all_elements(G)`` owns the W bits [i*W, (i+1)*W) (its limb).  W is a
+multiple of 64 and at least m + 2, so every count (at most 2^m) stays
+below bit W-1 of its limb, the sentinel bit, which is therefore always 0.
+Adding a to every element is a rotation of the limbs, done per coordinate
+with a constant mask and two shifts (``_limb_adders``), so the append step
+is ``x + translate(x, a)``: O(rank) big-int operations instead of O(|G|)
+Python-level additions.  The table at W = 1 is the subset-sum bitset of
+the Davenport search.
+
+SWAR predicates.  With ONES the repunit of W-bit limbs and TOP = ONES <<
+(W-1) the mask of their sentinel bits, ``(x + ONES*(2^(W-1) - b)) & TOP``
+sets the sentinel of exactly the limbs whose count is >= b, for every
+limb at once and without carries between limbs (``Limbs.at_least``).
+"Nonzero" is b = 1, and "equal to b" is ">= b and not >= b+1".
 
 Everything here is exact integer arithmetic: the statements being checked
 are equalities against powers of two, so a single rounding error would be
@@ -18,6 +34,7 @@ fatal.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,6 +44,7 @@ from .groups import (
     all_elements,
     element_index,
     elem_add,
+    elem_neg,
     elem_reduce,
     elem_sub,
     quotient_group,
@@ -70,25 +88,145 @@ class CountVector:
         return dict(zip(all_elements(self.group), self.counts))
 
 
-@lru_cache(maxsize=4096)
-def _subtraction_perm(G: Group, a: GroupElement) -> tuple[int, ...]:
-    """Index permutation i -> index(elements[i] - a)."""
+def limb_width(max_length: int) -> int:
+    """The limb width for sequences of length at most ``max_length``: the
+    least multiple of 64 that is >= max_length + 2, so one width (and one
+    translation table) serves every length up to 62."""
+    return (max(max_length, 0) + 65) // 64 * 64
+
+
+class Limbs:
+    """The layout of packed count vectors over a group of a given order at
+    a given limb width (a multiple of 64), with the SWAR predicates on it."""
+
+    __slots__ = ("width", "mask", "ones", "top", "_offsets", "_words")
+
+    def __init__(self, order: int, width: int):
+        self.width = width
+        self.mask = (1 << width) - 1
+        self.ones = ((1 << (order * width)) - 1) // self.mask
+        self.top = self.ones << (width - 1)
+        self._offsets: dict[int, int] = {}
+        self._words = struct.Struct(f"<{order * width // 64}Q")
+
+    def at_least(self, packed: int, b: int) -> int:
+        """The sentinel bits of the limbs whose count is >= b."""
+        offset = self._offsets.get(b)
+        if offset is None:
+            # Counts are < 2^(W-1): b <= 0 flags every limb, and
+            # b > 2^(W-1) (offset 0) flags none.
+            half = 1 << (self.width - 1)
+            offset = self.ones * (half - min(max(b, 0), half))
+            self._offsets[b] = offset
+        return (packed + offset) & self.top
+
+    def equal(self, packed: int, b: int) -> int:
+        """The sentinel bits of the limbs whose count is exactly b."""
+        return self.at_least(packed, b) & ~self.at_least(packed, b + 1)
+
+    def flagged(self, flags: int) -> list[int]:
+        """The limb indices whose sentinel bit is set in ``flags``."""
+        out = []
+        width = self.width
+        while flags:
+            low = flags & -flags
+            out.append(low.bit_length() // width - 1)
+            flags ^= low
+        return out
+
+    def unpack(self, packed: int) -> tuple[int, ...]:
+        """Every count, in element order."""
+        words = self._words.unpack(packed.to_bytes(self._words.size, "little"))
+        k = self.width // 64
+        if k == 1:
+            return words
+        return tuple(
+            sum(words[i + j] << (64 * j) for j in range(k))
+            for i in range(0, len(words), k)
+        )
+
+
+@lru_cache(maxsize=128)
+def _limbs(order: int, width: int) -> Limbs:
+    return Limbs(order, width)
+
+
+def limb_layout(G: Group, max_length: int) -> Limbs:
+    """The layout of the packed count vectors of sequences over G of length
+    at most ``max_length``, as built by ``count_packed`` and yielded by
+    ``sweep_counts``."""
+    return _limbs(G.order, limb_width(max_length))
+
+
+@lru_cache(maxsize=128)
+def _limb_adders(G: Group, width: int):
+    """For each element index, the (lo, ls, hi, rs) operations that
+    translate a packed vector of ``width``-bit limbs by that element:
+    ``x = ((x << ls) & lo) | ((x >> rs) & hi)`` once per nonzero
+    coordinate (see ``translate``).
+
+    In the mixed-radix layout coordinate i moves a limb by stride_i limbs
+    within blocks of n_i * stride_i limbs, so each coordinate is a
+    rotation inside every block with constant masks.  Coordinate 0 spans
+    the whole vector and rotates with the full mask alone, so cyclic
+    groups need no per-shift masks.
+    """
+    n = G.order
+    full = (1 << (n * width)) - 1
+    stride = n
+    dim_ops = []  # dim_ops[i][c] = the rotation by c along coordinate i
+    for i, ni in enumerate(G.invariants):
+        stride //= ni
+        step = stride * width
+        if i == 0:
+            dim_ops.append([None] + [
+                (full, c * step, full, (ni - c) * step) for c in range(1, ni)
+            ])
+            continue
+        # blocks has the lowest bit of every block set, and low the low
+        # c steps of every block.
+        blocks = full // ((1 << (ni * step)) - 1)
+        ops = [None]
+        for c in range(1, ni):
+            low = blocks * ((1 << (c * step)) - 1)
+            ops.append((full ^ low, c * step, low, (ni - c) * step))
+        dim_ops.append(ops)
+    return tuple(
+        tuple(dim_ops[i][c] for i, c in enumerate(e) if c)
+        for e in all_elements(G)
+    )
+
+
+def translate(x: int, ops) -> int:
+    """Move every limb of x by the element whose operations are ``ops``."""
+    for lo, ls, hi, rs in ops:
+        x = ((x << ls) & lo) | ((x >> rs) & hi)
+    return x
+
+
+def count_packed(S: Sequence) -> tuple[int, Limbs]:
+    """The packed count vector of S and its layout ``limb_layout(G, |S|)``."""
+    G = S.group
+    limbs = limb_layout(G, len(S))
+    adders = _limb_adders(G, limbs.width)
     idx = element_index(G)
-    return tuple(idx[elem_sub(G, e, a)] for e in all_elements(G))
+    x = 1
+    for g, mult in S.terms:
+        ops = adders[idx[g]]
+        if not ops:  # zero doubles every count
+            x <<= mult
+            continue
+        for _ in range(mult):
+            x += translate(x, ops)
+    return x, limbs
 
 
 def count_all(S: Sequence) -> CountVector:
     """Exact subsequence-sum counts for every group element at once."""
-    G = S.group
-    n = G.order
-    counts = [0] * n
-    counts[0] = 1
-    for g, mult in S.terms:
-        perm = _subtraction_perm(G, g)
-        for _ in range(mult):
-            counts = [c + counts[p] for c, p in zip(counts, perm)]
+    packed, limbs = count_packed(S)
+    counts = limbs.unpack(packed)
     assert sum(counts) == 1 << len(S)
-    return CountVector(G, tuple(counts), len(S))
+    return CountVector(S.group, counts, len(S))
 
 
 def count_brute_vector(S: Sequence, cap: int = BRUTE_CAP) -> CountVector:
@@ -139,9 +277,23 @@ def subsums(S: Sequence) -> frozenset[GroupElement]:
     return frozenset(reach)
 
 
-def _meets_bound(count: int, exponent: int) -> bool:
-    # count >= 2^exponent, valid for negative exponents too
-    return count >= (1 << exponent) if exponent >= 0 else count >= 1
+def _below_bound(limbs: Limbs, packed: int, exponent: int) -> int:
+    """Sentinel flags of the nonzero counts below 2^exponent (none when
+    exponent <= 0, since every nonzero count is >= 1 = 2^0)."""
+    if exponent <= 0:
+        return 0
+    return limbs.at_least(packed, 1) & ~limbs.at_least(packed, 1 << exponent)
+
+
+def _one_and_all(limbs: Limbs, packed: int, exponent: int) -> tuple[bool, bool]:
+    """(some count equals 2^exponent, every count is >= 2^exponent); the
+    first is False when exponent < 0."""
+    if exponent < 0:
+        return False, False
+    bound = 1 << exponent
+    meets = limbs.at_least(packed, bound)
+    attained = bool(meets & ~limbs.at_least(packed, bound + 1))
+    return attained, meets == limbs.top
 
 
 def check_lower_bound(S: Sequence, D: int) -> VerificationReport:
@@ -151,12 +303,10 @@ def check_lower_bound(S: Sequence, D: int) -> VerificationReport:
     reuse one computation.  A failure would falsify this implementation,
     not the statement.
     """
-    cv = count_all(S)
+    packed, limbs = count_packed(S)
     exponent = len(S) - D + 1
-    violations = [
-        g for g, c in zip(all_elements(S.group), cv.counts)
-        if c > 0 and not _meets_bound(c, exponent)
-    ]
+    elems = all_elements(S.group)
+    violations = [elems[i] for i in limbs.flagged(_below_bound(limbs, packed, exponent))]
     details = {
         "sequence": format_sequence(S),
         "exponent": exponent,
@@ -195,24 +345,26 @@ def extremal_set(S: Sequence, D: int) -> ExtremalSet:
         raise ValueError(
             f"extremal set undefined for |S| = {len(S)} < D - 1 = {D - 1}"
         )
-    cv = count_all(S)
-    bound = 1 << exponent
-    members = frozenset(
-        g for g, c in zip(all_elements(S.group), cv.counts) if c == bound
-    )
+    packed, limbs = count_packed(S)
+    members = _extremal_members(S.group, limbs, packed, exponent)
     return ExtremalSet(S.group, members, exponent)
 
 
-def _extremal_members(G: Group, counts, exponent: int) -> frozenset[GroupElement]:
-    bound = 1 << exponent
-    return frozenset(g for g, c in zip(all_elements(G), counts) if c == bound)
+def _extremal_members(G: Group, limbs: Limbs, packed: int,
+                      exponent: int) -> frozenset[GroupElement]:
+    """The elements whose count in ``packed`` is exactly 2^exponent."""
+    flags = limbs.equal(packed, 1 << exponent)
+    if not flags:
+        return frozenset()
+    elems = all_elements(G)
+    return frozenset(elems[i] for i in limbs.flagged(flags))
 
 
 def check_one_and_all(S: Sequence, D: int) -> VerificationReport:
     """If any element attains the bound exactly, every element must meet it."""
-    cv = count_all(S)
+    packed, limbs = count_packed(S)
     exponent = len(S) - D + 1
-    attained = exponent >= 0 and any(c == (1 << exponent) for c in cv.counts)
+    attained, all_meet = _one_and_all(limbs, packed, exponent)
     details = {
         "sequence": format_sequence(S),
         "exponent": exponent,
@@ -221,7 +373,7 @@ def check_one_and_all(S: Sequence, D: int) -> VerificationReport:
     if not attained:
         details["note"] = "no element attains the bound; vacuous"
         return VerificationReport("one-and-all", "pass", details)
-    if all(_meets_bound(c, exponent) for c in cv.counts):
+    if all_meet:
         return VerificationReport("one-and-all", "pass", details)
     return VerificationReport("one-and-all", "fail", details, (S,))
 
@@ -255,14 +407,15 @@ def pushforward_counts(S: Sequence, H: Subgroup) -> VerificationReport:
 
 def sweep_counts(G: Group, max_length: int, *, min_length: int = 0,
                  exclude_zero: bool = True, zero_ceiling: int | None = None):
-    """Yield (occurrence tuple, counts list) for every multiset up to
-    ``max_length``, sharing the counting DP along the enumeration tree.
+    """Yield (occurrence tuple, packed count vector) for every multiset up
+    to ``max_length``, sharing the counting DP along the enumeration tree.
 
-    Equivalent to running count_all on each sequence from
-    iterate_multisets (for every length), but costs O(|G|) per multiset
-    instead of O(|S| * |G|).  Multisets appear in lexicographic order of
-    their occurrence tuples (a pre-order walk of the tree); lengths are
-    interleaved.  Every yielded counts list is fresh.
+    The vectors are packed in ``limb_layout(G, max_length)``.  Equivalent
+    to running count_packed on each sequence from iterate_multisets (for
+    every length), but costs one translation and one addition per
+    multiset instead of one per term.  Multisets appear in lexicographic
+    order of their occurrence tuples (a pre-order walk of the tree);
+    lengths are interleaved.
 
     With ``zero_ceiling``, a multiset whose zero count exceeds it is
     neither yielded nor extended.  Appending a can only raise the zero
@@ -273,37 +426,46 @@ def sweep_counts(G: Group, max_length: int, *, min_length: int = 0,
     # The empty multiset has zero count 1.
     if max_length < 0 or (zero_ceiling is not None and zero_ceiling < 1):
         return
+    limbs = limb_layout(G, max_length)
+    mask = limbs.mask
+    adders = _limb_adders(G, limbs.width)
     elems = all_elements(G)
-    terms = elems[1:] if exclude_zero else elems
-    perms = [_subtraction_perm(G, a) for a in terms]
-    width = len(terms)
-    base = [0] * G.order
-    base[0] = 1
+    idx = element_index(G)
+    first = 1 if exclude_zero else 0
+    terms = elems[first:]
+    term_ops = adders[first:]
+    # Bit offset of the limb of -a: the child's zero count is the parent's
+    # limb 0 plus its limb of -a.
+    neg_shift = [idx[elem_neg(G, a)] * limbs.width for a in terms]
+    count = len(terms)
     if min_length <= 0:
-        yield (), base
+        yield (), 1
     if max_length == 0:
         return
-    # One frame per multiset on the current path: its counts and the next
-    # term position to try.  Terms are appended in nondecreasing position,
-    # so each multiset is reached once.
+    # One frame per multiset on the current path: its packed counts and
+    # the next term position to try.  Terms are appended in nondecreasing
+    # position, so each multiset is reached once.
     occurrences: list[GroupElement] = []
-    path_counts = [base]
+    path_counts = [1]
     next_pos = [0]
     while next_pos:
         pos = next_pos[-1]
-        if pos == width:
+        if pos == count:
             next_pos.pop()
             path_counts.pop()
             if occurrences:
                 occurrences.pop()
             continue
         next_pos[-1] = pos + 1
-        counts = path_counts[-1]
-        perm = perms[pos]
-        # The child's zero count, read before building its whole list.
-        if zero_ceiling is not None and counts[0] + counts[perm[0]] > zero_ceiling:
+        x = path_counts[-1]
+        if (zero_ceiling is not None
+                and (x & mask) + ((x >> neg_shift[pos]) & mask) > zero_ceiling):
             continue
-        child = [c + counts[p] for c, p in zip(counts, perm)]
+        # translate() inlined: this is the per-node step.
+        y = x
+        for lo, ls, hi, rs in term_ops[pos]:
+            y = ((y << ls) & lo) | ((y >> rs) & hi)
+        child = x + y
         occurrences.append(terms[pos])
         depth = len(occurrences)
         if depth >= min_length:

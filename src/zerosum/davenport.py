@@ -4,7 +4,8 @@ The Davenport constant of a finite abelian group is the least length that
 forces a nonempty zero-sum subsequence; equivalently one more than the
 longest zero-sum-free sequence.  The exact search is a DFS over multisets
 in non-decreasing element order whose state is the subset-sum set of the
-prefix, kept as a bitset over the group.  Appending a is legal exactly
+prefix, kept as a bitset over the group and translated with the 1-bit
+limb table of ``counting._limb_adders``.  Appending a is legal exactly
 when -a is not yet a subset sum, and every legal append grows the sum set
 strictly, which yields the pruning bounds used below.
 
@@ -31,7 +32,7 @@ from .groups import (
 )
 from .reports import VerificationReport
 from .sequences import Sequence, _seq_from_sorted, sequence
-from .counting import count_all
+from .counting import _limb_adders, translate
 
 DAVENPORT_CAP = 36
 
@@ -46,8 +47,24 @@ class DavenportResult:
 
 def is_zero_sum_free(S: Sequence) -> bool:
     """True iff no nonempty subsequence sums to zero (only the empty
-    subset hits zero)."""
-    return count_all(S).zero_count == 1
+    subset hits zero).
+
+    Walks the occurrences with the subset-sum bitset of the prefix (the
+    1-bit limb table): a nonempty zero-sum subsequence exists iff some
+    occurrence a finds -a among the sums of the occurrences before it.
+    """
+    G = S.group
+    adders = _limb_adders(G, 1)
+    idx = element_index(G)
+    reach = 1
+    for g, mult in S.terms:
+        neg_bit = 1 << idx[elem_neg(G, g)]
+        ops = adders[idx[g]]
+        for _ in range(mult):
+            if reach & neg_bit:
+                return False
+            reach |= translate(reach, ops)
+    return True
 
 
 def _product_of_generators(G: Group, exponents) -> Sequence:
@@ -62,49 +79,6 @@ def _product_of_generators(G: Group, exponents) -> Sequence:
 def _star_witness(G: Group) -> Sequence:
     """prod e_i^(n_i - 1): zero-sum free in every group, length d_star."""
     return _product_of_generators(G, (n - 1 for n in G.invariants))
-
-
-@lru_cache(maxsize=None)
-def _mask_adders(G: Group):
-    """For each element index, the (mask, shift) pairs that rotate a subset
-    bitmask by that element.
-
-    Bit i of a mask stands for all_elements(G)[i].  Adding element a is a
-    coordinate-wise rotation; in the mixed-radix bit layout each dimension
-    rotates as ((m & low) << s) | ((m & high) >> t) with constant masks, so
-    translating a whole subset costs O(rank) big-int operations.
-    """
-    n = G.order
-    full = (1 << n) - 1
-    strides = []
-    w = 1
-    for ni in reversed(G.invariants):
-        strides.append(w)
-        w *= ni
-    strides.reverse()
-    dim_ops = []  # dim_ops[i][s] = (low_mask, lshift, high_mask, rshift)
-    for i, ni in enumerate(G.invariants):
-        w = strides[i]
-        block = ni * w
-        ops = [None]
-        for s in range(1, ni):
-            unit = (1 << ((ni - s) * w)) - 1
-            low = 0
-            for b in range(0, n, block):
-                low |= unit << b
-            high = full & ~low
-            ops.append((low, s * w, high, (ni - s) * w))
-        dim_ops.append(ops)
-    adders = []
-    for e in all_elements(G):
-        adders.append(tuple(dim_ops[i][c] for i, c in enumerate(e) if c))
-    return tuple(adders)
-
-
-def _shift_mask(mask: int, ops) -> int:
-    for low, ls, high, rs in ops:
-        mask = ((mask & low) << ls) | ((mask & high) >> rs)
-    return mask
 
 
 def davenport_exact(G: Group, cap: int = DAVENPORT_CAP) -> DavenportResult:
@@ -127,7 +101,7 @@ def davenport_exact(G: Group, cap: int = DAVENPORT_CAP) -> DavenportResult:
     best_occ = star.expanded()
     if n == 1:
         return DavenportResult(G, 1, "exact-search", sequence(G))
-    adders = _mask_adders(G)
+    adders = _limb_adders(G, 1)
     neg_idx = [idx[elem_neg(G, e)] for e in elems]
     orders = [elem_order(G, e) for e in elems]
     stack: list[int] = []
@@ -150,7 +124,7 @@ def davenport_exact(G: Group, cap: int = DAVENPORT_CAP) -> DavenportResult:
             if size + 1 > best_len:
                 best_len = size + 1
                 best_occ = tuple(elems[j] for j in stack)
-            dfs(i, mask | _shift_mask(mask, adders[i]), size + 1)
+            dfs(i, mask | translate(mask, adders[i]), size + 1)
             stack.pop()
 
     dfs(1, 1, 0)
@@ -245,7 +219,7 @@ def zero_sum_free_sequences(G: Group, length: int):
         return
     elems = all_elements(G)
     idx = element_index(G)
-    adders = _mask_adders(G)
+    adders = _limb_adders(G, 1)
     neg_idx = [idx[elem_neg(G, e)] for e in elems]
     stack: list[int] = []
 
@@ -260,7 +234,7 @@ def zero_sum_free_sequences(G: Group, length: int):
             if (mask >> neg_idx[i]) & 1:
                 continue
             stack.append(i)
-            yield from dfs(i, mask | _shift_mask(mask, adders[i]))
+            yield from dfs(i, mask | translate(mask, adders[i]))
             stack.pop()
 
     yield from dfs(1, 1)

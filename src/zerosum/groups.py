@@ -28,6 +28,12 @@ from math import gcd, lcm, prod
 
 GroupElement = tuple[int, ...]
 
+# Largest group order accepted.  Element tables and packed count vectors
+# grow with |G| (the translation table of C2 x C(n/2) with 64-bit limbs
+# holds about 8 n^2 bytes), so a larger group is refused when it is
+# constructed, before any table is built, instead of exhausting memory.
+MAX_ORDER = 1024
+
 
 @dataclass(frozen=True)
 class Group:
@@ -48,6 +54,7 @@ class Group:
                     f"invariant factors must form a divisibility chain, got {self.invariants}"
                 )
             prev = n
+        _check_order(self.order)
 
     @property
     def order(self) -> int:
@@ -68,6 +75,11 @@ class Group:
 
     def __str__(self) -> str:
         return self.spec()
+
+
+def _check_order(order: int) -> None:
+    if order > MAX_ORDER:
+        raise ValueError(f"group order {order} exceeds the cap {MAX_ORDER}")
 
 
 @dataclass(frozen=True)
@@ -103,6 +115,7 @@ def make_group(orders) -> Group:
     entries = [n for n in entries if n > 1]
     if not entries:
         return Group(())
+    _check_order(prod(entries))  # before the Smith normal form
     diag = [[entries[i] if i == j else 0 for j in range(len(entries))] for i in range(len(entries))]
     return Group(tuple(d for d in smith_normal_form(diag) if d > 1))
 
@@ -325,12 +338,15 @@ def smith_normal_form(matrix, transforms: bool = False):
     return (diag, U, V) if transforms else diag
 
 
+@lru_cache(maxsize=None)
 def quotient_group(G: Group, H: Subgroup):
     """Quotient G/H in canonical form, with the projection homomorphism.
 
     The invariant factors come from the Smith normal form of the relation
     matrix whose columns are diag(n_1..n_r) followed by the elements of H;
     the returned projection maps a G-element to its class in the quotient.
+    Memoized per (G, H): sweeps ask for the same few quotients many times.
+    An invalid H raises on every call (exceptions are not cached).
     """
     _validate_subgroup(G, H)
     r = G.rank

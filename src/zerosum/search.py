@@ -30,6 +30,9 @@ from .counting import (
     ExtremalSet,
     _extremal_members,
     count_all,
+    count_packed,
+    extremal_set,
+    limb_layout,
     sweep_counts,
     transform,
 )
@@ -67,7 +70,9 @@ def find_extremals(G: Group, length_cap: int,
     visited = 0
     exhaustive = True
     ceiling = 1 << (length_cap - D + 1)
-    for occ, counts in sweep_counts(G, length_cap, exclude_zero=True,
+    limbs = limb_layout(G, length_cap)
+    mask = limbs.mask
+    for occ, packed in sweep_counts(G, length_cap, exclude_zero=True,
                                     zero_ceiling=ceiling):
         visited += 1
         if visited > budget:
@@ -77,9 +82,9 @@ def find_extremals(G: Group, length_cap: int,
         if length < lo:
             continue
         exponent = length - D + 1
-        if counts[0] == 1 << exponent:
+        if packed & mask == 1 << exponent:
             S = _seq_from_sorted(G, occ)
-            members = _extremal_members(G, counts, exponent)
+            members = _extremal_members(G, limbs, packed, exponent)
             entries.append((S, ExtremalSet(G, members, exponent)))
     entries.sort(key=lambda pair: seq_key(pair[0]))
     max_length = max((len(S) for S, _ in entries), default=0)
@@ -189,7 +194,8 @@ def conjecture2_harness(G: Group, length_cap: int,
     violation = None
     visited = 0
     exhaustive = True
-    for occ, counts in sweep_counts(G, length_cap, exclude_zero=True):
+    limbs = limb_layout(G, length_cap)
+    for occ, packed in sweep_counts(G, length_cap, exclude_zero=True):
         visited += 1
         if visited > budget:
             exhaustive = False
@@ -197,7 +203,7 @@ def conjecture2_harness(G: Group, length_cap: int,
         length = len(occ)
         if length < lo:
             continue
-        members = _extremal_members(G, counts, length - D + 1)
+        members = _extremal_members(G, limbs, packed, length - D + 1)
         if not members:
             continue
         if any(H.elements <= members for H in nontrivial):
@@ -214,9 +220,7 @@ def conjecture2_harness(G: Group, length_cap: int,
             for i, n in enumerate(G.invariants)
         },
     )
-    witness_counts = count_all(witness)
-    witness_exponent = len(witness) - D + 1
-    witness_members = _extremal_members(G, witness_counts.counts, witness_exponent)
+    witness_members = extremal_set(witness, D).members
     details = {
         "group": G.spec(),
         "length_cap": length_cap,
@@ -278,9 +282,9 @@ def random_search(G: Group, length: int, trials: int, seed: int) -> ExtremalCata
         if exponent < 0:
             continue
         S = _seq_from_sorted(G, key)
-        counts = count_all(S)
-        if counts.zero_count == 1 << exponent:
-            members = _extremal_members(G, counts.counts, exponent)
+        packed, limbs = count_packed(S)
+        if packed & limbs.mask == 1 << exponent:
+            members = _extremal_members(G, limbs, packed, exponent)
             hits.append((S, ExtremalSet(G, members, exponent)))
     hits.sort(key=lambda pair: seq_key(pair[0]))
     max_length = max((len(S) for S, _ in hits), default=0)

@@ -50,7 +50,9 @@ from .sequences import (
 from .counting import (
     ExtremalSet,
     count_all,
+    count_packed,
     extremal_set,
+    limb_layout,
     subsums,
     sweep_counts,
 )
@@ -111,7 +113,10 @@ def minimal_zero_sums(S: Sequence, D: int | None = None,
 
 def _attains_zero_bound(S: Sequence, D: int) -> bool:
     e = len(S) - D + 1
-    return e >= 0 and count_all(S).zero_count == 1 << e
+    if e < 0:
+        return False
+    packed, limbs = count_packed(S)
+    return packed & limbs.mask == 1 << e
 
 
 def check_odd_group_structure(S: Sequence, D: int) -> VerificationReport:
@@ -333,11 +338,12 @@ def check_cyclic_characterization(n: int, max_len: int) -> VerificationReport:
         raise ValueError(f"max_len must be at least n + 1 = {n + 1}")
     G = make_group([n])
     found = []
+    mask = limb_layout(G, max_len).mask
     # D(C_n) = n; no extremal zero count exceeds 2^(max_len-n+1).
-    for occ, counts in sweep_counts(G, max_len, min_length=n - 1, exclude_zero=True,
+    for occ, packed in sweep_counts(G, max_len, min_length=n - 1, exclude_zero=True,
                                     zero_ceiling=1 << (max_len - n + 1)):
         e = len(occ) - n + 1
-        if counts[0] == 1 << e:
+        if packed & mask == 1 << e:
             found.append(_seq_from_sorted(G, occ))
     generators = [a for a in range(1, n) if gcd(a, n) == 1]
     expected = {

@@ -37,7 +37,7 @@ from zerosum import (
     subsums,
     transform,
 )
-from zerosum.counting import ExtremalSet, _extremal_members, sweep_counts
+from zerosum.counting import ExtremalSet, limb_layout, sweep_counts
 from helpers import groups_up_to_order, ODD_GROUPS_9
 
 
@@ -76,7 +76,9 @@ def test_criterion_02_lower_bound():
     problems = []
     for G in groups_up_to_order(8):
         D = davenport_exact(G).value
-        for occurrences, counts in sweep_counts(G, D + 4, exclude_zero=True):
+        unpack = limb_layout(G, D + 4).unpack
+        for occurrences, packed in sweep_counts(G, D + 4, exclude_zero=True):
+            counts = unpack(packed)
             exponent = len(occurrences) - D + 1
             for c in counts:
                 if c > 0 and not meets(c, exponent):
@@ -198,10 +200,13 @@ def test_criterion_08_extremal_set_lemmas():
                 if not check_es_chain(S, a, D).passed:
                     problems.append(f"chain: {G} {format_sequence(S)} remove {a}")
         lo = max(D - 1, 0)
-        for occurrences, counts in sweep_counts(G, D + 3, min_length=lo,
+        unpack = limb_layout(G, D + 3).unpack
+        for occurrences, packed in sweep_counts(G, D + 3, min_length=lo,
                                                 exclude_zero=True):
             exponent = len(occurrences) - D + 1
-            members = _extremal_members(G, counts, exponent)
+            members = frozenset(
+                g for g, c in zip(all_elements(G), unpack(packed)) if c == 1 << exponent
+            )
             if not members:
                 continue
             E = ExtremalSet(G, members, exponent)
@@ -300,8 +305,9 @@ def test_criterion_11_normalization():
         if count_all(S).total() != 1 << len(S):
             problems.append(f"{G}: {format_sequence(S)}")
     for G in (make_group([5]), make_group([2, 2])):
-        for occurrences, counts in sweep_counts(G, 6, exclude_zero=False):
-            if sum(counts) != 1 << len(occurrences):
+        unpack = limb_layout(G, 6).unpack
+        for occurrences, packed in sweep_counts(G, 6, exclude_zero=False):
+            if sum(unpack(packed)) != 1 << len(occurrences):
                 problems.append(f"{G}: sweep at {occurrences}")
     # count_all additionally asserts this identity on every call made
     # anywhere in the suite.

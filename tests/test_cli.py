@@ -56,6 +56,20 @@ def test_count_parse_error(capsys):
     assert code == 2 and "arity" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", "C16", "1"),
+    ("extremal", "C3xC3", "--max-len", "4"),
+    ("verify", "cn", "--n", "9"),
+    ("group", "info", "C2xC2xC2xC2"),
+])
+def test_oversized_group_exits_2(capsys, monkeypatch, argv):
+    import zerosum.groups as groups
+
+    monkeypatch.setattr(groups, "MAX_ORDER", 8)
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "exceeds the cap 8" in err
+
+
 def test_davenport_methods(capsys):
     code, payload, _ = run_json(capsys, "davenport", "C3xC3", "--method", "both")
     assert code == 0

@@ -22,7 +22,15 @@ from zerosum import (
     subsums,
     transform,
 )
-from zerosum.counting import sweep_counts
+from zerosum.counting import (
+    Limbs,
+    _below_bound,
+    _one_and_all,
+    count_packed,
+    limb_layout,
+    limb_width,
+    sweep_counts,
+)
 from zerosum.sequences import empty_sequence
 
 from helpers import groups_up_to_order, naive_count
@@ -198,7 +206,9 @@ def test_one_and_all_sweep_order_8():
 
     for G in groups_up_to_order(8):
         D = davenport(G).value
-        for occ, counts in sweep_counts(G, D + 4, exclude_zero=True):
+        limbs = limb_layout(G, D + 4)
+        for occ, packed in sweep_counts(G, D + 4, exclude_zero=True):
+            counts = limbs.unpack(packed)
             exponent = len(occ) - D + 1
             if exponent < 0:
                 continue
@@ -240,8 +250,9 @@ def test_sweep_counts_matches_count_all():
     for G in (make_group([5]), C22):
         for exclude in (True, False):
             seen = {}
-            for occ, counts in sweep_counts(G, 4, exclude_zero=exclude):
-                seen[occ] = tuple(counts)
+            limbs = limb_layout(G, 4)
+            for occ, packed in sweep_counts(G, 4, exclude_zero=exclude):
+                seen[occ] = limbs.unpack(packed)
             expected = {}
             for length in range(0, 5):
                 for S in iterate_multisets(G, length, exclude_zero=exclude):
@@ -270,28 +281,103 @@ def test_pruned_sweep_is_unpruned_sweep_restricted(shape, max_length, min_length
     # multisets none of whose prefixes (the empty one included) has a zero
     # count above the ceiling.
     G = make_group(list(shape))
+    unpack = limb_layout(G, max_length).unpack
     zero_count = {
-        occ: counts[0]
-        for occ, counts in sweep_counts(G, max_length, exclude_zero=exclude_zero)
+        occ: unpack(packed)[0]
+        for occ, packed in sweep_counts(G, max_length, exclude_zero=exclude_zero)
     }
     expected = [
-        (occ, tuple(counts))
-        for occ, counts in sweep_counts(G, max_length, min_length=min_length,
+        (occ, unpack(packed))
+        for occ, packed in sweep_counts(G, max_length, min_length=min_length,
                                         exclude_zero=exclude_zero)
         if all(zero_count[occ[:k]] <= zero_ceiling for k in range(len(occ) + 1))
     ]
     got = [
-        (occ, tuple(counts))
-        for occ, counts in sweep_counts(G, max_length, min_length=min_length,
+        (occ, unpack(packed))
+        for occ, packed in sweep_counts(G, max_length, min_length=min_length,
                                         exclude_zero=exclude_zero,
                                         zero_ceiling=zero_ceiling)
     ]
     assert got == expected
 
 
-def test_sweep_counts_yields_fresh_lists():
-    seen = [counts for _, counts in sweep_counts(C3, 3, exclude_zero=False)]
-    assert len({id(c) for c in seen}) == len(seen)
+def test_sweep_counts_yields_immutable_vectors():
+    # Vectors are plain ints, so a caller may keep every one of them: the
+    # kept stream still unpacks to count_all's counts.
+    seen = list(sweep_counts(C3, 3, exclude_zero=False))
+    assert all(type(packed) is int for _, packed in seen)
+    unpack = limb_layout(C3, 3).unpack
+    for occ, packed in seen:
+        assert unpack(packed) == count_all(sequence(C3, list(occ))).counts
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_packed_count_all_matches_brute_force(data):
+    G = data.draw(st.sampled_from(groups_up_to_order(16)))
+    elems = all_elements(G)
+    occ = data.draw(st.lists(st.sampled_from(elems), max_size=14))
+    S = sequence(G, occ)
+    assert count_all(S) == count_brute_vector(S)
+    packed, limbs = count_packed(S)
+    assert limbs.unpack(packed) == count_brute_vector(S).counts
+
+
+def test_brute_force_oracle_is_independent_of_limbs():
+    names = set(count_brute_vector.__code__.co_names)
+    assert not names & {"count_all", "count_packed", "sweep_counts", "translate",
+                        "_limb_adders", "limb_layout", "Limbs"}
+
+
+def _boundary_counts(width):
+    values = {0, 1, (1 << (width - 1)) - 1}
+    for e in range(width - 1):
+        values |= {(1 << e) - 1, 1 << e, (1 << e) + 1}
+    return sorted(v for v in values if v < 1 << (width - 1))
+
+
+@pytest.mark.parametrize("width", [64, 128, 192])
+def test_swar_predicates_match_per_limb_comparisons(width):
+    # Every boundary count 0, 1, 2^e - 1, 2^e, 2^e + 1 and 2^(W-1) - 1
+    # below the sentinel bit sits in some limb, tested against thresholds
+    # equal to it and one above it.
+    values = _boundary_counts(width)
+    rng = random.Random(width)
+    order = 7
+    limbs = Limbs(order, width)
+    half = 1 << (width - 1)
+    for start in range(0, len(values), order):
+        limb_values = values[start:start + order]
+        limb_values += [rng.choice(values) for _ in range(order - len(limb_values))]
+        rng.shuffle(limb_values)
+        packed = sum(v << (i * width) for i, v in enumerate(limb_values))
+        assert limbs.unpack(packed) == tuple(limb_values)
+        for b in {0, 1, half, half + 1} | {v + d for v in limb_values for d in (0, 1)}:
+            ge = limbs.at_least(packed, b)
+            eq = limbs.equal(packed, b)
+            assert limbs.flagged(ge) == [i for i, v in enumerate(limb_values) if v >= b]
+            assert limbs.flagged(eq) == [i for i, v in enumerate(limb_values) if v == b]
+        for exponent in range(-2, width - 1):
+            bound = 1 << max(exponent, 0)
+            below = [i for i, v in enumerate(limb_values) if 0 < v < bound]
+            assert limbs.flagged(_below_bound(limbs, packed, exponent)) == below
+            attained, all_meet = _one_and_all(limbs, packed, exponent)
+            assert attained == (exponent >= 0 and bound in limb_values)
+            if exponent >= 0:
+                assert all_meet == all(v >= bound for v in limb_values)
+
+
+def test_limb_width_keeps_counts_below_the_sentinel():
+    for length in range(0, 200):
+        width = limb_width(length)
+        assert width % 64 == 0 and length + 2 <= width < length + 66
+    assert {limb_width(length) for length in range(63)} == {64}
+    # A count of 2^62 needs bit 62, the last one below the sentinel of a
+    # 64-bit limb; one more term moves to 128-bit limbs.
+    for length in (62, 63, 64):
+        S = sequence(C2, {(0,): 2, (1,): length - 2})
+        assert count_all(S).counts == (1 << (length - 1), 1 << (length - 1))
+        assert count_all(sequence(C2, {(0,): length})).counts == (1 << length, 0)
 
 
 def test_count_vector_lookup_reduces():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zerosum import (
     all_elements,
@@ -8,6 +9,7 @@ from zerosum import (
     check_davenport_inequalities,
     count_all,
     count_brute,
+    count_brute_vector,
     davenport,
     davenport_exact,
     davenport_formula,
@@ -20,7 +22,8 @@ from zerosum import (
     subsums,
     t_bound,
 )
-from zerosum.davenport import _mask_adders, _shift_mask, zero_sum_free_sequences
+from zerosum.counting import _limb_adders, limb_width, translate
+from zerosum.davenport import zero_sum_free_sequences
 from zerosum.groups import element_index
 
 from helpers import groups_up_to_order
@@ -33,6 +36,15 @@ def test_is_zero_sum_free_examples():
     assert not is_zero_sum_free(parse_sequence(C3, "1^3"))
     assert is_zero_sum_free(parse_sequence(C3, "empty"))
     assert not is_zero_sum_free(parse_sequence(C3, "0"))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_is_zero_sum_free_matches_brute_zero_count(data):
+    G = data.draw(st.sampled_from(groups_up_to_order(16)))
+    occ = data.draw(st.lists(st.sampled_from(all_elements(G)), max_size=12))
+    S = sequence(G, occ)
+    assert is_zero_sum_free(S) == (count_brute_vector(S).zero_count == 1)
 
 
 def test_exact_values_small():
@@ -161,18 +173,23 @@ def test_zero_sum_free_sequences_enumeration():
 
 
 def test_mask_adders_match_set_translation():
+    # The limb table moves limb i to limb index(elements[i] + a), at the
+    # Davenport bitset width 1, at width 2 and at the count width W.
     rng = random.Random(12)
     for G in (make_group([6]), make_group([2, 4]), make_group([2, 2, 2]), make_group([3, 3])):
         elems = all_elements(G)
         idx = element_index(G)
-        adders = _mask_adders(G)
-        for _ in range(30):
-            subset = {e for e in elems if rng.random() < 0.4}
-            mask = sum(1 << idx[e] for e in subset)
-            a = rng.choice(elems)
-            shifted = _shift_mask(mask, adders[idx[a]])
-            translated = {
-                tuple((x + y) % n for x, y, n in zip(e, a, G.invariants))
-                for e in subset
-            }
-            assert shifted == sum(1 << idx[e] for e in translated)
+        for width in (1, 2, limb_width(0)):
+            adders = _limb_adders(G, width)
+            for _ in range(30):
+                values = {e: rng.randrange(1 << width) for e in elems}
+                packed = sum(v << (idx[e] * width) for e, v in values.items())
+                a = rng.choice(elems)
+                shifted = translate(packed, adders[idx[a]])
+                translated = {
+                    tuple((x + y) % n for x, y, n in zip(e, a, G.invariants)): v
+                    for e, v in values.items()
+                }
+                assert shifted == sum(
+                    v << (idx[e] * width) for e, v in translated.items()
+                ), (G, width, a)

@@ -1,0 +1,63 @@
+"""Golden CLI outputs: the `--json --no-timestamp` report of a fixed set of
+short commands must stay byte-identical across refactors.
+
+The commands reach every reader of the count vectors (`count`, the
+extremal catalog, every count-reading `verify` sweep, `conjecture 2`) and
+the exact Davenport search.  Re-record with
+
+    PYTHONPATH=src python tests/test_golden.py --record
+
+only when a report is meant to change, and say why in the commit.
+"""
+
+import contextlib
+import io
+import pathlib
+import sys
+
+import pytest
+
+from zerosum import cli
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+# (file stem, argv)
+COMMANDS = (
+    ("count-c4xc4", ["count", "C4xC4", "(1,0)^3 (0,1)^2 (1,1)"]),
+    ("count-c2xc4", ["count", "C2xC4", "(1,1)^3 (0,2)"]),
+    ("count-c5-g", ["count", "C5", "1^4 2", "--g", "0"]),
+    ("extremal-c2xc4", ["extremal", "C2xC4", "--max-len", "7"]),
+    ("verify-lower-bound-c2xc4", ["verify", "lower-bound", "C2xC4", "--max-len", "7"]),
+    ("verify-one-and-all-c3xc3", ["verify", "one-and-all", "C3xC3", "--max-len", "6"]),
+    ("verify-transform-c6", ["verify", "transform", "C6", "--max-len", "14",
+                             "--trials", "60", "--seed", "3"]),
+    ("verify-es-chain-c2xc4", ["verify", "es-chain", "C2xC4", "--max-len", "8"]),
+    ("verify-subgroup-es-c2xc4", ["verify", "subgroup-es", "C2xC4", "--max-len", "7"]),
+    ("verify-cn-7", ["verify", "cn", "--n", "7", "--max-len", "9"]),
+    ("conjecture-2-c5", ["conjecture", "2", "C5", "--max-len", "7"]),
+    ("davenport-c2xc2xc2", ["davenport", "C2xC2xC2", "--method", "exact"]),
+    ("davenport-c3xc6", ["davenport", "C3xC6", "--method", "exact"]),
+)
+
+
+def _run(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(list(argv) + ["--json", "--no-timestamp"])
+    assert rc == 0, argv
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("stem,argv", COMMANDS, ids=[stem for stem, _ in COMMANDS])
+def test_cli_output_matches_golden(stem, argv):
+    expected = (GOLDEN_DIR / f"{stem}.json").read_text()
+    assert _run(argv) == expected
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --record")
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for stem, argv in COMMANDS:
+        (GOLDEN_DIR / f"{stem}.json").write_text(_run(argv))
+        print(f"recorded {stem}")

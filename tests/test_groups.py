@@ -5,6 +5,7 @@ import pytest
 
 from zerosum import (
     Group,
+    Subgroup,
     all_elements,
     all_subgroups,
     d_star,
@@ -204,6 +205,51 @@ def test_quotient_rejects_foreign_subgroup():
     bad = subgroup_closure(make_group([2, 2]), [(1, 1)])
     with pytest.raises(ValueError):
         quotient_group(G, bad)
+
+
+def test_quotient_rejects_invalid_subgroup_on_every_call():
+    # lru_cache does not cache exceptions: every call re-validates.
+    G = make_group([2, 4])
+    not_closed = Subgroup(((0, 1),), frozenset({(0, 0), (0, 1)}))
+    for _ in range(3):
+        with pytest.raises(ValueError, match="not closed"):
+            quotient_group(G, not_closed)
+
+
+def test_quotient_memo_validates_each_subgroup_once(monkeypatch):
+    import zerosum.groups as groups
+
+    calls = []
+    original = groups._validate_subgroup
+
+    def counting_validate(G, H):
+        calls.append(H)
+        original(G, H)
+
+    monkeypatch.setattr(groups, "_validate_subgroup", counting_validate)
+    quotient_group.cache_clear()
+    G = make_group([2, 2, 2])
+    subgroups = all_subgroups(G)
+    first = [quotient_group(G, H) for H in subgroups]
+    again = [quotient_group(G, H) for H in subgroups for _ in range(5)]
+    assert len(calls) == len(subgroups) == 16
+    assert all(a is first[i // 5] for i, a in enumerate(again))
+    info = quotient_group.cache_info()
+    assert info.misses == 16 and info.hits == 80
+    quotient_group.cache_clear()
+
+
+def test_order_cap_rejects_before_building_tables(monkeypatch):
+    import zerosum.groups as groups
+
+    monkeypatch.setattr(groups, "MAX_ORDER", 8)
+    all_elements.cache_clear()
+    for build in (lambda: make_group([16]), lambda: make_group([2, 2, 2, 2]),
+                  lambda: parse_group("C3xC3"), lambda: Group((4, 4))):
+        with pytest.raises(ValueError, match="exceeds the cap 8"):
+            build()
+    assert all_elements.cache_info().currsize == 0
+    assert make_group([2, 4]).order == 8  # at the cap is accepted
 
 
 def test_subgroup_invariants_matches_order_multisets():

@@ -70,7 +70,7 @@ def test_pruned_catalog_matches_unpruned_sweep():
     from math import comb
 
     from helpers import groups_up_to_order
-    from zerosum.counting import sweep_counts
+    from zerosum.counting import limb_layout, sweep_counts
 
     checked = 0
     for G in groups_up_to_order(16):
@@ -78,11 +78,12 @@ def test_pruned_catalog_matches_unpruned_sweep():
         for cap in range(D - 1, D + 3):
             if sum(comb(G.order - 2 + L, L) for L in range(cap + 1)) > 100_000:
                 break
-            expected = [
-                (occ, counts)
-                for occ, counts in sweep_counts(G, cap, exclude_zero=True)
-                if len(occ) >= D - 1 and counts[0] == 1 << (len(occ) - D + 1)
-            ]
+            unpack = limb_layout(G, cap).unpack
+            expected = []
+            for occ, packed in sweep_counts(G, cap, exclude_zero=True):
+                counts = unpack(packed)
+                if len(occ) >= D - 1 and counts[0] == 1 << (len(occ) - D + 1):
+                    expected.append((occ, counts))
             catalog = find_extremals(G, cap)
             assert catalog.exhaustive
             got = {S.expanded(): E for S, E in catalog.entries}
