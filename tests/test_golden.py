@@ -2,8 +2,9 @@
 short commands must stay byte-identical across refactors.
 
 The commands reach every reader of the count vectors (`count`, the
-extremal catalog, every count-reading `verify` sweep, `conjecture 2`) and
-the exact Davenport search.  Re-record with
+extremal catalog, the random catalog, every `verify` sweep, both
+conjecture harnesses), the construction and the exact Davenport search.
+Re-record with
 
     PYTHONPATH=src python tests/test_golden.py --record
 
@@ -37,6 +38,15 @@ COMMANDS = (
     ("conjecture-2-c5", ["conjecture", "2", "C5", "--max-len", "7"]),
     ("davenport-c2xc2xc2", ["davenport", "C2xC2xC2", "--method", "exact"]),
     ("davenport-c3xc6", ["davenport", "C3xC6", "--method", "exact"]),
+    ("verify-odd-structure-c3xc3", ["verify", "odd-structure", "C3xC3", "--max-len", "8"]),
+    ("verify-corollary-c3xc3", ["verify", "corollary", "C3xC3", "--max-len", "8"]),
+    ("verify-equivalences-c3xc3", ["verify", "equivalences", "C3xC3", "--max-len", "8"]),
+    ("verify-equivalences-c2xc4", ["verify", "equivalences", "C2xC4", "--max-len", "8",
+                                   "--family-k", "3"]),
+    ("conjecture-1-c3xc3", ["conjecture", "1", "C3xC3", "--max-len", "8"]),
+    ("construct-c5xc5", ["construct", "C5xC5", "--g", "(1,3)", "--m", "10"]),
+    ("extremal-random-c4xc4", ["extremal", "C4xC4", "--max-len", "8", "--random",
+                               "--trials", "500", "--seed", "1"]),
 )
 
 
