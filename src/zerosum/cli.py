@@ -24,7 +24,6 @@ from .groups import (
     Group,
     all_subgroups,
     d_star,
-    elem_neg,
     parse_group,
 )
 from .sequences import (
@@ -32,32 +31,19 @@ from .sequences import (
     format_sequence,
     parse_element,
     parse_sequence,
-    sequence,
-    seq_div,
     seq_sum,
-    _seq_from_sorted,
 )
 from .counting import (
-    ExtremalSet,
-    _below_bound,
-    _extremal_members,
-    _one_and_all,
     count_all,
     extremal_set,
-    limb_layout,
-    subsums,
-    sweep_counts,
-    transform,
+    sweep_lower_bound,
+    sweep_one_and_all,
 )
 from .davenport import davenport, DAVENPORT_CAP
 from .structure import (
-    check_corollary_decomposition,
     check_cyclic_characterization,
-    check_es_chain,
-    check_odd_group_structure,
-    condition_profile,
-    construct_unbounded_family,
-    max_subgroups_in_extremal_set,
+    sweep_es_chain,
+    sweep_subgroup_es,
 )
 from .search import (
     DEFAULT_BUDGET,
@@ -66,21 +52,27 @@ from .search import (
     construct_extremal,
     find_extremals,
     random_search,
-    splitmix64,
+    sweep_corollary,
+    sweep_equivalences,
+    sweep_odd_structure,
+    sweep_transform,
 )
 from .reports import VerificationReport
 
-THEOREMS = (
-    "lower-bound",
-    "transform",
-    "one-and-all",
-    "es-chain",
-    "subgroup-es",
-    "cn",
-    "odd-structure",
-    "corollary",
-    "equivalences",
-)
+# Theorem id -> the sweep replaying it, called as (G, D, max_len, args).
+SWEEPS = {
+    "lower-bound": lambda G, D, max_len, args: sweep_lower_bound(G, D, max_len),
+    "transform": lambda G, D, max_len, args: sweep_transform(
+        G, max_len, args.trials, args.seed),
+    "one-and-all": lambda G, D, max_len, args: sweep_one_and_all(G, D, max_len),
+    "es-chain": lambda G, D, max_len, args: sweep_es_chain(G, D, max_len),
+    "subgroup-es": lambda G, D, max_len, args: sweep_subgroup_es(G, D, max_len),
+    "odd-structure": lambda G, D, max_len, args: sweep_odd_structure(G, D, max_len),
+    "corollary": lambda G, D, max_len, args: sweep_corollary(G, D, max_len),
+    "equivalences": lambda G, D, max_len, args: sweep_equivalences(
+        G, max_len, args.family_k),
+}
+THEOREMS = (*SWEEPS, "cn")
 
 
 @dataclass
@@ -322,225 +314,6 @@ def cmd_conjecture(args) -> Report:
                   rep, _status_of(rep, truncated), _provenance(args))
 
 
-# --- verify sweeps ----------------------------------------------------------
-
-
-def _sweep_lower_bound(G: Group, max_len: int) -> VerificationReport:
-    D = davenport(G).value
-    limbs = limb_layout(G, max_len)
-    checked = 0
-    for occ, packed in sweep_counts(G, max_len, exclude_zero=True):
-        checked += 1
-        if _below_bound(limbs, packed, len(occ) - D + 1):
-            S = _seq_from_sorted(G, occ)
-            return VerificationReport.fail(
-                "lower-bound-sweep", (S,), group=G.spec(),
-                sequence=format_sequence(S), max_len=max_len,
-            )
-    return VerificationReport.ok(
-        "lower-bound-sweep", group=G.spec(), max_len=max_len,
-        davenport=D, sequences_checked=checked,
-    )
-
-
-def _sweep_one_and_all(G: Group, max_len: int) -> VerificationReport:
-    D = davenport(G).value
-    limbs = limb_layout(G, max_len)
-    checked = 0
-    attained = 0
-    for occ, packed in sweep_counts(G, max_len, exclude_zero=True):
-        checked += 1
-        is_attained, all_meet = _one_and_all(limbs, packed, len(occ) - D + 1)
-        if is_attained:
-            attained += 1
-            if not all_meet:
-                S = _seq_from_sorted(G, occ)
-                return VerificationReport.fail(
-                    "one-and-all-sweep", (S,), group=G.spec(),
-                    sequence=format_sequence(S), max_len=max_len,
-                )
-    return VerificationReport.ok(
-        "one-and-all-sweep", group=G.spec(), max_len=max_len,
-        sequences_checked=checked, bound_attained=attained,
-    )
-
-
-def _sweep_transform(G: Group, max_len: int, trials: int, seed: int) -> VerificationReport:
-    from .groups import all_elements
-
-    elems = all_elements(G)
-    state = seed & ((1 << 64) - 1)
-    checked = 0
-    for _ in range(trials):
-        state, v = splitmix64(state)
-        length = v % (max_len + 1)
-        occ = []
-        for _ in range(length):
-            state, v = splitmix64(state)
-            occ.append(elems[v % len(elems)])
-        S = sequence(G, occ)
-        keep = {}
-        for g, m in S.terms:
-            state, v = splitmix64(state)
-            keep[g] = v % (m + 1)
-        T = sequence(G, keep)
-        lhs = count_all(S)[seq_sum(T)]
-        rhs = count_all(transform(S, T)).zero_count
-        checked += 1
-        if lhs != rhs:
-            return VerificationReport.fail(
-                "transform-sweep", (S,), group=G.spec(),
-                sequence=format_sequence(S), subsequence=format_sequence(T),
-                lhs=lhs, rhs=rhs,
-            )
-    return VerificationReport.ok(
-        "transform-sweep", group=G.spec(), trials=checked, max_len=max_len,
-    )
-
-
-def _sweep_es_chain(G: Group, max_len: int) -> VerificationReport:
-    D = davenport(G).value
-    checked = 0
-    # Only extremal S of length >= D are read: prune by the zero count.
-    sweep = () if max_len < D else sweep_counts(
-        G, max_len, min_length=D, exclude_zero=True,
-        zero_ceiling=1 << (max_len - D + 1))
-    mask = limb_layout(G, max_len).mask
-    for occ, packed in sweep:
-        exponent = len(occ) - D + 1
-        if packed & mask != 1 << exponent:
-            continue
-        S = _seq_from_sorted(G, occ)
-        for a in S.support():
-            rest = seq_div(S, sequence(G, {a: 1}))
-            if elem_neg(G, a) not in subsums(rest):
-                continue
-            rep = check_es_chain(S, a, D)
-            checked += 1
-            if rep.failed:
-                return VerificationReport.fail(
-                    "es-chain-sweep", (S,), group=G.spec(),
-                    sequence=format_sequence(S),
-                    removed=format_element(G, a),
-                )
-    return VerificationReport.ok(
-        "es-chain-sweep", group=G.spec(), max_len=max_len, pairs_checked=checked,
-    )
-
-
-def _sweep_subgroup_es(G: Group, max_len: int) -> VerificationReport:
-    D = davenport(G).value
-    lo = max(D - 1, 0)
-    checked = 0
-    nontrivial_found = 0
-    limbs = limb_layout(G, max_len)
-    for occ, packed in sweep_counts(G, max_len, min_length=lo, exclude_zero=True):
-        exponent = len(occ) - D + 1
-        members = _extremal_members(G, limbs, packed, exponent)
-        if not members:
-            continue
-        E = ExtremalSet(G, members, exponent)
-        contained, verdict = max_subgroups_in_extremal_set(E)
-        checked += 1
-        nontrivial_found += sum(1 for H in contained if not H.is_trivial())
-        if verdict.failed:
-            S = _seq_from_sorted(G, occ)
-            return VerificationReport.fail(
-                "subgroup-es-sweep", (S,), group=G.spec(),
-                sequence=format_sequence(S),
-            )
-    return VerificationReport.ok(
-        "subgroup-es-sweep", group=G.spec(), max_len=max_len,
-        extremal_sets_checked=checked, nontrivial_subgroups=nontrivial_found,
-    )
-
-
-def _sweep_odd_structure(G: Group, max_len: int) -> VerificationReport:
-    D = davenport(G).value
-    catalog = find_extremals(G, max_len)
-    observed = []
-    failures = []
-    skipped = 0
-    for S, _ in catalog.entries:
-        rep = check_odd_group_structure(S, D)
-        if rep.status == "skipped":
-            skipped += 1
-        elif rep.failed:
-            failures.append(S)
-        observed.append({
-            "sequence": format_sequence(S),
-            "status": rep.status,
-        })
-    details = {
-        "group": G.spec(),
-        "max_len": max_len,
-        "extremal_checked": len(catalog.entries),
-        "skipped": skipped,
-        "stats": {"exhaustive": catalog.exhaustive},
-    }
-    if G.order % 2 == 0:
-        details["note"] = "group order is even; behavior recorded, nothing asserted"
-    if failures:
-        details["counterexample"] = format_sequence(failures[0])
-        return VerificationReport("odd-structure-sweep", "fail", details, tuple(failures[:1]))
-    return VerificationReport("odd-structure-sweep", "pass", details)
-
-
-def _sweep_corollary(G: Group, max_len: int) -> VerificationReport:
-    D = davenport(G).value
-    catalog = find_extremals(G, max_len)
-    zero = G.zero()
-    checked = 0
-    for S, E in catalog.entries:
-        if E.members != {zero}:
-            continue
-        rep = check_corollary_decomposition(S, D)
-        if rep.status == "skipped":
-            continue
-        checked += 1
-        if rep.failed:
-            return VerificationReport.fail(
-                "corollary-sweep", (S,), group=G.spec(),
-                sequence=format_sequence(S),
-            )
-    return VerificationReport.ok(
-        "corollary-sweep", group=G.spec(), max_len=max_len,
-        decompositions_checked=checked,
-        stats={"exhaustive": catalog.exhaustive},
-    )
-
-
-def _sweep_equivalences(G: Group, max_len: int, family_k: int) -> VerificationReport:
-    profile = condition_profile(G)
-    details = {
-        "group": G.spec(),
-        "cond_iii": profile.cond_iii,
-        "t_bound": profile.t,
-    }
-    if not profile.cond_iii:
-        H = profile.offending_H
-        details["offending_subgroup"] = sorted(
-            format_element(G, x) for x in H.elements
-        )
-        family = [
-            construct_unbounded_family(G, H, k) for k in range(1, family_k + 1)
-        ]
-        details["family"] = [format_sequence(S) for S in family]
-        details["family_verified"] = True  # construct re-verifies each member
-        details["note"] = "extremal lengths unbounded; family exhibited"
-        return VerificationReport("equivalences", "pass", details)
-    cap = min(max_len, profile.t)
-    catalog = find_extremals(G, cap)
-    lengths = sorted({len(S) for S, _ in catalog.entries})
-    details["sweep_cap"] = cap
-    details["extremal_lengths"] = lengths
-    details["max_extremal_length"] = catalog.max_length_found
-    details["ceiling_within_t_bound"] = catalog.max_length_found <= profile.t
-    details["stats"] = {"exhaustive": catalog.exhaustive}
-    status = "pass" if details["ceiling_within_t_bound"] else "fail"
-    return VerificationReport("equivalences", status, details)
-
-
 def cmd_verify(args) -> Report:
     if args.theorem == "cn":
         if args.n is None:
@@ -556,24 +329,7 @@ def cmd_verify(args) -> Report:
     D = _davenport_value(G, args)
     default_len = {"lower-bound": D + 4, "one-and-all": D + 4}.get(args.theorem, D + 3)
     max_len = args.max_len if args.max_len is not None else default_len
-    if args.theorem == "lower-bound":
-        rep = _sweep_lower_bound(G, max_len)
-    elif args.theorem == "one-and-all":
-        rep = _sweep_one_and_all(G, max_len)
-    elif args.theorem == "transform":
-        rep = _sweep_transform(G, max_len, args.trials, args.seed)
-    elif args.theorem == "es-chain":
-        rep = _sweep_es_chain(G, max_len)
-    elif args.theorem == "subgroup-es":
-        rep = _sweep_subgroup_es(G, max_len)
-    elif args.theorem == "odd-structure":
-        rep = _sweep_odd_structure(G, max_len)
-    elif args.theorem == "corollary":
-        rep = _sweep_corollary(G, max_len)
-    elif args.theorem == "equivalences":
-        rep = _sweep_equivalences(G, max_len, args.family_k)
-    else:
-        raise ValueError(f"unknown theorem id {args.theorem!r}")
+    rep = SWEEPS[args.theorem](G, D, max_len, args)
     truncated = rep.details.get("stats", {}).get("exhaustive") is False
     return Report(f"verify {args.theorem}", G.spec(),
                   {"theorem": args.theorem, "group": args.group,
@@ -582,6 +338,13 @@ def cmd_verify(args) -> Report:
 
 
 # --- argument parsing -------------------------------------------------------
+
+
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -622,11 +385,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ext = sub.add_parser("extremal", parents=[common],
                            help="catalog sequences attaining the count bound")
     p_ext.add_argument("group")
-    p_ext.add_argument("--max-len", type=int, required=True)
-    p_ext.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_ext.add_argument("--max-len", type=_nonnegative, required=True)
+    p_ext.add_argument("--budget", type=_nonnegative, default=DEFAULT_BUDGET)
     p_ext.add_argument("--random", action="store_true",
                        help="sample instead of sweeping (max-len = sampled length)")
-    p_ext.add_argument("--trials", type=int, default=10000)
+    p_ext.add_argument("--trials", type=_nonnegative, default=10000)
     p_ext.add_argument("--seed", type=int, default=0)
     p_ext.set_defaults(run=cmd_extremal)
 
@@ -634,18 +397,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("theorem", choices=THEOREMS)
     p_ver.add_argument("group", nargs="?")
     p_ver.add_argument("--n", type=int, help="cyclic order for `verify cn`")
-    p_ver.add_argument("--max-len", type=int)
-    p_ver.add_argument("--trials", type=int, default=1000)
+    p_ver.add_argument("--max-len", type=_nonnegative)
+    p_ver.add_argument("--trials", type=_nonnegative, default=1000)
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--family-k", type=int, default=10)
+    p_ver.add_argument("--family-k", type=_nonnegative, default=10)
     p_ver.set_defaults(run=cmd_verify)
 
     p_conj = sub.add_parser("conjecture", parents=[common],
                             help="run a conjecture-falsification harness")
     p_conj.add_argument("which", type=int, choices=(1, 2))
     p_conj.add_argument("group")
-    p_conj.add_argument("--max-len", type=int)
-    p_conj.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_conj.add_argument("--max-len", type=_nonnegative)
+    p_conj.add_argument("--budget", type=_nonnegative, default=DEFAULT_BUDGET)
     p_conj.set_defaults(run=cmd_conjecture)
 
     p_con = sub.add_parser("construct", parents=[common],
@@ -653,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("group")
     p_con.add_argument("--g", required=True)
     p_con.add_argument("--m", type=int, required=True)
-    p_con.add_argument("--budget", type=int, default=200_000)
+    p_con.add_argument("--budget", type=_nonnegative, default=200_000)
     p_con.set_defaults(run=cmd_construct)
 
     return parser

@@ -54,6 +54,7 @@ from .groups import (
 from .reports import VerificationReport
 from .sequences import (
     Sequence,
+    _seq_from_sorted,
     divides,
     format_sequence,
     seq_div,
@@ -229,6 +230,13 @@ def count_all(S: Sequence) -> CountVector:
     return CountVector(S.group, counts, len(S))
 
 
+def zero_count(S: Sequence) -> int:
+    """N_0(S): the number of index subsets of S summing to zero, the empty
+    one included."""
+    packed, limbs = count_packed(S)
+    return packed & limbs.mask
+
+
 def count_brute_vector(S: Sequence, cap: int = BRUTE_CAP) -> CountVector:
     """The same histogram by enumerating all 2^|S| index subsets.
 
@@ -378,6 +386,48 @@ def check_one_and_all(S: Sequence, D: int) -> VerificationReport:
     return VerificationReport("one-and-all", "fail", details, (S,))
 
 
+def sweep_lower_bound(G: Group, D: int, max_len: int) -> VerificationReport:
+    """``check_lower_bound`` on every zero-free multiset up to ``max_len``;
+    stops at the first violation."""
+    limbs = limb_layout(G, max_len)
+    checked = 0
+    for occ, packed in sweep_counts(G, max_len, exclude_zero=True):
+        checked += 1
+        if _below_bound(limbs, packed, len(occ) - D + 1):
+            S = _seq_from_sorted(G, occ)
+            return VerificationReport.fail(
+                "lower-bound-sweep", (S,), group=G.spec(),
+                sequence=format_sequence(S), max_len=max_len,
+            )
+    return VerificationReport.ok(
+        "lower-bound-sweep", group=G.spec(), max_len=max_len,
+        davenport=D, sequences_checked=checked,
+    )
+
+
+def sweep_one_and_all(G: Group, D: int, max_len: int) -> VerificationReport:
+    """``check_one_and_all`` on every zero-free multiset up to ``max_len``;
+    stops at the first violation."""
+    limbs = limb_layout(G, max_len)
+    checked = 0
+    attained = 0
+    for occ, packed in sweep_counts(G, max_len, exclude_zero=True):
+        checked += 1
+        is_attained, all_meet = _one_and_all(limbs, packed, len(occ) - D + 1)
+        if is_attained:
+            attained += 1
+            if not all_meet:
+                S = _seq_from_sorted(G, occ)
+                return VerificationReport.fail(
+                    "one-and-all-sweep", (S,), group=G.spec(),
+                    sequence=format_sequence(S), max_len=max_len,
+                )
+    return VerificationReport.ok(
+        "one-and-all-sweep", group=G.spec(), max_len=max_len,
+        sequences_checked=checked, bound_attained=attained,
+    )
+
+
 def pushforward_counts(S: Sequence, H: Subgroup) -> VerificationReport:
     """Summing counts over a subgroup equals the zero count of the projected
     sequence over the quotient."""
@@ -424,7 +474,8 @@ def sweep_counts(G: Group, max_length: int, *, min_length: int = 0,
     restricted to multisets whose zero count is at most the ceiling.
     """
     # The empty multiset has zero count 1.
-    if max_length < 0 or (zero_ceiling is not None and zero_ceiling < 1):
+    if (max_length < max(min_length, 0)
+            or (zero_ceiling is not None and zero_ceiling < 1)):
         return
     limbs = limb_layout(G, max_length)
     mask = limbs.mask
@@ -475,3 +526,30 @@ def sweep_counts(G: Group, max_length: int, *, min_length: int = 0,
             next_pos.append(pos)
         else:
             occurrences.pop()
+
+
+def extremal_sweep(G: Group, D: int, max_length: int, *, min_length: int = 0,
+                   prune: bool = False):
+    """Yield (occurrence tuple, extremal members) for every zero-free
+    multiset from ``min_length`` to ``max_length``, in ``sweep_counts``
+    order.  The members are the elements whose count is exactly
+    2^(len-D+1), and none below length D-1.
+
+    With ``prune`` the sweep is for extremal sequences only: it skips every
+    multiset whose zero count exceeds 2^(max_length-D+1), and the members
+    are reported only where zero itself attains the bound (elsewhere they
+    are empty), so nonempty members mark exactly the extremal multisets.
+    """
+    limbs = limb_layout(G, max_length)
+    mask = limbs.mask
+    ceiling = None
+    if prune:
+        top = max_length - D + 1
+        ceiling = 1 << top if top >= 0 else 0
+    for occ, packed in sweep_counts(G, max_length, min_length=min_length,
+                                    exclude_zero=True, zero_ceiling=ceiling):
+        exponent = len(occ) - D + 1
+        if exponent < 0 or (prune and packed & mask != 1 << exponent):
+            yield occ, frozenset()
+        else:
+            yield occ, _extremal_members(G, limbs, packed, exponent)

@@ -29,10 +29,11 @@ from .groups import (
     elem_order,
     quotient_group,
     subgroup_invariants,
+    _prime_factors,
 )
 from .reports import VerificationReport
 from .sequences import Sequence, _seq_from_sorted, sequence
-from .counting import _limb_adders, translate
+from .counting import _limb_adders, sweep_counts, translate
 
 DAVENPORT_CAP = 36
 
@@ -135,20 +136,7 @@ def davenport_exact(G: Group, cap: int = DAVENPORT_CAP) -> DavenportResult:
 def davenport_formula(G: Group) -> int | None:
     """1 + d_star for the settled classes (cyclic, rank <= 2, p-groups);
     None anywhere else, never a guess."""
-    if G.rank <= 2:
-        return d_star(G) + 1
-    primes = set()
-    order = G.order
-    p = 2
-    while p * p <= order:
-        if order % p == 0:
-            primes.add(p)
-            while order % p == 0:
-                order //= p
-        p += 1
-    if order > 1:
-        primes.add(order)
-    if len(primes) == 1:
+    if G.rank <= 2 or len(_prime_factors(G.order)) == 1:
         return d_star(G) + 1
     return None
 
@@ -208,33 +196,9 @@ def t_bound(G: Group) -> int:
 
 def zero_sum_free_sequences(G: Group, length: int):
     """All zero-sum-free multisets of exactly the given length, in
-    lexicographic order of their occurrence tuples."""
+    lexicographic order of their occurrence tuples: the multisets whose
+    zero count stays 1."""
     if length < 0:
         raise ValueError("length must be >= 0")
-    if length == 0:
-        yield sequence(G)
-        return
-    n = G.order
-    if n == 1:
-        return
-    elems = all_elements(G)
-    idx = element_index(G)
-    adders = _limb_adders(G, 1)
-    neg_idx = [idx[elem_neg(G, e)] for e in elems]
-    stack: list[int] = []
-
-    def dfs(start: int, mask: int):
-        depth = len(stack)
-        if depth == length:
-            yield _seq_from_sorted(G, tuple(elems[j] for j in stack))
-            return
-        if depth + (n - mask.bit_count()) < length:
-            return
-        for i in range(start, n):
-            if (mask >> neg_idx[i]) & 1:
-                continue
-            stack.append(i)
-            yield from dfs(i, mask | translate(mask, adders[i]))
-            stack.pop()
-
-    yield from dfs(1, 1)
+    for occ, _ in sweep_counts(G, length, min_length=length, zero_ceiling=1):
+        yield _seq_from_sorted(G, occ)

@@ -37,7 +37,3 @@ class VerificationReport:
     @classmethod
     def fail(cls, check: str, witnesses=(), **details) -> "VerificationReport":
         return cls(check, "fail", details, tuple(witnesses))
-
-    @classmethod
-    def skip(cls, check: str, **details) -> "VerificationReport":
-        return cls(check, "skipped", details)

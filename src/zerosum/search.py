@@ -13,13 +13,14 @@ Harness passes always mean "no counterexample up to the stated cap".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
 from .groups import Group, GroupElement, all_elements, all_subgroups, d_star, elem_reduce
 from .reports import VerificationReport
 from .sequences import (
     Sequence,
     _seq_from_sorted,
+    format_element,
     format_sequence,
     seq_key,
     seq_mul,
@@ -28,16 +29,20 @@ from .sequences import (
 )
 from .counting import (
     ExtremalSet,
-    _extremal_members,
     count_all,
-    count_packed,
     extremal_set,
-    limb_layout,
-    sweep_counts,
+    extremal_sweep,
     transform,
+    zero_count,
 )
 from .davenport import davenport, zero_sum_free_sequences
-from .structure import condition_profile, minimal_zero_sums
+from .structure import (
+    check_corollary_decomposition,
+    check_odd_group_structure,
+    condition_profile,
+    construct_unbounded_family,
+    minimal_zero_sums,
+)
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -63,29 +68,12 @@ def find_extremals(G: Group, length_cap: int,
     budget counts the multisets visited after pruning.  Below cap D-1 no
     extremal sequence exists and nothing is swept."""
     D = davenport(G).value
-    if length_cap < D - 1:
-        return ExtremalCatalog(G, D, (), 0, length_cap, True)
-    lo = max(D - 1, 0)
-    entries = []
-    visited = 0
-    exhaustive = True
-    ceiling = 1 << (length_cap - D + 1)
-    limbs = limb_layout(G, length_cap)
-    mask = limbs.mask
-    for occ, packed in sweep_counts(G, length_cap, exclude_zero=True,
-                                    zero_ceiling=ceiling):
-        visited += 1
-        if visited > budget:
-            exhaustive = False
-            break
-        length = len(occ)
-        if length < lo:
-            continue
-        exponent = length - D + 1
-        if packed & mask == 1 << exponent:
-            S = _seq_from_sorted(G, occ)
-            members = _extremal_members(G, limbs, packed, exponent)
-            entries.append((S, ExtremalSet(G, members, exponent)))
+    sweep = extremal_sweep(G, D, length_cap, prune=True)
+    entries = [
+        (_seq_from_sorted(G, occ), ExtremalSet(G, members, len(occ) - D + 1))
+        for occ, members in islice(sweep, budget) if members
+    ]
+    exhaustive = next(sweep, None) is None
     entries.sort(key=lambda pair: seq_key(pair[0]))
     max_length = max((len(S) for S, _ in entries), default=0)
     return ExtremalCatalog(G, D, tuple(entries), max_length, length_cap, exhaustive)
@@ -188,31 +176,20 @@ def conjecture2_harness(G: Group, length_cap: int,
     if length_cap < bound + 1:
         raise ValueError(f"length cap must be at least d_star + rank + 1 = {bound + 1}")
     nontrivial = [H for H in all_subgroups(G) if H.order > 1]
-    lo = max(D - 1, 0)
     max_qualifying = None
     qualifying = 0
     violation = None
-    visited = 0
-    exhaustive = True
-    limbs = limb_layout(G, length_cap)
-    for occ, packed in sweep_counts(G, length_cap, exclude_zero=True):
-        visited += 1
-        if visited > budget:
-            exhaustive = False
-            break
+    sweep = extremal_sweep(G, D, length_cap)
+    for occ, members in islice(sweep, budget):
+        if not members or any(H.elements <= members for H in nontrivial):
+            continue
         length = len(occ)
-        if length < lo:
-            continue
-        members = _extremal_members(G, limbs, packed, length - D + 1)
-        if not members:
-            continue
-        if any(H.elements <= members for H in nontrivial):
-            continue
         qualifying += 1
         if max_qualifying is None or length > max_qualifying:
             max_qualifying = length
         if length > bound and violation is None:
             violation = _seq_from_sorted(G, occ)
+    exhaustive = next(sweep, None) is None
     witness = sequence(
         G,
         {
@@ -242,6 +219,94 @@ def conjecture2_harness(G: Group, length_cap: int,
     return VerificationReport("conjecture-2", "pass", details)
 
 
+def sweep_odd_structure(G: Group, D: int, max_len: int) -> VerificationReport:
+    """``check_odd_group_structure`` on every catalog entry up to
+    ``max_len``; on groups of even order the behavior is recorded and
+    nothing is asserted."""
+    catalog = find_extremals(G, max_len)
+    failures = []
+    skipped = 0
+    for S, _ in catalog.entries:
+        rep = check_odd_group_structure(S, D)
+        if rep.status == "skipped":
+            skipped += 1
+        elif rep.failed:
+            failures.append(S)
+    details = {
+        "group": G.spec(),
+        "max_len": max_len,
+        "extremal_checked": len(catalog.entries),
+        "skipped": skipped,
+        "stats": {"exhaustive": catalog.exhaustive},
+    }
+    if G.order % 2 == 0:
+        details["note"] = "group order is even; behavior recorded, nothing asserted"
+    if failures:
+        details["counterexample"] = format_sequence(failures[0])
+        return VerificationReport("odd-structure-sweep", "fail", details, tuple(failures[:1]))
+    return VerificationReport("odd-structure-sweep", "pass", details)
+
+
+def sweep_corollary(G: Group, D: int, max_len: int) -> VerificationReport:
+    """``check_corollary_decomposition`` on every catalog entry up to
+    ``max_len`` whose extremal set is exactly {0}."""
+    catalog = find_extremals(G, max_len)
+    zero = G.zero()
+    checked = 0
+    for S, E in catalog.entries:
+        if E.members != {zero}:
+            continue
+        rep = check_corollary_decomposition(S, D)
+        if rep.status == "skipped":
+            continue
+        checked += 1
+        if rep.failed:
+            return VerificationReport.fail(
+                "corollary-sweep", (S,), group=G.spec(),
+                sequence=format_sequence(S),
+            )
+    return VerificationReport.ok(
+        "corollary-sweep", group=G.spec(), max_len=max_len,
+        decompositions_checked=checked,
+        stats={"exhaustive": catalog.exhaustive},
+    )
+
+
+def sweep_equivalences(G: Group, max_len: int, family_k: int) -> VerificationReport:
+    """The quotient condition decides between bounded and unbounded
+    extremal lengths: when it holds, no catalog entry up to
+    min(max_len, t) is longer than t; when it fails, the first
+    ``family_k`` members of the unbounded family are exhibited."""
+    profile = condition_profile(G)
+    details = {
+        "group": G.spec(),
+        "cond_iii": profile.cond_iii,
+        "t_bound": profile.t,
+    }
+    if not profile.cond_iii:
+        H = profile.offending_H
+        details["offending_subgroup"] = sorted(
+            format_element(G, x) for x in H.elements
+        )
+        family = [
+            construct_unbounded_family(G, H, k) for k in range(1, family_k + 1)
+        ]
+        details["family"] = [format_sequence(S) for S in family]
+        details["family_verified"] = True  # construct re-verifies each member
+        details["note"] = "extremal lengths unbounded; family exhibited"
+        return VerificationReport("equivalences", "pass", details)
+    cap = min(max_len, profile.t)
+    catalog = find_extremals(G, cap)
+    lengths = sorted({len(S) for S, _ in catalog.entries})
+    details["sweep_cap"] = cap
+    details["extremal_lengths"] = lengths
+    details["max_extremal_length"] = catalog.max_length_found
+    details["ceiling_within_t_bound"] = catalog.max_length_found <= profile.t
+    details["stats"] = {"exhaustive": catalog.exhaustive}
+    status = "pass" if details["ceiling_within_t_bound"] else "fail"
+    return VerificationReport("equivalences", status, details)
+
+
 _M64 = (1 << 64) - 1
 
 
@@ -252,6 +317,40 @@ def splitmix64(state: int) -> tuple[int, int]:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
     return state, z ^ (z >> 31)
+
+
+def sweep_transform(G: Group, max_len: int, trials: int, seed: int) -> VerificationReport:
+    """The rewrite identity N_{sum T}(S) = N_0(transform(S, T)) on random
+    pairs T | S: each trial draws a length up to ``max_len``, S's
+    occurrences and T's multiplicities from one SplitMix64 stream."""
+    elems = all_elements(G)
+    state = seed & _M64
+    checked = 0
+    for _ in range(trials):
+        state, v = splitmix64(state)
+        length = v % (max_len + 1)
+        occ = []
+        for _ in range(length):
+            state, v = splitmix64(state)
+            occ.append(elems[v % len(elems)])
+        S = sequence(G, occ)
+        keep = {}
+        for g, m in S.terms:
+            state, v = splitmix64(state)
+            keep[g] = v % (m + 1)
+        T = sequence(G, keep)
+        lhs = count_all(S)[seq_sum(T)]
+        rhs = count_all(transform(S, T)).zero_count
+        checked += 1
+        if lhs != rhs:
+            return VerificationReport.fail(
+                "transform-sweep", (S,), group=G.spec(),
+                sequence=format_sequence(S), subsequence=format_sequence(T),
+                lhs=lhs, rhs=rhs,
+            )
+    return VerificationReport.ok(
+        "transform-sweep", group=G.spec(), trials=checked, max_len=max_len,
+    )
 
 
 def random_search(G: Group, length: int, trials: int, seed: int) -> ExtremalCatalog:
@@ -282,10 +381,8 @@ def random_search(G: Group, length: int, trials: int, seed: int) -> ExtremalCata
         if exponent < 0:
             continue
         S = _seq_from_sorted(G, key)
-        packed, limbs = count_packed(S)
-        if packed & limbs.mask == 1 << exponent:
-            members = _extremal_members(G, limbs, packed, exponent)
-            hits.append((S, ExtremalSet(G, members, exponent)))
+        if zero_count(S) == 1 << exponent:
+            hits.append((S, extremal_set(S, D)))
     hits.sort(key=lambda pair: seq_key(pair[0]))
     max_length = max((len(S) for S, _ in hits), default=0)
     return ExtremalCatalog(G, D, tuple(hits), max_length, length, False)

@@ -1,10 +1,9 @@
 """Minimal zero-sum machinery and structural checks on extremal sequences.
 
 A minimal zero-sum sequence is a nonempty zero-sum sequence all of whose
-proper nonempty subsequences are zero-sum free.  Minimality is tested by
-single removals: a candidate is minimal iff deleting any one occurrence
-leaves a zero-sum-free remainder (any proper zero-sum divisor survives the
-removal of some occurrence it misses).
+proper nonempty subsequences are zero-sum free.  Minimality is read off
+the zero count: a nonempty zero-sum S is minimal iff N_0(S) = 2, the
+empty subset and S itself.
 
 The checkers here replay structural statements about sequences attaining
 the count bound 2^(|S|-D+1): the disjoint-decomposition property on
@@ -26,6 +25,7 @@ from .groups import (
     GroupElement,
     Subgroup,
     all_subgroups,
+    elem_neg,
     elem_order,
     elem_reduce,
     elem_sub,
@@ -38,6 +38,7 @@ from .reports import VerificationReport
 from .sequences import (
     Sequence,
     _seq_from_sorted,
+    format_element,
     format_sequence,
     iterate_multisets,
     seq_div,
@@ -50,13 +51,12 @@ from .sequences import (
 from .counting import (
     ExtremalSet,
     count_all,
-    count_packed,
     extremal_set,
-    limb_layout,
+    extremal_sweep,
     subsums,
-    sweep_counts,
+    zero_count,
 )
-from .davenport import davenport, is_zero_sum_free, t_bound
+from .davenport import davenport, t_bound
 
 MINIMAL_CAP = 25
 
@@ -78,12 +78,10 @@ class ConditionProfile:
 
 
 def is_minimal_zero_sum(S: Sequence) -> bool:
-    if S.is_empty() or seq_sum(S) != S.group.zero():
-        return False
-    return all(
-        is_zero_sum_free(seq_div(S, sequence(S.group, {a: 1})))
-        for a in S.support()
-    )
+    """Nonempty, zero-sum, and the only zero-sum index subsets are the
+    empty one and the whole of S."""
+    return (not S.is_empty() and seq_sum(S) == S.group.zero()
+            and zero_count(S) == 2)
 
 
 def minimal_zero_sums(S: Sequence, D: int | None = None,
@@ -96,10 +94,9 @@ def minimal_zero_sums(S: Sequence, D: int | None = None,
     mults = [S.multiplicity(g) for g in support]
     minimals = []
     for vector in product(*(range(m + 1) for m in mults)):
-        if not any(vector):
-            continue
-        T = sequence(G, dict(zip(support, vector)))
-        if seq_sum(T) == G.zero() and is_minimal_zero_sum(T):
+        # The support is sorted and reduced, so the terms need no sequence().
+        T = Sequence(G, tuple((g, m) for g, m in zip(support, vector) if m))
+        if is_minimal_zero_sum(T):
             minimals.append(T)
     minimals.sort(key=seq_key)
     disjoint = all(
@@ -113,10 +110,7 @@ def minimal_zero_sums(S: Sequence, D: int | None = None,
 
 def _attains_zero_bound(S: Sequence, D: int) -> bool:
     e = len(S) - D + 1
-    if e < 0:
-        return False
-    packed, limbs = count_packed(S)
-    return packed & limbs.mask == 1 << e
+    return e >= 0 and zero_count(S) == 1 << e
 
 
 def check_odd_group_structure(S: Sequence, D: int) -> VerificationReport:
@@ -216,6 +210,31 @@ def check_es_chain(S: Sequence, a: GroupElement, D: int) -> VerificationReport:
     )
 
 
+def sweep_es_chain(G: Group, D: int, max_len: int) -> VerificationReport:
+    """``check_es_chain`` on every extremal S of length D..max_len and
+    every term a of S that lies in a nonempty zero-sum subsequence."""
+    checked = 0
+    for occ, members in extremal_sweep(G, D, max_len, min_length=D, prune=True):
+        if not members:
+            continue
+        S = _seq_from_sorted(G, occ)
+        for a in S.support():
+            rest = seq_div(S, sequence(G, {a: 1}))
+            if elem_neg(G, a) not in subsums(rest):
+                continue
+            rep = check_es_chain(S, a, D)
+            checked += 1
+            if rep.failed:
+                return VerificationReport.fail(
+                    "es-chain-sweep", (S,), group=G.spec(),
+                    sequence=format_sequence(S),
+                    removed=format_element(G, a),
+                )
+    return VerificationReport.ok(
+        "es-chain-sweep", group=G.spec(), max_len=max_len, pairs_checked=checked,
+    )
+
+
 def max_subgroups_in_extremal_set(E: ExtremalSet, cap: int = 64):
     """Subgroups contained in the extremal set, maximal ones flagged.
 
@@ -258,6 +277,30 @@ def max_subgroups_in_extremal_set(E: ExtremalSet, cap: int = 64):
         "subgroup-in-extremal-set", "pass" if ok else "fail", details
     )
     return contained, report
+
+
+def sweep_subgroup_es(G: Group, D: int, max_len: int) -> VerificationReport:
+    """``max_subgroups_in_extremal_set`` on the extremal set of every
+    zero-free multiset up to ``max_len`` where it is nonempty."""
+    checked = 0
+    nontrivial_found = 0
+    for occ, members in extremal_sweep(G, D, max_len, min_length=max(D - 1, 0)):
+        if not members:
+            continue
+        E = ExtremalSet(G, members, len(occ) - D + 1)
+        contained, verdict = max_subgroups_in_extremal_set(E)
+        checked += 1
+        nontrivial_found += sum(1 for H in contained if not H.is_trivial())
+        if verdict.failed:
+            S = _seq_from_sorted(G, occ)
+            return VerificationReport.fail(
+                "subgroup-es-sweep", (S,), group=G.spec(),
+                sequence=format_sequence(S),
+            )
+    return VerificationReport.ok(
+        "subgroup-es-sweep", group=G.spec(), max_len=max_len,
+        extremal_sets_checked=checked, nontrivial_subgroups=nontrivial_found,
+    )
 
 
 def condition_profile(G: Group) -> ConditionProfile:
@@ -337,14 +380,12 @@ def check_cyclic_characterization(n: int, max_len: int) -> VerificationReport:
     if max_len < n + 1:
         raise ValueError(f"max_len must be at least n + 1 = {n + 1}")
     G = make_group([n])
-    found = []
-    mask = limb_layout(G, max_len).mask
-    # D(C_n) = n; no extremal zero count exceeds 2^(max_len-n+1).
-    for occ, packed in sweep_counts(G, max_len, min_length=n - 1, exclude_zero=True,
-                                    zero_ceiling=1 << (max_len - n + 1)):
-        e = len(occ) - n + 1
-        if packed & mask == 1 << e:
-            found.append(_seq_from_sorted(G, occ))
+    # D(C_n) = n.
+    found = [
+        _seq_from_sorted(G, occ)
+        for occ, members in extremal_sweep(G, n, max_len, min_length=n - 1, prune=True)
+        if members
+    ]
     generators = [a for a in range(1, n) if gcd(a, n) == 1]
     expected = {
         seq_key(sequence(G, {(a,): reps}))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from zerosum import cli
+from zerosum import search
 from zerosum.cli import main
 
 
@@ -172,8 +172,8 @@ def test_extremal_budget_truncation_reports_partial(capsys):
     ("verify", "equivalences", "C12", "--max-len", "14"),
 ])
 def test_verify_on_truncated_catalog_reports_partial(capsys, monkeypatch, argv):
-    real = cli.find_extremals
-    monkeypatch.setattr(cli, "find_extremals",
+    real = search.find_extremals
+    monkeypatch.setattr(search, "find_extremals",
                         lambda G, cap, budget=None: real(G, cap, budget=20))
     code, payload, _ = run_json(capsys, *argv)
     assert code == 0
@@ -207,3 +207,45 @@ def test_human_output_mentions_status(capsys):
     assert code == 0
     assert "status: pass" in out
     assert "canonical: C2xC4" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("extremal", "C3", "--max-len", "5", "--budget", "-1"),
+    ("extremal", "C3", "--max-len", "-1"),
+    ("extremal", "C3", "--max-len", "5", "--random", "--trials", "-3"),
+    ("verify", "transform", "C6", "--max-len", "-1"),
+    ("verify", "transform", "C6", "--trials", "-3"),
+    ("verify", "equivalences", "C2xC4", "--family-k", "-1"),
+    ("conjecture", "2", "C5", "--max-len", "-7"),
+    ("conjecture", "1", "C3xC3", "--budget", "-1"),
+    ("construct", "C5", "--g", "2", "--m", "6", "--budget", "-1"),
+])
+def test_negative_counts_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("theorem", ["lower-bound", "one-and-all", "es-chain"])
+def test_verify_searches_davenport_once_with_the_given_cap(capsys, monkeypatch, theorem):
+    # C2xC2xC6 has no settled closed form, so D comes from the exact search.
+    import importlib
+
+    dav = importlib.import_module("zerosum.davenport")
+    real = dav.davenport_exact
+    caps = []
+
+    def recording(G, cap=dav.DAVENPORT_CAP):
+        caps.append(cap)
+        return real(G, cap=cap)
+
+    monkeypatch.setattr(dav, "davenport_exact", recording)
+    dav.davenport.cache_clear()
+    try:
+        code, _, _ = run_json(capsys, "verify", theorem, "C2xC2xC6", "--max-len", "3",
+                              "--davenport-cap", "30")
+    finally:
+        dav.davenport.cache_clear()
+    assert code == 0
+    assert caps == [30]

@@ -301,6 +301,39 @@ def test_pruned_sweep_is_unpruned_sweep_restricted(shape, max_length, min_length
     assert got == expected
 
 
+@pytest.mark.parametrize("shape", [(3,), (4,), (5,), (6,), (2, 2), (2, 4), (3, 3)])
+def test_extremal_sweep_matches_extremal_set(shape):
+    # Oracle: extremal_set and zero_count on each multiset of the unpruned
+    # sweep.  Unpruned, every multiset carries its extremal set; pruned,
+    # the stream is the zero-count-ceiling sweep, and exactly the
+    # multisets where zero attains the bound carry their extremal set.
+    from zerosum import davenport
+    from zerosum.counting import extremal_sweep, zero_count
+
+    G = make_group(list(shape))
+    D = davenport(G).value
+    for max_length in (D - 2, D - 1, D + 2):
+        ceiling = 1 << (max_length - D + 1) if max_length >= D - 1 else 0
+        for min_length in (0, D - 1, D):
+            expected = []
+            for occ, _ in sweep_counts(G, max_length, min_length=min_length):
+                S = sequence(G, list(occ))
+                E = extremal_set(S, D).members if len(S) >= D - 1 else frozenset()
+                expected.append((occ, E, zero_count(S)))
+                assert zero_count(S) == count_all(S).zero_count
+            assert list(extremal_sweep(G, D, max_length, min_length=min_length)) \
+                == [(occ, E) for occ, E, _ in expected]
+            pruned = list(extremal_sweep(G, D, max_length, min_length=min_length,
+                                         prune=True))
+            assert [occ for occ, _ in pruned] == [
+                occ for occ, _ in sweep_counts(G, max_length, min_length=min_length,
+                                               zero_ceiling=ceiling)
+            ]
+            assert [(occ, E) for occ, E in pruned if E] == [
+                (occ, E) for occ, E, _ in expected if G.zero() in E
+            ]
+
+
 def test_sweep_counts_yields_immutable_vectors():
     # Vectors are plain ints, so a caller may keep every one of them: the
     # kept stream still unpacks to count_all's counts.

@@ -1,0 +1,41 @@
+"""Module boundaries of the library, checked on the import statements.
+
+`counting` is the only module that reads packed count vectors: no other
+module imports the limb layout or the predicates on it, nor the sweep
+and translation primitives that produce packed vectors.  `davenport` may
+import the primitives, because its search and its zero-sum-free
+enumeration run on the width-1 bitset.  The CLI only parses and renders,
+so it imports no private name.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "zerosum"
+
+PACKED = {"limb_layout", "count_packed", "Limbs", "_extremal_members",
+          "_below_bound", "_one_and_all"}
+BITSET = {"_limb_adders", "translate", "sweep_counts"}
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "counting.py")
+
+
+def _imported_names(path: pathlib.Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_only_counting_reads_packed_vectors(path):
+    forbidden = PACKED if path.name == "davenport.py" else PACKED | BITSET
+    assert not _imported_names(path) & forbidden
+
+
+def test_cli_imports_no_private_name():
+    private = {name for name in _imported_names(SRC / "cli.py")
+               if name.startswith("_") and not name.endswith("__")}
+    assert not private
