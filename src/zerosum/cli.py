@@ -5,7 +5,9 @@ conjecture | construct.  Every command emits a report with the fields
 command, group, parameters, result, status, provenance; --json switches
 from the human rendering to machine output.  Reports are deterministic
 given the flags (plus --seed for randomized modes); --no-timestamp drops
-the one nondeterministic field.
+the one nondeterministic field.  The checks and sweeps live in the
+library; this module parses flags, computes D once with --davenport-cap
+and renders reports.
 
 Exit codes: 0 for pass/partial, 1 for a failed check, 2 for usage or
 input errors.

@@ -473,7 +473,8 @@ def sweep_counts(G: Group, max_length: int, *, min_length: int = 0,
     way also exceeds the ceiling: the pruned stream is the unpruned one
     restricted to multisets whose zero count is at most the ceiling.
     """
-    # The empty multiset has zero count 1.
+    # Nothing to yield: no length fits, or the ceiling is below the zero
+    # count 1 of the empty multiset.
     if (max_length < max(min_length, 0)
             or (zero_ceiling is not None and zero_ceiling < 1)):
         return

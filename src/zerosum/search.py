@@ -35,7 +35,7 @@ from .counting import (
     transform,
     zero_count,
 )
-from .davenport import davenport, zero_sum_free_sequences
+from .davenport import _product_of_generators, davenport, zero_sum_free_sequences
 from .structure import (
     check_corollary_decomposition,
     check_odd_group_structure,
@@ -167,12 +167,11 @@ def conjecture2_harness(G: Group, length_cap: int,
     """
     D = davenport(G).value
     ds = d_star(G)
-    rank = G.rank
     if D != ds + 1:
         raise ValueError(
             f"hypothesis requires D(G) = d_star + 1; got D = {D}, d_star = {ds}"
         )
-    bound = ds + rank
+    bound = ds + G.rank
     if length_cap < bound + 1:
         raise ValueError(f"length cap must be at least d_star + rank + 1 = {bound + 1}")
     nontrivial = [H for H in all_subgroups(G) if H.order > 1]
@@ -190,13 +189,7 @@ def conjecture2_harness(G: Group, length_cap: int,
         if length > bound and violation is None:
             violation = _seq_from_sorted(G, occ)
     exhaustive = next(sweep, None) is None
-    witness = sequence(
-        G,
-        {
-            tuple(1 if j == i else 0 for j in range(rank)): n
-            for i, n in enumerate(G.invariants)
-        },
-    )
+    witness = _product_of_generators(G, G.invariants)
     witness_members = extremal_set(witness, D).members
     details = {
         "group": G.spec(),
