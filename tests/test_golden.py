@@ -47,6 +47,10 @@ COMMANDS = (
     ("construct-c5xc5", ["construct", "C5xC5", "--g", "(1,3)", "--m", "10"]),
     ("extremal-random-c4xc4", ["extremal", "C4xC4", "--max-len", "8", "--random",
                                "--trials", "500", "--seed", "1"]),
+    ("verify-equivalences-c2xc6", ["verify", "equivalences", "C2xC6", "--max-len", "3",
+                                   "--family-k", "12"]),
+    ("verify-equivalences-c2xc2xc6", ["verify", "equivalences", "C2xC2xC6",
+                                      "--max-len", "3", "--family-k", "3"]),
 )
 
 
