@@ -6,8 +6,8 @@ command, group, parameters, result, status, provenance; --json switches
 from the human rendering to machine output.  Reports are deterministic
 given the flags (plus --seed for randomized modes); --no-timestamp drops
 the one nondeterministic field.  The checks and sweeps live in the
-library; this module parses flags, computes D once with --davenport-cap
-and renders reports.
+library; this module parses flags, runs a command's Davenport search
+first under --davenport-cap (the library reuses it) and renders reports.
 
 Exit codes: 0 for pass/partial, 1 for a failed check, 2 for usage or
 input errors.
@@ -59,7 +59,7 @@ from .search import (
     sweep_odd_structure,
     sweep_transform,
 )
-from .reports import VerificationReport
+from .reports import VerificationReport, sweep_status
 
 # Theorem id -> the sweep replaying it, called as (G, D, max_len, args).
 SWEEPS = {
@@ -184,14 +184,8 @@ def _provenance(args, **extra) -> dict:
     return prov
 
 
-def _status_of(rep: VerificationReport, truncated: bool = False) -> str:
-    if rep.failed:
-        return "fail"
-    return "partial" if truncated else "pass"
-
-
-def _davenport_value(G: Group, args) -> int:
-    return davenport(G, cap=args.davenport_cap).value
+def _status_of(rep: VerificationReport) -> str:
+    return "pass" if rep.status == "skipped" else rep.status
 
 
 # --- commands ---------------------------------------------------------------
@@ -257,6 +251,7 @@ def cmd_davenport(args) -> Report:
 
 def cmd_extremal(args) -> Report:
     G = parse_group(args.group)
+    davenport(G, cap=args.davenport_cap)
     if args.random:
         catalog = random_search(G, args.max_len, args.trials, args.seed)
     else:
@@ -276,18 +271,18 @@ def cmd_extremal(args) -> Report:
             for S, E in catalog.entries
         ],
     }
-    status = "pass" if catalog.exhaustive or args.random else "partial"
     return Report("extremal", G.spec(),
                   {"group": args.group, "max_len": args.max_len,
                    "random": args.random},
-                  result, status, _provenance(args))
+                  result, sweep_status(False, catalog.exhaustive or args.random),
+                  _provenance(args))
 
 
 def cmd_construct(args) -> Report:
     G = parse_group(args.group)
     g = parse_element(G, args.g)
+    D = davenport(G, cap=args.davenport_cap).value
     S = construct_extremal(G, g, args.m, budget=args.budget)
-    D = _davenport_value(G, args)
     result = {
         "sequence": format_sequence(S),
         "length": len(S),
@@ -302,7 +297,7 @@ def cmd_construct(args) -> Report:
 
 def cmd_conjecture(args) -> Report:
     G = parse_group(args.group)
-    D = _davenport_value(G, args)
+    D = davenport(G, cap=args.davenport_cap).value
     max_len = args.max_len if args.max_len is not None else (
         D + 3 if args.which == 1 else d_star(G) + G.rank + 1
     )
@@ -310,10 +305,9 @@ def cmd_conjecture(args) -> Report:
         rep = conjecture1_harness(G, max_len, args.budget)
     else:
         rep = conjecture2_harness(G, max_len, args.budget)
-    truncated = rep.details.get("exhaustive") is False
     return Report(f"conjecture {args.which}", G.spec(),
                   {"group": args.group, "max_len": max_len},
-                  rep, _status_of(rep, truncated), _provenance(args))
+                  rep, _status_of(rep), _provenance(args))
 
 
 def cmd_verify(args) -> Report:
@@ -328,15 +322,14 @@ def cmd_verify(args) -> Report:
     if args.group is None:
         raise ValueError(f"verify {args.theorem} requires a group")
     G = parse_group(args.group)
-    D = _davenport_value(G, args)
+    D = davenport(G, cap=args.davenport_cap).value
     default_len = {"lower-bound": D + 4, "one-and-all": D + 4}.get(args.theorem, D + 3)
     max_len = args.max_len if args.max_len is not None else default_len
     rep = SWEEPS[args.theorem](G, D, max_len, args)
-    truncated = rep.details.get("stats", {}).get("exhaustive") is False
     return Report(f"verify {args.theorem}", G.spec(),
                   {"theorem": args.theorem, "group": args.group,
                    "max_len": max_len},
-                  rep, _status_of(rep, truncated), _provenance(args))
+                  rep, _status_of(rep), _provenance(args))
 
 
 # --- argument parsing -------------------------------------------------------

@@ -436,11 +436,7 @@ def pushforward_counts(S: Sequence, H: Subgroup) -> VerificationReport:
     quotient, project = quotient_group(G, H)
     cv = count_all(S)
     lhs = sum(cv[h] for h in H.elements)
-    counts: dict[GroupElement, int] = {}
-    for g, m in S.terms:
-        q = project(g)
-        counts[q] = counts.get(q, 0) + m
-    projected = sequence(quotient, counts)
+    projected = sequence(quotient, map(project, S.expanded()))
     rhs = count_all(projected)[quotient.zero()]
     details = {
         "sequence": format_sequence(S),

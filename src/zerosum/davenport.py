@@ -17,7 +17,6 @@ be searched for or the caller fails loudly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .groups import (
     Group,
@@ -141,13 +140,26 @@ def davenport_formula(G: Group) -> int | None:
     return None
 
 
-@lru_cache(maxsize=None)
+_FOUND: dict[tuple[Group, str], DavenportResult] = {}
+
+
 def davenport(G: Group, method: str = "auto", cap: int = DAVENPORT_CAP) -> DavenportResult:
     """Davenport constant by the requested method.
 
     "auto" prefers the closed form and falls back to exact search;
-    "both" runs both and insists they agree.
+    "both" runs both and insists they agree.  Results are memoized per
+    (G, method); ``cap`` refuses only an exact search that has to run, so a
+    value once found is returned whatever the cap.
     """
+    if (G, method) not in _FOUND:
+        _FOUND[G, method] = _davenport(G, method, cap)
+    return _FOUND[G, method]
+
+
+davenport.cache_clear = _FOUND.clear
+
+
+def _davenport(G: Group, method: str, cap: int) -> DavenportResult:
     if method not in ("auto", "exact", "formula", "both"):
         raise ValueError(f"unknown method {method!r}")
     formula = davenport_formula(G)

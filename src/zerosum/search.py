@@ -13,10 +13,10 @@ Harness passes always mean "no counterexample up to the stated cap".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import islice
 
 from .groups import Group, GroupElement, all_elements, all_subgroups, d_star, elem_reduce
-from .reports import VerificationReport
+from .reports import VerificationReport, sweep_status
 from .sequences import (
     Sequence,
     _seq_from_sorted,
@@ -26,6 +26,7 @@ from .sequences import (
     seq_mul,
     seq_sum,
     sequence,
+    subsequences_with_sum,
 )
 from .counting import (
     ExtremalSet,
@@ -79,22 +80,6 @@ def find_extremals(G: Group, length_cap: int,
     return ExtremalCatalog(G, D, tuple(entries), max_length, length_cap, exhaustive)
 
 
-def _sub_multiset_with_sum(U: Sequence, g: GroupElement) -> Sequence | None:
-    """Smallest (by length, then lexicographic) subsequence of U summing to g."""
-    support = U.support()
-    mults = [U.multiplicity(x) for x in support]
-    best = None
-    best_key = None
-    for vector in product(*(range(m + 1) for m in mults)):
-        T = sequence(U.group, dict(zip(support, vector)))
-        if seq_sum(T) != g:
-            continue
-        key = seq_key(T)
-        if best_key is None or key < best_key:
-            best, best_key = T, key
-    return best
-
-
 def construct_extremal(G: Group, g: GroupElement, m: int,
                        budget: int = 200_000) -> Sequence:
     """A length-m sequence whose count at g is exactly 2^(m-D+1).
@@ -115,7 +100,7 @@ def construct_extremal(G: Group, g: GroupElement, m: int,
         scanned += 1
         if scanned > budget:
             raise ValueError(f"no (U, T) pair found within budget {budget}")
-        T = _sub_multiset_with_sum(U, g)
+        T = min(subsequences_with_sum(U, g), key=seq_key, default=None)
         if T is None:
             continue
         S = seq_mul(transform(U, T), padding)
@@ -142,18 +127,17 @@ def conjecture1_harness(G: Group, length_cap: int,
     if not profile.cond_iii:
         details["reason"] = "an order-2 quotient drops the Davenport constant by only 1"
         return VerificationReport("conjecture-1", "skipped", details)
-    D = davenport(G).value
     catalog = find_extremals(G, length_cap, budget)
     details["extremal_checked"] = len(catalog.entries)
     details["exhaustive"] = catalog.exhaustive
     for S, _ in catalog.entries:
-        rep = minimal_zero_sums(S, D)
-        expected = len(S) - D + 1
-        if len(rep.minimals) != expected or not rep.pairwise_disjoint:
+        rep = minimal_zero_sums(S, catalog.D)
+        if len(rep.minimals) != rep.expected_count or not rep.pairwise_disjoint:
             details["counterexample"] = format_sequence(S)
             return VerificationReport("conjecture-1", "fail", details, (S,))
     details["result"] = "no counterexample up to cap"
-    return VerificationReport("conjecture-1", "pass", details)
+    status = sweep_status(False, catalog.exhaustive)
+    return VerificationReport("conjecture-1", status, details)
 
 
 def conjecture2_harness(G: Group, length_cap: int,
@@ -205,11 +189,11 @@ def conjecture2_harness(G: Group, length_cap: int,
         and not any(H.elements <= witness_members for H in nontrivial),
         "bound_attained": max_qualifying == bound,
     }
-    if violation is not None:
-        details["counterexample"] = format_sequence(violation)
-        return VerificationReport("conjecture-2", "fail", details, (violation,))
-    details["result"] = "no counterexample up to cap"
-    return VerificationReport("conjecture-2", "pass", details)
+    if violation is None:
+        details["result"] = "no counterexample up to cap"
+        return VerificationReport("conjecture-2", sweep_status(False, exhaustive), details)
+    details["counterexample"] = format_sequence(violation)
+    return VerificationReport("conjecture-2", "fail", details, (violation,))
 
 
 def sweep_odd_structure(G: Group, D: int, max_len: int) -> VerificationReport:
@@ -236,8 +220,9 @@ def sweep_odd_structure(G: Group, D: int, max_len: int) -> VerificationReport:
         details["note"] = "group order is even; behavior recorded, nothing asserted"
     if failures:
         details["counterexample"] = format_sequence(failures[0])
-        return VerificationReport("odd-structure-sweep", "fail", details, tuple(failures[:1]))
-    return VerificationReport("odd-structure-sweep", "pass", details)
+    return VerificationReport("odd-structure-sweep",
+                              sweep_status(bool(failures), catalog.exhaustive),
+                              details, tuple(failures[:1]))
 
 
 def sweep_corollary(G: Group, D: int, max_len: int) -> VerificationReport:
@@ -258,10 +243,10 @@ def sweep_corollary(G: Group, D: int, max_len: int) -> VerificationReport:
                 "corollary-sweep", (S,), group=G.spec(),
                 sequence=format_sequence(S),
             )
-    return VerificationReport.ok(
-        "corollary-sweep", group=G.spec(), max_len=max_len,
-        decompositions_checked=checked,
-        stats={"exhaustive": catalog.exhaustive},
+    return VerificationReport(
+        "corollary-sweep", sweep_status(False, catalog.exhaustive),
+        {"group": G.spec(), "max_len": max_len, "decompositions_checked": checked,
+         "stats": {"exhaustive": catalog.exhaustive}},
     )
 
 
@@ -296,7 +281,7 @@ def sweep_equivalences(G: Group, max_len: int, family_k: int) -> VerificationRep
     details["max_extremal_length"] = catalog.max_length_found
     details["ceiling_within_t_bound"] = catalog.max_length_found <= profile.t
     details["stats"] = {"exhaustive": catalog.exhaustive}
-    status = "pass" if details["ceiling_within_t_bound"] else "fail"
+    status = sweep_status(not details["ceiling_within_t_bound"], catalog.exhaustive)
     return VerificationReport("equivalences", status, details)
 
 

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
+from operator import mul
 from typing import Iterator, Mapping
 
 from .groups import (
@@ -247,6 +248,20 @@ def seq_neg(S: Sequence) -> Sequence:
 def seq_key(S: Sequence):
     """Canonical sort key: (length, sorted occurrence tuple)."""
     return (len(S), S.expanded())
+
+
+def subsequences_with_sum(S: Sequence, g: GroupElement) -> Iterator[Sequence]:
+    """Every subsequence of S summing to g, once per multiset, in product
+    order of the multiplicity vectors.  Sums are dot products of a vector
+    with the support's coordinates; a Sequence is built only on a match."""
+    G = S.group
+    g = elem_reduce(G, g)
+    support = S.support()
+    columns = [tuple(x[i] for x in support) for i in range(G.rank)]
+    for vector in product(*(range(m + 1) for _, m in S.terms)):
+        if all(sum(map(mul, column, vector)) % n == c
+               for column, n, c in zip(columns, G.invariants, g)):
+            yield Sequence(G, tuple((x, m) for x, m in zip(support, vector) if m))
 
 
 def iterate_multisets(G: Group, length: int, exclude_zero: bool = False) -> Iterator[Sequence]:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from math import comb, gcd
 
 from .groups import (
@@ -40,13 +39,13 @@ from .sequences import (
     _seq_from_sorted,
     format_element,
     format_sequence,
-    iterate_multisets,
     seq_div,
     seq_gcd,
     seq_key,
     seq_mul,
     seq_sum,
     sequence,
+    subsequences_with_sum,
 )
 from .counting import (
     ExtremalSet,
@@ -56,7 +55,7 @@ from .counting import (
     subsums,
     zero_count,
 )
-from .davenport import davenport, t_bound
+from .davenport import davenport, t_bound, zero_sum_free_sequences
 
 MINIMAL_CAP = 25
 
@@ -89,15 +88,8 @@ def minimal_zero_sums(S: Sequence, D: int | None = None,
     """All minimal zero-sum subsequences of S, each once as a multiset."""
     if len(S) > cap:
         raise ValueError(f"minimal_zero_sums capped at length {cap}, got {len(S)}")
-    G = S.group
-    support = S.support()
-    mults = [S.multiplicity(g) for g in support]
-    minimals = []
-    for vector in product(*(range(m + 1) for m in mults)):
-        # The support is sorted and reduced, so the terms need no sequence().
-        T = Sequence(G, tuple((g, m) for g, m in zip(support, vector) if m))
-        if is_minimal_zero_sum(T):
-            minimals.append(T)
+    minimals = [T for T in subsequences_with_sum(S, S.group.zero())
+                if T.terms and zero_count(T) == 2]
     minimals.sort(key=seq_key)
     disjoint = all(
         seq_gcd([minimals[i], minimals[j]]).is_empty()
@@ -351,14 +343,13 @@ def _family_base(G: Group, H: Subgroup) -> Sequence:
         raise ValueError(
             f"needs D(G) = D(G/H) + 1; got D({G}) = {DG}, D({quotient}) = {DQ}"
         )
-    for S in iterate_multisets(G, DQ, exclude_zero=True):
+    # A qualifying base is zero-sum free: a nonempty zero-sum subsequence
+    # would project to a zero-sum subsequence of the minimal projection,
+    # hence to all of it, so it would be S itself, which sums to h != 0.
+    for S in zero_sum_free_sequences(G, DQ):
         if seq_sum(S) != h:
             continue
-        counts: dict[GroupElement, int] = {}
-        for g, m in S.terms:
-            q = project(g)
-            counts[q] = counts.get(q, 0) + m
-        if is_minimal_zero_sum(sequence(quotient, counts)):
+        if is_minimal_zero_sum(sequence(quotient, map(project, S.expanded()))):
             return S
     raise RuntimeError(
         f"no qualifying base of length {DQ} over {G}; "

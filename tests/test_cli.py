@@ -227,9 +227,30 @@ def test_negative_counts_exit_2(capsys, argv):
     assert "must be >= 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("theorem", ["lower-bound", "one-and-all", "es-chain"])
-def test_verify_searches_davenport_once_with_the_given_cap(capsys, monkeypatch, theorem):
-    # C2xC2xC6 has no settled closed form, so D comes from the exact search.
+# Every command that needs D, on C2xC2xC6: it has no settled closed form,
+# so D comes from the exact search.
+NEEDS_DAVENPORT = {
+    "lower-bound": ("verify", "lower-bound", "C2xC2xC6", "--max-len", "3"),
+    "one-and-all": ("verify", "one-and-all", "C2xC2xC6", "--max-len", "3"),
+    "es-chain": ("verify", "es-chain", "C2xC2xC6", "--max-len", "3"),
+    "subgroup-es": ("verify", "subgroup-es", "C2xC2xC6", "--max-len", "3"),
+    "odd-structure": ("verify", "odd-structure", "C2xC2xC6", "--max-len", "3"),
+    "corollary": ("verify", "corollary", "C2xC2xC6", "--max-len", "3"),
+    "equivalences": ("verify", "equivalences", "C2xC2xC6", "--max-len", "3",
+                     "--family-k", "2"),
+    "extremal": ("extremal", "C2xC2xC6", "--max-len", "3"),
+    "extremal-random": ("extremal", "C2xC2xC6", "--max-len", "8", "--random",
+                        "--trials", "20"),
+    "construct": ("construct", "C2xC2xC6", "--g", "(1,1,5)", "--m", "8"),
+    "conjecture-1": ("conjecture", "1", "C2xC2xC6", "--max-len", "3"),
+    "conjecture-2": ("conjecture", "2", "C2xC2xC6", "--budget", "100"),
+    "count": ("count", "C2xC2xC6", "(0,0,1)"),
+}
+
+
+@pytest.fixture
+def exact_search_caps(monkeypatch):
+    """The caps passed to every exact Davenport search, from an empty memo."""
     import importlib
 
     dav = importlib.import_module("zerosum.davenport")
@@ -242,10 +263,20 @@ def test_verify_searches_davenport_once_with_the_given_cap(capsys, monkeypatch, 
 
     monkeypatch.setattr(dav, "davenport_exact", recording)
     dav.davenport.cache_clear()
-    try:
-        code, _, _ = run_json(capsys, "verify", theorem, "C2xC2xC6", "--max-len", "3",
-                              "--davenport-cap", "30")
-    finally:
-        dav.davenport.cache_clear()
+    yield caps
+    dav.davenport.cache_clear()
+
+
+@pytest.mark.parametrize("argv", NEEDS_DAVENPORT.values(), ids=NEEDS_DAVENPORT)
+def test_verify_searches_davenport_once_with_the_given_cap(capsys, exact_search_caps,
+                                                           argv):
+    code, _, _ = run_json(capsys, *argv, "--davenport-cap", "30")
     assert code == 0
-    assert caps == [30]
+    assert exact_search_caps == [30]
+
+
+@pytest.mark.parametrize("argv", NEEDS_DAVENPORT.values(), ids=NEEDS_DAVENPORT)
+def test_davenport_cap_below_the_order_exits_2(capsys, exact_search_caps, argv):
+    code, _, err = run(capsys, *argv, "--davenport-cap", "20")
+    assert code == 2 and "exceeds cap 20" in err
+    assert exact_search_caps == [20]

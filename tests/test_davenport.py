@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -66,6 +67,30 @@ def test_exact_trivial_group():
 def test_exact_cap():
     with pytest.raises(ValueError):
         davenport_exact(make_group([37]))
+
+
+def test_davenport_memo_keeps_the_cap_out_of_the_key(monkeypatch):
+    # C2xC2xC6 has no settled closed form, so "auto" runs the exact search.
+    # (`zerosum.davenport` the attribute is the function, not the module.)
+    dav = importlib.import_module("zerosum.davenport")
+    G = make_group([2, 2, 6])
+    real = dav.davenport_exact
+    searched = []
+    monkeypatch.setattr(dav, "davenport_exact",
+                        lambda G, cap: searched.append(cap) or real(G, cap=cap))
+    davenport.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="exceeds cap 20"):
+            davenport(G, cap=20)  # a miss above the cap raises
+        found = davenport(G, cap=30)
+        assert found.value == 8 and found.method == "exact-search"
+        assert davenport(G, cap=20) is found  # a hit, whatever the cap
+        assert davenport(G) is found
+        assert searched == [20, 30]
+        with pytest.raises(ValueError, match="exceeds cap 20"):
+            davenport(G, method="exact", cap=20)  # memoized per (G, method)
+    finally:
+        davenport.cache_clear()
 
 
 def test_witness_properties():

@@ -5,7 +5,9 @@ module imports the limb layout or the predicates on it, nor the sweep
 and translation primitives that produce packed vectors.  `davenport` may
 import the primitives, because its search and its zero-sum-free
 enumeration run on the width-1 bitset.  The CLI only parses and renders,
-so it imports no private name.
+so it imports no private name.  `iterate_multisets` is the itertools
+oracle the tests compare the library's enumerators with, so no library
+module uses it.
 """
 
 import ast
@@ -19,6 +21,8 @@ PACKED = {"limb_layout", "count_packed", "Limbs", "_extremal_members",
           "_below_bound", "_one_and_all"}
 BITSET = {"_limb_adders", "translate", "sweep_counts"}
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "counting.py")
+# `sequences` defines the oracle and `__init__` re-exports it.
+LIBRARY = sorted(p for p in SRC.glob("*.py") if p.stem not in ("sequences", "__init__"))
 
 
 def _imported_names(path: pathlib.Path) -> set[str]:
@@ -39,3 +43,18 @@ def test_cli_imports_no_private_name():
     private = {name for name in _imported_names(SRC / "cli.py")
                if name.startswith("_") and not name.endswith("__")}
     assert not private
+
+
+def _used_names(path: pathlib.Path) -> set[str]:
+    names = _imported_names(path)
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=[p.stem for p in LIBRARY])
+def test_iterate_multisets_is_a_test_oracle_only(path):
+    assert "iterate_multisets" not in _used_names(path)

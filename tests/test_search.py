@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from zerosum import (
@@ -15,6 +17,8 @@ from zerosum import (
     parse_sequence,
     random_search,
 )
+from zerosum import search
+from zerosum.reports import VerificationReport, sweep_status
 from zerosum.search import splitmix64
 
 C2 = make_group([2])
@@ -195,6 +199,30 @@ def test_conjecture2_c2xc2_family_is_empty():
 def test_conjecture2_cap_validation():
     with pytest.raises(ValueError):
         conjecture2_harness(C5, 4)
+
+
+def test_sweep_status_never_passes_a_truncated_sweep():
+    got = [sweep_status(failed, exhaustive)
+           for failed, exhaustive in product((True, False), repeat=2)]
+    assert got == ["fail", "fail", "pass", "partial"]
+    assert VerificationReport("x", "partial").status == "partial"
+    with pytest.raises(ValueError):
+        VerificationReport("x", "unknown")
+
+
+def test_truncated_harnesses_and_sweeps_report_partial(monkeypatch):
+    for rep in (conjecture1_harness(C33, 7, budget=10),
+                conjecture2_harness(C5, 7, budget=10)):
+        assert rep.status == "partial", rep.check
+        assert rep.details["exhaustive"] is False
+    real = search.find_extremals
+    monkeypatch.setattr(search, "find_extremals",
+                        lambda G, cap, budget=None: real(G, cap, budget=20))
+    for rep in (search.sweep_odd_structure(C33, 5, 10),
+                search.sweep_corollary(C33, 5, 8),
+                search.sweep_equivalences(make_group([12]), 14, 10)):
+        assert rep.status == "partial", rep.check
+        assert rep.details["stats"] == {"exhaustive": False}
 
 
 def test_random_search_deterministic():

@@ -1,7 +1,9 @@
 import random
+from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zerosum import (
     all_elements,
@@ -17,7 +19,14 @@ from zerosum import (
     seq_sum,
     sequence,
 )
-from zerosum.sequences import empty_sequence, parse_element, seq_key
+from zerosum.sequences import (
+    empty_sequence,
+    parse_element,
+    seq_key,
+    subsequences_with_sum,
+)
+
+from helpers import groups_up_to_order
 
 
 C3 = make_group([3])
@@ -164,3 +173,32 @@ def test_sequence_rejects_bad_terms():
     with pytest.raises(ValueError):
         sequence(C3, {(1,): -1})
     assert sequence(C3, {(1,): 0}).is_empty()
+
+
+def brute_subsequences_with_sum(S, g):
+    """Every multiplicity vector of S, summed term by term with seq_sum."""
+    support = S.support()
+    found = []
+    for vector in product(*(range(m + 1) for _, m in S.terms)):
+        T = sequence(S.group, dict(zip(support, vector)))
+        if seq_sum(T) == g:
+            found.append(T)
+    return found
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_subsequences_with_sum_matches_brute_force(data):
+    G = data.draw(st.sampled_from(groups_up_to_order(16) + [make_group([])]))
+    elems = all_elements(G)
+    S = sequence(G, data.draw(st.lists(st.sampled_from(elems), max_size=10)))
+    g = data.draw(st.sampled_from(elems))
+    assert list(subsequences_with_sum(S, g)) == brute_subsequences_with_sum(S, g)
+
+
+def test_subsequences_with_sum_of_the_empty_sequence():
+    for G in (C3, C24, make_group([])):
+        E = empty_sequence(G)
+        assert list(subsequences_with_sum(E, G.zero())) == [E]
+        for g in all_elements(G)[1:]:
+            assert list(subsequences_with_sum(E, g)) == []

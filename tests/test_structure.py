@@ -16,15 +16,20 @@ from zerosum import (
     extremal_set,
     find_extremals,
     format_sequence,
+    iterate_multisets,
     make_group,
     max_subgroups_in_extremal_set,
     minimal_zero_sums,
+    order_two_subgroups,
     parse_sequence,
+    quotient_group,
     seq_sum,
     sequence,
     subgroup_closure,
 )
-from zerosum.structure import is_minimal_zero_sum
+from zerosum.structure import _family_base, is_minimal_zero_sum
+
+from helpers import groups_up_to_order
 
 C2 = make_group([2])
 C3 = make_group([3])
@@ -178,8 +183,6 @@ def test_odd_structure_sweep_order_9():
 def test_theorem_consistency_order_16():
     # groups whose quotient condition fails carry a verified unbounded
     # family; groups where it holds show a bounded-extremal-length sweep
-    from helpers import groups_up_to_order
-
     for G in groups_up_to_order(16):
         profile = condition_profile(G)
         if not profile.cond_iii:
@@ -222,6 +225,31 @@ def test_construct_unbounded_family_examples():
         construct_unbounded_family(C4, subgroup_closure(C4, [(2,)]), 1)
     with pytest.raises(ValueError):
         construct_unbounded_family(C22, subgroup_closure(C22, []), 1)
+
+
+def multiset_scan_family_base(G, H):
+    """The first multiset of length D(G/H) over G minus zero, in
+    lexicographic order, that sums to h and projects to a minimal
+    zero-sum sequence over G/H."""
+    (h,) = [x for x in H.elements if x != G.zero()]
+    quotient, project = quotient_group(G, H)
+    for S in iterate_multisets(G, davenport(quotient).value, exclude_zero=True):
+        projected = sequence(quotient, [project(g) for g in S.expanded()])
+        if seq_sum(S) == h and is_minimal_zero_sum(projected):
+            return S
+    return None
+
+
+def test_family_base_matches_the_multiset_scan():
+    checked = 0
+    for G in groups_up_to_order(16):
+        for H in order_two_subgroups(G):
+            quotient, _ = quotient_group(G, H)
+            if davenport(G).value != davenport(quotient).value + 1:
+                continue
+            assert _family_base(G, H) == multiset_scan_family_base(G, H), (G, H)
+            checked += 1
+    assert checked == 39  # every valid (G, H) of order <= 16
 
 
 def test_construct_unbounded_family_verifies_counts():
