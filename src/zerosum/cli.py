@@ -251,7 +251,7 @@ def cmd_davenport(args) -> Report:
 
 def cmd_extremal(args) -> Report:
     G = parse_group(args.group)
-    davenport(G, cap=args.davenport_cap)
+    davenport(G, cap=args.davenport_cap)  # the one search; the library reuses it
     if args.random:
         catalog = random_search(G, args.max_len, args.trials, args.seed)
     else:
