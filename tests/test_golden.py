@@ -51,6 +51,10 @@ COMMANDS = (
                                    "--family-k", "12"]),
     ("verify-equivalences-c2xc2xc6", ["verify", "equivalences", "C2xC2xC6",
                                       "--max-len", "3", "--family-k", "3"]),
+    ("davenport-c3xc12", ["davenport", "C3xC12", "--method", "exact"]),
+    ("davenport-c2xc2xc10", ["davenport", "C2xC2xC10", "--method", "exact",
+                             "--davenport-cap", "40"]),
+    ("verify-subgroup-es-c2xc2xc2", ["verify", "subgroup-es", "C2xC2xC2", "--max-len", "7"]),
 )
 
 
