@@ -9,6 +9,16 @@ limb table of ``counting._limb_adders``.  Appending a is legal exactly
 when -a is not yet a subset sum, and every legal append grows the sum set
 strictly, which yields the pruning bounds used below.
 
+The search also cuts by symmetry.  ``groups.element_orbits`` maps each
+element to the least index in its orbit under automorphisms of G, and a
+child a is skipped when that index lies below the first term of the
+multiset (at depth 1, below a itself).  This is sound for any set of
+automorphisms: the lex-least multiset of an orbit has no term with an
+image below its first term, and each of its prefixes is lex-least too, so
+it survives.  The first zero-sum-free multiset of each length in lex
+order is lex-least in its orbit, so the value and the witness are those
+of the search without the cut.
+
 The closed form D = 1 + sum(n_i - 1) is applied only where it is settled:
 cyclic groups, rank <= 2, and p-groups.  Everywhere else the constant must
 be searched for or the caller fails loudly.
@@ -26,6 +36,7 @@ from .groups import (
     d_star,
     elem_neg,
     elem_order,
+    element_orbits,
     quotient_group,
     subgroup_invariants,
     _prime_factors,
@@ -88,6 +99,7 @@ def davenport_exact(G: Group, cap: int = DAVENPORT_CAP) -> DavenportResult:
     subset-sum bitset.  Branches are cut when they cannot beat the best
     length found so far: each append grows the sum set by at least one
     element, and element a can repeat at most order(a) - 1 times in total.
+    Children are also cut by automorphism orbit (see the module notes).
     The search starts from the known-zero-sum-free prod e_i^(n_i - 1), so
     groups whose constant meets that floor are confirmed, not rediscovered.
     """
@@ -104,6 +116,7 @@ def davenport_exact(G: Group, cap: int = DAVENPORT_CAP) -> DavenportResult:
     adders = _limb_adders(G, 1)
     neg_idx = [idx[elem_neg(G, e)] for e in elems]
     orders = [elem_order(G, e) for e in elems]
+    orbit_min = element_orbits(G)
     stack: list[int] = []
 
     def dfs(start: int, mask: int, size: int) -> None:
@@ -118,7 +131,7 @@ def davenport_exact(G: Group, cap: int = DAVENPORT_CAP) -> DavenportResult:
         if size + min(headroom, budget) <= best_len:
             return
         for i in range(start, n):
-            if (mask >> neg_idx[i]) & 1:
+            if (mask >> neg_idx[i]) & 1 or orbit_min[i] < (stack[0] if stack else i):
                 continue
             stack.append(i)
             if size + 1 > best_len:
@@ -169,9 +182,9 @@ def _davenport(G: Group, method: str, cap: int) -> DavenportResult:
         return DavenportResult(G, formula, "formula", _star_witness(G))
     if method in ("exact", "auto"):
         return davenport_exact(G, cap=cap)
-    exact = davenport_exact(G, cap=cap)
     if formula is None:
         raise ValueError(f"no settled closed form for {G}; use method='exact'")
+    exact = davenport_exact(G, cap=cap)
     if formula != exact.value:
         raise ArithmeticError(
             f"search found {exact.value} but the closed form gives {formula} for {G}"

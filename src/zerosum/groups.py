@@ -183,6 +183,57 @@ def element_index(G: Group):
     return {e: i for i, e in enumerate(all_elements(G))}
 
 
+def _elementary_automorphisms(G: Group) -> list[tuple[int, ...]]:
+    """Elementary automorphisms of G as permutations of element indices.
+
+    Unit scalings e_i -> u*e_i; shears e_i -> e_i + c*e_j with
+    c = n_j/n_i for j > i and c = 1 for j < i (so c*e_j has order dividing
+    n_i); swaps of equal invariant factors.
+    """
+    inv = G.invariants
+    idx = element_index(G)
+    maps = []
+    for i, n in enumerate(inv):
+        for u in range(2, n):
+            if gcd(u, n) == 1:
+                maps.append(lambda x, i=i, u=u, n=n: x[:i] + (u * x[i] % n,) + x[i + 1:])
+    for i, ni in enumerate(inv):
+        for j, nj in enumerate(inv):
+            if i != j:
+                c = nj // ni if j > i else 1
+                maps.append(lambda x, i=i, j=j, c=c, nj=nj:
+                            x[:j] + ((x[j] + c * x[i]) % nj,) + x[j + 1:])
+            if i < j and ni == nj:
+                maps.append(lambda x, i=i, j=j:
+                            x[:i] + (x[j],) + x[i + 1:j] + (x[i],) + x[j + 1:])
+    return [tuple(idx[f(x)] for x in all_elements(G)) for f in maps]
+
+
+@lru_cache(maxsize=None)
+def element_orbits(G: Group) -> tuple[int, ...]:
+    """For each element index, the least index in its Aut(G)-orbit.
+
+    Union-find over the elementary automorphisms, each root kept at the
+    least index of its class.  Any set of automorphisms gives true orbit
+    subsets, which is all a symmetry cut needs; the tests compare these
+    with the orbits of the full Aut(G) on small groups.
+    """
+    root = list(range(G.order))
+
+    def find(a: int) -> int:
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        return a
+
+    for perm in _elementary_automorphisms(G):
+        for a, b in enumerate(perm):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                root[max(ra, rb)] = min(ra, rb)
+    return tuple(find(a) for a in range(G.order))
+
+
 def subgroup_closure(G: Group, gens) -> Subgroup:
     """Smallest subgroup containing the generators (closure under addition).
 

@@ -273,14 +273,18 @@ def max_subgroups_in_extremal_set(E: ExtremalSet, cap: int = 64):
 
 def sweep_subgroup_es(G: Group, D: int, max_len: int) -> VerificationReport:
     """``max_subgroups_in_extremal_set`` on the extremal set of every
-    zero-free multiset up to ``max_len`` where it is nonempty."""
+    zero-free multiset up to ``max_len`` where it is nonempty.  The check
+    reads only the member set, so each distinct set is checked once."""
     checked = 0
     nontrivial_found = 0
+    seen = {}
     for occ, members in extremal_sweep(G, D, max_len, min_length=max(D - 1, 0)):
         if not members:
             continue
-        E = ExtremalSet(G, members, len(occ) - D + 1)
-        contained, verdict = max_subgroups_in_extremal_set(E)
+        if members not in seen:
+            seen[members] = max_subgroups_in_extremal_set(
+                ExtremalSet(G, members, len(occ) - D + 1))
+        contained, verdict = seen[members]
         checked += 1
         nontrivial_found += sum(1 for H in contained if not H.is_trivial())
         if verdict.failed:

@@ -3,17 +3,23 @@
 from itertools import combinations
 from math import gcd
 
-from zerosum import Group, elem_add, make_group
+from zerosum import Group, all_elements, elem_add, elem_order, elem_scale, make_group
+from zerosum.groups import element_index
 
 
 def groups_up_to_order(n):
-    """Every isomorphism class of order 2..n (n <= 16)."""
-    shapes = [
-        (2,), (3,), (4,), (2, 2), (5,), (6,), (7,), (8,), (2, 4), (2, 2, 2),
-        (9,), (3, 3), (10,), (11,), (12,), (2, 6), (13,), (14,), (15,),
-        (16,), (2, 8), (4, 4), (2, 2, 4), (2, 2, 2, 2),
-    ]
-    return [Group(s) for s in shapes if _order(s) <= n]
+    """Every isomorphism class of order 2..n, by order, then rank, then
+    invariant factors."""
+    shapes = []
+
+    def extend(shape, order):
+        for k in range(shape[-1] if shape else 2, n // order + 1):
+            if not shape or k % shape[-1] == 0:
+                shapes.append(shape + (k,))
+                extend(shape + (k,), order * k)
+
+    extend((), 1)
+    return [Group(s) for s in sorted(shapes, key=lambda s: (_order(s), len(s), s))]
 
 
 def _order(shape):
@@ -21,6 +27,39 @@ def _order(shape):
     for k in shape:
         out *= k
     return out
+
+
+def automorphisms(G, limit=None):
+    """Every automorphism of G as a permutation of element indices, or
+    None once more than ``limit`` have been found.
+
+    Brute force over generator images, chosen one at a time: the image of
+    e_i must have order dividing n_i, and a partial choice is rejected as
+    soon as the span of the images so far has fewer than n_1...n_i
+    elements (the map would not be injective on <e_1, ..., e_i>).  The
+    span is kept as the images of <e_1, ..., e_i> in element order, so a
+    full choice is the permutation itself.
+    """
+    elems = all_elements(G)
+    idx = element_index(G)
+    add = [[idx[elem_add(G, a, b)] for b in elems] for a in elems]
+    found = []
+
+    def extend(span, i):
+        if i == G.rank:
+            found.append(tuple(span))
+            return limit is None or len(found) <= limit
+        n = G.invariants[i]
+        for g in elems:
+            if n % elem_order(G, g):
+                continue
+            multiples = [idx[elem_scale(G, k, g)] for k in range(n)]
+            wider = [add[a][m] for a in span for m in multiples]
+            if len(set(wider)) == len(wider) and not extend(wider, i + 1):
+                return False
+        return True
+
+    return found if extend([0], 0) else None
 
 
 ODD_GROUPS_9 = [make_group(s) for s in [[3], [5], [7], [9], [3, 3]]]

@@ -8,6 +8,7 @@ from zerosum import (
     all_elements,
     all_subgroups,
     check_davenport_inequalities,
+    cli,
     count_all,
     count_brute,
     count_brute_vector,
@@ -91,6 +92,48 @@ def test_davenport_memo_keeps_the_cap_out_of_the_key(monkeypatch):
             davenport(G, method="exact", cap=20)  # memoized per (G, method)
     finally:
         davenport.cache_clear()
+
+
+def test_both_without_a_closed_form_refuses_before_searching(monkeypatch, capsys):
+    dav = importlib.import_module("zerosum.davenport")
+    searched = []
+    monkeypatch.setattr(dav, "davenport_exact", lambda G, cap: searched.append(G))
+    davenport.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="no settled closed form for C2xC2xC10"):
+            davenport(make_group([2, 2, 10]), method="both", cap=40)
+        assert cli.main(["davenport", "C2xC2xC10", "--method", "both",
+                         "--davenport-cap", "40"]) == 2
+        assert "no settled closed form" in capsys.readouterr().err
+        assert searched == []
+    finally:
+        davenport.cache_clear()
+
+
+def _search_without_orbit_cut(monkeypatch, G):
+    dav = importlib.import_module("zerosum.davenport")
+    with monkeypatch.context() as m:
+        m.setattr(dav, "element_orbits", lambda G: tuple(range(G.order)))
+        return davenport_exact(G)
+
+
+def test_orbit_cut_keeps_value_and_witness(monkeypatch):
+    for G in groups_up_to_order(24):
+        assert davenport_exact(G) == _search_without_orbit_cut(monkeypatch, G), G
+
+
+def test_orbit_cut_visits_fewer_nodes(monkeypatch):
+    dav = importlib.import_module("zerosum.davenport")
+    nodes = []
+    monkeypatch.setattr(dav, "translate", lambda mask, ops: nodes.append(1) or translate(mask, ops))
+    for spec in ([2, 2, 6], [3, 6], [2, 12]):
+        G = make_group(spec)
+        nodes.clear()
+        davenport_exact(G)
+        pruned = len(nodes)
+        nodes.clear()
+        _search_without_orbit_cut(monkeypatch, G)
+        assert 0 < pruned < len(nodes) / 2, (G, pruned, len(nodes))
 
 
 def test_witness_properties():

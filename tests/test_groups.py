@@ -21,9 +21,15 @@ from zerosum import (
     subgroup_closure,
     subgroup_invariants,
 )
-from zerosum.groups import element_index
+from zerosum.groups import _elementary_automorphisms, element_index, element_orbits
 
-from helpers import determinant, gcd_of_k_minors, groups_up_to_order, matmul
+from helpers import (
+    automorphisms,
+    determinant,
+    gcd_of_k_minors,
+    groups_up_to_order,
+    matmul,
+)
 
 
 def test_make_group_canonical_examples():
@@ -273,3 +279,45 @@ def test_element_index_consistent():
     idx = element_index(G)
     for i, e in enumerate(all_elements(G)):
         assert idx[e] == i
+
+
+def test_automorphism_enumerator_counts():
+    # |Aut(C_n)| = phi(n); |GL(2,2)| = 6, |GL(3,2)| = 168, |GL(4,2)| = 20160,
+    # |GL(3,3)| = 11232, |GL(2, Z/4)| = 96; Aut(C2xC4) is dihedral of order 8.
+    expected = {(12,): 4, (7,): 6, (2, 2): 6, (2, 2, 2): 168, (2, 2, 2, 2): 20160,
+                (3, 3, 3): 11232, (4, 4): 96, (2, 4): 8}
+    for shape, count in expected.items():
+        assert len(set(automorphisms(make_group(list(shape))))) == count, shape
+    assert automorphisms(make_group([2, 2, 2]), limit=100) is None
+
+
+def test_elementary_automorphisms_are_bijective_homomorphisms():
+    for G in groups_up_to_order(36):
+        elems = all_elements(G)
+        idx = element_index(G)
+        for perm in _elementary_automorphisms(G):
+            assert sorted(perm) == list(range(G.order)), G
+            for a in elems:
+                for b in elems:
+                    image = elem_add(G, elems[perm[idx[a]]], elems[perm[idx[b]]])
+                    assert elems[perm[idx[elem_add(G, a, b)]]] == image, (G, perm)
+
+
+def test_element_orbits_match_the_full_automorphism_group():
+    checked = 0
+    for G in groups_up_to_order(36):
+        auts = automorphisms(G, limit=25_000)
+        if auts is None:
+            assert G.invariants == (2, 2, 2, 2, 2)  # |GL(5,2)| is about 10^7
+            continue
+        brute = tuple(min(perm[a] for perm in auts) for a in range(G.order))
+        assert element_orbits(G) == brute, G
+        checked += 1
+    assert checked == 60
+
+
+def test_element_orbits_examples():
+    assert element_orbits(make_group([])) == (0,)
+    assert element_orbits(make_group([5])) == (0, 1, 1, 1, 1)
+    # C2xC4: {0}, {(0,2)} (the doubles), {(1,0), (1,2)}, the order-4 elements.
+    assert element_orbits(make_group([2, 4])) == (0, 1, 2, 1, 4, 1, 4, 1)

@@ -1,3 +1,4 @@
+import importlib
 import random
 from itertools import product
 
@@ -27,7 +28,9 @@ from zerosum import (
     sequence,
     subgroup_closure,
 )
-from zerosum.structure import _family_base, is_minimal_zero_sum
+from zerosum.counting import ExtremalSet, extremal_sweep
+from zerosum.reports import VerificationReport
+from zerosum.structure import _family_base, is_minimal_zero_sum, sweep_subgroup_es
 
 from helpers import groups_up_to_order
 
@@ -250,6 +253,57 @@ def test_family_base_matches_the_multiset_scan():
             assert _family_base(G, H) == multiset_scan_family_base(G, H), (G, H)
             checked += 1
     assert checked == 39  # every valid (G, H) of order <= 16
+
+
+def unmemoized_subgroup_es(G, D, max_len):
+    checked = nontrivial = 0
+    for occ, members in extremal_sweep(G, D, max_len, min_length=max(D - 1, 0)):
+        if members:
+            contained, verdict = max_subgroups_in_extremal_set(
+                ExtremalSet(G, members, len(occ) - D + 1))
+            assert not verdict.failed
+            checked += 1
+            nontrivial += sum(1 for H in contained if not H.is_trivial())
+    return {"group": G.spec(), "max_len": max_len,
+            "extremal_sets_checked": checked, "nontrivial_subgroups": nontrivial}
+
+
+@pytest.mark.parametrize("spec,max_len,distinct", [
+    ([2, 2, 2], 7, 1), ([2, 4], 8, 48), ([3, 3], 7, 99), ([2, 6], 8, 120),
+])
+def test_subgroup_es_sweep_checks_each_member_set_once(monkeypatch, spec, max_len, distinct):
+    structure = importlib.import_module("zerosum.structure")
+    G = make_group(spec)
+    D = davenport(G).value
+    sets = {members for _, members in extremal_sweep(G, D, max_len) if members}
+    assert len(sets) == distinct
+    expected = unmemoized_subgroup_es(G, D, max_len)
+    real = structure.max_subgroups_in_extremal_set
+    seen = []
+    monkeypatch.setattr(structure, "max_subgroups_in_extremal_set",
+                        lambda E: seen.append(E.members) or real(E))
+    report = sweep_subgroup_es(G, D, max_len)
+    assert report.passed and report.details == expected
+    assert len(seen) == len(set(seen)) == distinct
+
+
+def test_subgroup_es_sweep_reports_the_first_failing_sequence(monkeypatch):
+    structure = importlib.import_module("zerosum.structure")
+    G = make_group([2, 4])
+    D = davenport(G).value
+    sweep = [(occ, m) for occ, m in extremal_sweep(G, D, 8) if m]
+    bad = list(dict.fromkeys(m for _, m in sweep))[5]  # fail the sixth distinct set
+    first = next(occ for occ, m in sweep if m == bad)
+    real = structure.max_subgroups_in_extremal_set
+
+    def fake(E):
+        contained, verdict = real(E)
+        return contained, (VerificationReport.fail("x", ()) if E.members == bad else verdict)
+
+    monkeypatch.setattr(structure, "max_subgroups_in_extremal_set", fake)
+    report = sweep_subgroup_es(G, D, 8)
+    assert report.failed
+    assert report.details["sequence"] == format_sequence(sequence(G, first))
 
 
 def test_construct_unbounded_family_verifies_counts():
