@@ -3,7 +3,8 @@ short commands must stay byte-identical across refactors.
 
 The commands reach every reader of the count vectors (`count`, the
 extremal catalog, the random catalog, every `verify` sweep, both
-conjecture harnesses), the construction and the exact Davenport search.
+conjecture harnesses), the construction, the exact Davenport search and
+`group info` on both sides of the subgroup-lattice cap (orders 64 and 68).
 Re-record with
 
     PYTHONPATH=src python tests/test_golden.py --record
@@ -55,6 +56,8 @@ COMMANDS = (
     ("davenport-c2xc2xc10", ["davenport", "C2xC2xC10", "--method", "exact",
                              "--davenport-cap", "40"]),
     ("verify-subgroup-es-c2xc2xc2", ["verify", "subgroup-es", "C2xC2xC2", "--max-len", "7"]),
+    ("group-info-c2xc32", ["group", "info", "C2xC32"]),
+    ("group-info-c2xc34", ["group", "info", "C2xC34"]),
 )
 
 
