@@ -23,6 +23,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .groups import (
+    SUBGROUP_CAP,
     Group,
     all_subgroups,
     d_star,
@@ -200,7 +201,7 @@ def cmd_group_info(args) -> Report:
         "rank": G.rank,
         "d_star": d_star(G),
     }
-    if G.order <= 64:
+    if G.order <= SUBGROUP_CAP:
         result["subgroup_count"] = len(all_subgroups(G))
     return Report("group info", G.spec(), {"spec": args.spec}, result,
                   "pass", _provenance(args))
@@ -322,9 +323,13 @@ def cmd_verify(args) -> Report:
     if args.group is None:
         raise ValueError(f"verify {args.theorem} requires a group")
     G = parse_group(args.group)
-    D = davenport(G, cap=args.davenport_cap).value
-    default_len = {"lower-bound": D + 4, "one-and-all": D + 4}.get(args.theorem, D + 3)
-    max_len = args.max_len if args.max_len is not None else default_len
+    # The transform sweep never reads D; only its default length does.
+    D = None
+    if args.theorem != "transform" or args.max_len is None:
+        D = davenport(G, cap=args.davenport_cap).value
+    max_len = args.max_len
+    if max_len is None:
+        max_len = D + (4 if args.theorem in ("lower-bound", "one-and-all") else 3)
     rep = SWEEPS[args.theorem](G, D, max_len, args)
     return Report(f"verify {args.theorem}", G.spec(),
                   {"theorem": args.theorem, "group": args.group,

@@ -1,15 +1,18 @@
 """Exact subsequence-sum counting on packed count vectors.
 
 For a sequence S of length m, each of the 2^m index subsets has a sum in
-G; ``count_all`` computes the whole histogram (one exact big integer per
+G; ``count_packed`` computes the whole histogram (one exact big integer per
 group element) by applying the append recurrence
 
     new[g] = old[g] + old[g - a]
 
-once per term occurrence a.  ``count_brute_vector`` recomputes the same
-histogram by literally walking all 2^m subsets in Gray-code order (one
-toggle per step) and is kept as an independent oracle; the two must agree
-everywhere.
+once per term occurrence a.  It is the library's one subset-sum counter:
+``count_all``, ``zero_count`` and ``subsums`` (the nonzero counts) read
+it, ``davenport.is_zero_sum_free`` is ``zero_count(S) == 1``, and
+``sweep_counts`` takes the same step once per node.  ``count_brute_vector``
+recomputes the same histogram by literally walking all 2^m subsets in
+Gray-code order (one toggle per step) and is kept as an independent
+oracle; the two must agree everywhere.
 
 Limb layout.  A count vector is one Python int: element i of
 ``all_elements(G)`` owns the W bits [i*W, (i+1)*W) (its limb).  W is a
@@ -18,8 +21,8 @@ below bit W-1 of its limb, the sentinel bit, which is therefore always 0.
 Adding a to every element is a rotation of the limbs, done per coordinate
 with a constant mask and two shifts (``_limb_adders``), so the append step
 is ``x + translate(x, a)``: O(rank) big-int operations instead of O(|G|)
-Python-level additions.  The table at W = 1 is the subset-sum bitset of
-the Davenport search.
+Python-level additions.  The table at W = 1 serves only the subset-sum
+bitset of ``davenport.davenport_exact``.
 
 SWAR predicates.  With ONES the repunit of W-bit limbs and TOP = ONES <<
 (W-1) the mask of their sentinel bits, ``(x + ONES*(2^(W-1) - b)) & TOP``
@@ -56,6 +59,7 @@ from .sequences import (
     Sequence,
     _seq_from_sorted,
     divides,
+    format_element,
     format_sequence,
     seq_div,
     seq_mul,
@@ -73,7 +77,6 @@ class CountVector:
 
     group: Group
     counts: tuple[int, ...]
-    source_length: int
 
     def __getitem__(self, g: GroupElement) -> int:
         return self.counts[element_index(self.group)[elem_reduce(self.group, g)]]
@@ -227,7 +230,7 @@ def count_all(S: Sequence) -> CountVector:
     packed, limbs = count_packed(S)
     counts = limbs.unpack(packed)
     assert sum(counts) == 1 << len(S)
-    return CountVector(S.group, counts, len(S))
+    return CountVector(S.group, counts)
 
 
 def zero_count(S: Sequence) -> int:
@@ -237,7 +240,7 @@ def zero_count(S: Sequence) -> int:
     return packed & limbs.mask
 
 
-def count_brute_vector(S: Sequence, cap: int = BRUTE_CAP) -> CountVector:
+def count_brute_vector(S: Sequence) -> CountVector:
     """The same histogram by enumerating all 2^|S| index subsets.
 
     Walks subsets in Gray-code order so each step toggles a single
@@ -246,8 +249,8 @@ def count_brute_vector(S: Sequence, cap: int = BRUTE_CAP) -> CountVector:
     G = S.group
     occurrences = S.expanded()
     m = len(occurrences)
-    if m > cap:
-        raise ValueError(f"brute-force enumeration capped at length {cap}, got {m}")
+    if m > BRUTE_CAP:
+        raise ValueError(f"brute-force enumeration capped at length {BRUTE_CAP}, got {m}")
     idx = element_index(G)
     add = [[idx[elem_add(G, x, y)] for y in all_elements(G)] for x in all_elements(G)]
     sub = [[idx[elem_sub(G, x, y)] for y in all_elements(G)] for x in all_elements(G)]
@@ -265,24 +268,20 @@ def count_brute_vector(S: Sequence, cap: int = BRUTE_CAP) -> CountVector:
             cur = add[cur][occ_idx[j]]
             included[j] = True
         counts[cur] += 1
-    return CountVector(G, tuple(counts), m)
+    return CountVector(G, tuple(counts))
 
 
-def count_brute(S: Sequence, g: GroupElement, cap: int = BRUTE_CAP) -> int:
+def count_brute(S: Sequence, g: GroupElement) -> int:
     """Number of index subsets of S summing to g, by enumeration."""
-    return count_brute_vector(S, cap=cap)[g]
+    return count_brute_vector(S)[g]
 
 
 def subsums(S: Sequence) -> frozenset[GroupElement]:
-    """The set of all subset sums of S, zero (the empty subset) included."""
-    G = S.group
-    reach = {G.zero()}
-    for g, mult in S.terms:
-        for _ in range(mult):
-            if len(reach) == G.order:
-                return frozenset(reach)
-            reach |= {elem_add(G, x, g) for x in reach}
-    return frozenset(reach)
+    """The set of all subset sums of S, zero (the empty subset) included:
+    the elements whose count is nonzero."""
+    packed, limbs = count_packed(S)
+    elems = all_elements(S.group)
+    return frozenset(elems[i] for i in limbs.flagged(limbs.at_least(packed, 1)))
 
 
 def _below_bound(limbs: Limbs, packed: int, exponent: int) -> int:
@@ -318,7 +317,7 @@ def check_lower_bound(S: Sequence, D: int) -> VerificationReport:
     details = {
         "sequence": format_sequence(S),
         "exponent": exponent,
-        "violations": [format_sequence(sequence(S.group, {g: 1})) for g in violations],
+        "violations": [format_element(S.group, g) for g in violations],
     }
     if violations:
         return VerificationReport("lower-bound", "fail", details, (S,))
@@ -391,7 +390,7 @@ def sweep_lower_bound(G: Group, D: int, max_len: int) -> VerificationReport:
     stops at the first violation."""
     limbs = limb_layout(G, max_len)
     checked = 0
-    for occ, packed in sweep_counts(G, max_len, exclude_zero=True):
+    for occ, packed in sweep_counts(G, max_len):
         checked += 1
         if _below_bound(limbs, packed, len(occ) - D + 1):
             S = _seq_from_sorted(G, occ)
@@ -411,7 +410,7 @@ def sweep_one_and_all(G: Group, D: int, max_len: int) -> VerificationReport:
     limbs = limb_layout(G, max_len)
     checked = 0
     attained = 0
-    for occ, packed in sweep_counts(G, max_len, exclude_zero=True):
+    for occ, packed in sweep_counts(G, max_len):
         checked += 1
         is_attained, all_meet = _one_and_all(limbs, packed, len(occ) - D + 1)
         if is_attained:
@@ -452,13 +451,14 @@ def pushforward_counts(S: Sequence, H: Subgroup) -> VerificationReport:
 
 
 def sweep_counts(G: Group, max_length: int, *, min_length: int = 0,
-                 exclude_zero: bool = True, zero_ceiling: int | None = None):
-    """Yield (occurrence tuple, packed count vector) for every multiset up
-    to ``max_length``, sharing the counting DP along the enumeration tree.
+                 zero_ceiling: int | None = None):
+    """Yield (occurrence tuple, packed count vector) for every zero-free
+    multiset up to ``max_length``, sharing the counting DP along the
+    enumeration tree.
 
     The vectors are packed in ``limb_layout(G, max_length)``.  Equivalent
-    to running count_packed on each sequence from iterate_multisets (for
-    every length), but costs one translation and one addition per
+    to running count_packed on each sequence from iterate_multisets with
+    ``exclude_zero`` (for every length), but costs one translation and one addition per
     multiset instead of one per term.  Multisets appear in lexicographic
     order of their occurrence tuples (a pre-order walk of the tree);
     lengths are interleaved.
@@ -479,9 +479,8 @@ def sweep_counts(G: Group, max_length: int, *, min_length: int = 0,
     adders = _limb_adders(G, limbs.width)
     elems = all_elements(G)
     idx = element_index(G)
-    first = 1 if exclude_zero else 0
-    terms = elems[first:]
-    term_ops = adders[first:]
+    terms = elems[1:]
+    term_ops = adders[1:]
     # Bit offset of the limb of -a: the child's zero count is the parent's
     # limb 0 plus its limb of -a.
     neg_shift = [idx[elem_neg(G, a)] * limbs.width for a in terms]
@@ -544,7 +543,7 @@ def extremal_sweep(G: Group, D: int, max_length: int, *, min_length: int = 0,
         top = max_length - D + 1
         ceiling = 1 << top if top >= 0 else 0
     for occ, packed in sweep_counts(G, max_length, min_length=min_length,
-                                    exclude_zero=True, zero_ceiling=ceiling):
+                                    zero_ceiling=ceiling):
         exponent = len(occ) - D + 1
         if exponent < 0 or (prune and packed & mask != 1 << exponent):
             yield occ, frozenset()

@@ -5,9 +5,13 @@ forces a nonempty zero-sum subsequence; equivalently one more than the
 longest zero-sum-free sequence.  The exact search is a DFS over multisets
 in non-decreasing element order whose state is the subset-sum set of the
 prefix, kept as a bitset over the group and translated with the 1-bit
-limb table of ``counting._limb_adders``.  Appending a is legal exactly
-when -a is not yet a subset sum, and every legal append grows the sum set
-strictly, which yields the pruning bounds used below.
+limb table of ``counting._limb_adders``; it is the only user of that
+table.  Appending a is legal exactly when -a is not yet a subset sum, and
+every legal append grows the sum set strictly, which yields the pruning
+bounds used below.  Everything else that asks whether a sequence is
+zero-sum free reads the zero count of ``counting.count_packed``:
+``is_zero_sum_free`` on one sequence, ``zero_sum_free_sequences`` on the
+zero-count-ceiling sweep.
 
 The search also cuts by symmetry.  ``groups.element_orbits`` maps each
 element to the least index in its orbit under automorphisms of G, and a
@@ -43,7 +47,7 @@ from .groups import (
 )
 from .reports import VerificationReport
 from .sequences import Sequence, _seq_from_sorted, sequence
-from .counting import _limb_adders, sweep_counts, translate
+from .counting import _limb_adders, sweep_counts, translate, zero_count
 
 DAVENPORT_CAP = 36
 
@@ -57,25 +61,9 @@ class DavenportResult:
 
 
 def is_zero_sum_free(S: Sequence) -> bool:
-    """True iff no nonempty subsequence sums to zero (only the empty
-    subset hits zero).
-
-    Walks the occurrences with the subset-sum bitset of the prefix (the
-    1-bit limb table): a nonempty zero-sum subsequence exists iff some
-    occurrence a finds -a among the sums of the occurrences before it.
-    """
-    G = S.group
-    adders = _limb_adders(G, 1)
-    idx = element_index(G)
-    reach = 1
-    for g, mult in S.terms:
-        neg_bit = 1 << idx[elem_neg(G, g)]
-        ops = adders[idx[g]]
-        for _ in range(mult):
-            if reach & neg_bit:
-                return False
-            reach |= translate(reach, ops)
-    return True
+    """True iff no nonempty subsequence sums to zero: the empty subset is
+    the only one counted at zero."""
+    return zero_count(S) == 1
 
 
 def _product_of_generators(G: Group, exponents) -> Sequence:

@@ -33,6 +33,8 @@ GroupElement = tuple[int, ...]
 # holds about 8 n^2 bytes), so a larger group is refused when it is
 # constructed, before any table is built, instead of exhausting memory.
 MAX_ORDER = 1024
+# Largest group order whose subgroup lattice is enumerated.
+SUBGROUP_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -262,14 +264,14 @@ def order_two_subgroups(G: Group) -> list[Subgroup]:
     ]
 
 
-def all_subgroups(G: Group, cap: int = 64) -> list[Subgroup]:
+def all_subgroups(G: Group) -> list[Subgroup]:
     """Every subgroup exactly once, by iterated joins of cyclic subgroups.
 
-    Refuses groups of order above ``cap``; the lattice is only needed at
-    desk scale.
+    Refuses groups of order above ``SUBGROUP_CAP``; the lattice is only
+    needed at desk scale.
     """
-    if G.order > cap:
-        raise ValueError(f"all_subgroups: |G| = {G.order} exceeds cap {cap}")
+    if G.order > SUBGROUP_CAP:
+        raise ValueError(f"all_subgroups: |G| = {G.order} exceeds cap {SUBGROUP_CAP}")
     return list(_all_subgroups_cached(G))
 
 

@@ -131,8 +131,8 @@ def conjecture1_harness(G: Group, length_cap: int,
     details["extremal_checked"] = len(catalog.entries)
     details["exhaustive"] = catalog.exhaustive
     for S, _ in catalog.entries:
-        rep = minimal_zero_sums(S, catalog.D)
-        if len(rep.minimals) != rep.expected_count or not rep.pairwise_disjoint:
+        rep = minimal_zero_sums(S)
+        if len(rep.minimals) != len(S) - catalog.D + 1 or not rep.pairwise_disjoint:
             details["counterexample"] = format_sequence(S)
             return VerificationReport("conjecture-1", "fail", details, (S,))
     details["result"] = "no counterexample up to cap"

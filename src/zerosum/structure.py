@@ -40,7 +40,6 @@ from .sequences import (
     format_element,
     format_sequence,
     seq_div,
-    seq_gcd,
     seq_key,
     seq_mul,
     seq_sum,
@@ -65,7 +64,6 @@ class MinZeroSumReport:
     sequence: Sequence
     minimals: tuple[Sequence, ...]
     pairwise_disjoint: bool
-    expected_count: int | None  # |S| - D + 1 when D was supplied
 
 
 @dataclass(frozen=True)
@@ -83,21 +81,17 @@ def is_minimal_zero_sum(S: Sequence) -> bool:
             and zero_count(S) == 2)
 
 
-def minimal_zero_sums(S: Sequence, D: int | None = None,
-                      cap: int = MINIMAL_CAP) -> MinZeroSumReport:
-    """All minimal zero-sum subsequences of S, each once as a multiset."""
-    if len(S) > cap:
-        raise ValueError(f"minimal_zero_sums capped at length {cap}, got {len(S)}")
+def minimal_zero_sums(S: Sequence) -> MinZeroSumReport:
+    """All minimal zero-sum subsequences of S, each once as a multiset.
+    They are pairwise disjoint when no element lies in two supports."""
+    if len(S) > MINIMAL_CAP:
+        raise ValueError(f"minimal_zero_sums capped at length {MINIMAL_CAP}, got {len(S)}")
     minimals = [T for T in subsequences_with_sum(S, S.group.zero())
                 if T.terms and zero_count(T) == 2]
     minimals.sort(key=seq_key)
-    disjoint = all(
-        seq_gcd([minimals[i], minimals[j]]).is_empty()
-        for i in range(len(minimals))
-        for j in range(i + 1, len(minimals))
-    )
-    expected = None if D is None else len(S) - D + 1
-    return MinZeroSumReport(S, tuple(minimals), disjoint, expected)
+    supports = [T.support() for T in minimals]
+    disjoint = len(set().union(*supports)) == sum(map(len, supports))
+    return MinZeroSumReport(S, tuple(minimals), disjoint)
 
 
 def _attains_zero_bound(S: Sequence, D: int) -> bool:
@@ -122,7 +116,7 @@ def check_odd_group_structure(S: Sequence, D: int) -> VerificationReport:
         details["unmet"] = unmet
         return VerificationReport("odd-group-structure", "skipped", details)
     expected = len(S) - D + 1
-    rep = minimal_zero_sums(S, D)
+    rep = minimal_zero_sums(S)
     details.update(
         expected_minimal_count=expected,
         minimal_count=len(rep.minimals),
@@ -153,7 +147,7 @@ def check_corollary_decomposition(S: Sequence, D: int) -> VerificationReport:
     if unmet:
         details["unmet"] = unmet
         return VerificationReport("corollary-decomposition", "skipped", details)
-    rep = minimal_zero_sums(S, D)
+    rep = minimal_zero_sums(S)
     recombined = sequence(G)
     for T in rep.minimals:
         recombined = seq_mul(recombined, T)
@@ -184,14 +178,14 @@ def check_es_chain(S: Sequence, a: GroupElement, D: int) -> VerificationReport:
     if not S.multiplicity(a):
         raise ValueError(f"{a!r} is not a term of the sequence")
     rest = seq_div(S, sequence(G, {a: 1}))
-    if elem_sub(G, G.zero(), a) not in subsums(rest):
+    if elem_neg(G, a) not in subsums(rest):
         raise ValueError(f"{a!r} lies in no nonempty zero-sum subsequence")
     before = extremal_set(S, D).members
     after = extremal_set(rest, D).members
     target = before | {elem_sub(G, h, a) for h in before}
     details = {
         "sequence": format_sequence(S),
-        "removed": format_sequence(sequence(G, {a: 1})),
+        "removed": format_element(G, a),
         "extremal_before": len(before),
         "extremal_after": len(after),
         "inclusion": target <= after,
@@ -227,7 +221,7 @@ def sweep_es_chain(G: Group, D: int, max_len: int) -> VerificationReport:
     )
 
 
-def max_subgroups_in_extremal_set(E: ExtremalSet, cap: int = 64):
+def max_subgroups_in_extremal_set(E: ExtremalSet):
     """Subgroups contained in the extremal set, maximal ones flagged.
 
     Any nontrivial subgroup sitting inside an extremal set must be
@@ -235,7 +229,7 @@ def max_subgroups_in_extremal_set(E: ExtremalSet, cap: int = 64):
     by exactly its rank on the quotient; the verdict asserts both.
     """
     G = E.group
-    contained = [H for H in all_subgroups(G, cap) if H.elements <= E.members]
+    contained = [H for H in all_subgroups(G) if H.elements <= E.members]
     maximal = [
         H for H in contained
         if not any(H.elements < K.elements for K in contained)

@@ -77,7 +77,7 @@ def test_criterion_02_lower_bound():
     for G in groups_up_to_order(8):
         D = davenport_exact(G).value
         unpack = limb_layout(G, D + 4).unpack
-        for occurrences, packed in sweep_counts(G, D + 4, exclude_zero=True):
+        for occurrences, packed in sweep_counts(G, D + 4):
             counts = unpack(packed)
             exponent = len(occurrences) - D + 1
             for c in counts:
@@ -201,8 +201,7 @@ def test_criterion_08_extremal_set_lemmas():
                     problems.append(f"chain: {G} {format_sequence(S)} remove {a}")
         lo = max(D - 1, 0)
         unpack = limb_layout(G, D + 3).unpack
-        for occurrences, packed in sweep_counts(G, D + 3, min_length=lo,
-                                                exclude_zero=True):
+        for occurrences, packed in sweep_counts(G, D + 3, min_length=lo):
             exponent = len(occurrences) - D + 1
             members = frozenset(
                 g for g, c in zip(all_elements(G), unpack(packed)) if c == 1 << exponent
@@ -306,7 +305,7 @@ def test_criterion_11_normalization():
             problems.append(f"{G}: {format_sequence(S)}")
     for G in (make_group([5]), make_group([2, 2])):
         unpack = limb_layout(G, 6).unpack
-        for occurrences, packed in sweep_counts(G, 6, exclude_zero=False):
+        for occurrences, packed in sweep_counts(G, 6):
             if sum(unpack(packed)) != 1 << len(occurrences):
                 problems.append(f"{G}: sweep at {occurrences}")
     # count_all additionally asserts this identity on every call made

@@ -280,3 +280,17 @@ def test_davenport_cap_below_the_order_exits_2(capsys, exact_search_caps, argv):
     code, _, err = run(capsys, *argv, "--davenport-cap", "20")
     assert code == 2 and "exceeds cap 20" in err
     assert exact_search_caps == [20]
+
+
+def test_verify_transform_searches_davenport_only_for_its_default_length(
+        capsys, exact_search_caps):
+    # The transform sweep never reads D: with --max-len a group above the
+    # search cap runs, and without it D + 3 needs the one search.
+    code, payload, _ = run_json(capsys, "verify", "transform", "C2xC2xC10",
+                                "--max-len", "5", "--trials", "3")
+    assert code == 0 and payload["status"] == "pass"
+    assert exact_search_caps == []
+    code, payload, _ = run_json(capsys, "verify", "transform", "C2xC2xC6",
+                                "--trials", "3", "--davenport-cap", "30")
+    assert code == 0 and payload["parameters"]["max_len"] == 11
+    assert exact_search_caps == [30]

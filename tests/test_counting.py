@@ -132,12 +132,16 @@ def test_subsums_examples():
 
 
 def test_subsums_matches_positive_counts():
+    # Oracle: the Gray-code walk, since subsums reads count_packed itself.
     rng = random.Random(8)
-    for G in (C3, C22, make_group([5])):
+    for G in (make_group([1]), C3, C22, make_group([5])):
         elems = all_elements(G)
-        for _ in range(40):
-            S = sequence(G, [rng.choice(elems) for _ in range(rng.randint(0, 8))])
-            cv = count_all(S)
+        samples = [empty_sequence(G)] + [
+            sequence(G, [rng.choice(elems) for _ in range(rng.randint(0, 8))])
+            for _ in range(40)
+        ]
+        for S in samples:
+            cv = count_brute_vector(S)
             assert subsums(S) == {g for g in elems if cv[g] > 0}
 
 
@@ -210,7 +214,7 @@ def test_one_and_all_sweep_order_8():
     for G in groups_up_to_order(8):
         D = davenport(G).value
         limbs = limb_layout(G, D + 4)
-        for occ, packed in sweep_counts(G, D + 4, exclude_zero=True):
+        for occ, packed in sweep_counts(G, D + 4):
             counts = limbs.unpack(packed)
             exponent = len(occ) - D + 1
             if exponent < 0:
@@ -251,21 +255,20 @@ def test_pushforward_random():
 
 def test_sweep_counts_matches_count_all():
     for G in (make_group([5]), C22):
-        for exclude in (True, False):
-            seen = {}
-            limbs = limb_layout(G, 4)
-            for occ, packed in sweep_counts(G, 4, exclude_zero=exclude):
-                seen[occ] = limbs.unpack(packed)
-            expected = {}
-            for length in range(0, 5):
-                for S in iterate_multisets(G, length, exclude_zero=exclude):
-                    expected[S.expanded()] = count_all(S).counts
-            assert seen == expected
+        seen = {}
+        limbs = limb_layout(G, 4)
+        for occ, packed in sweep_counts(G, 4):
+            seen[occ] = limbs.unpack(packed)
+        expected = {}
+        for length in range(0, 5):
+            for S in iterate_multisets(G, length, exclude_zero=True):
+                expected[S.expanded()] = count_all(S).counts
+        assert seen == expected
 
 
 def test_sweep_counts_min_length():
     lengths = {
-        len(occ) for occ, _ in sweep_counts(C3, 4, min_length=2, exclude_zero=True)
+        len(occ) for occ, _ in sweep_counts(C3, 4, min_length=2)
     }
     assert lengths == {2, 3, 4}
 
@@ -275,11 +278,10 @@ def test_sweep_counts_min_length():
     shape=st.sampled_from([(1,), (2,), (3,), (4,), (2, 2), (5,), (6,), (2, 4), (3, 3)]),
     max_length=st.integers(-1, 5),
     min_length=st.integers(0, 3),
-    exclude_zero=st.booleans(),
     zero_ceiling=st.integers(0, 40),
 )
 def test_pruned_sweep_is_unpruned_sweep_restricted(shape, max_length, min_length,
-                                                   exclude_zero, zero_ceiling):
+                                                   zero_ceiling):
     # The pruned stream, in order, is the unpruned one restricted to the
     # multisets none of whose prefixes (the empty one included) has a zero
     # count above the ceiling.
@@ -287,18 +289,16 @@ def test_pruned_sweep_is_unpruned_sweep_restricted(shape, max_length, min_length
     unpack = limb_layout(G, max_length).unpack
     zero_count = {
         occ: unpack(packed)[0]
-        for occ, packed in sweep_counts(G, max_length, exclude_zero=exclude_zero)
+        for occ, packed in sweep_counts(G, max_length)
     }
     expected = [
         (occ, unpack(packed))
-        for occ, packed in sweep_counts(G, max_length, min_length=min_length,
-                                        exclude_zero=exclude_zero)
+        for occ, packed in sweep_counts(G, max_length, min_length=min_length)
         if all(zero_count[occ[:k]] <= zero_ceiling for k in range(len(occ) + 1))
     ]
     got = [
         (occ, unpack(packed))
         for occ, packed in sweep_counts(G, max_length, min_length=min_length,
-                                        exclude_zero=exclude_zero,
                                         zero_ceiling=zero_ceiling)
     ]
     assert got == expected
@@ -337,7 +337,7 @@ def test_extremal_sweep_matches_extremal_set(shape):
 def test_sweep_counts_yields_immutable_vectors():
     # Vectors are plain ints, so a caller may keep every one of them: the
     # kept stream still unpacks to count_all's counts.
-    seen = list(sweep_counts(C3, 3, exclude_zero=False))
+    seen = list(sweep_counts(C3, 3))
     assert all(type(packed) is int for _, packed in seen)
     unpack = limb_layout(C3, 3).unpack
     for occ, packed in seen:

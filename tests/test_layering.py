@@ -3,11 +3,11 @@
 `counting` is the only module that reads packed count vectors: no other
 module imports the limb layout or the predicates on it, nor the sweep
 and translation primitives that produce packed vectors.  `davenport` may
-import the primitives, because its search and its zero-sum-free
-enumeration run on the width-1 bitset.  The CLI only parses and renders,
-so it imports no private name.  `iterate_multisets` is the itertools
-oracle the tests compare the library's enumerators with, so no library
-module uses it.
+import the primitives: its exact search runs on the width-1 bitset, and
+its zero-sum-free enumeration on `sweep_counts`.  The CLI only parses
+and renders, so it imports no private name.  `iterate_multisets` is the
+itertools oracle the tests compare the library's enumerators with, so no
+library module uses it.
 """
 
 import ast

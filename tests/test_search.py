@@ -84,7 +84,7 @@ def test_pruned_catalog_matches_unpruned_sweep():
                 break
             unpack = limb_layout(G, cap).unpack
             expected = []
-            for occ, packed in sweep_counts(G, cap, exclude_zero=True):
+            for occ, packed in sweep_counts(G, cap):
                 counts = unpack(packed)
                 if len(occ) >= D - 1 and counts[0] == 1 << (len(occ) - D + 1):
                     expected.append((occ, counts))

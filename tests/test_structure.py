@@ -24,6 +24,7 @@ from zerosum import (
     order_two_subgroups,
     parse_sequence,
     quotient_group,
+    seq_gcd,
     seq_sum,
     sequence,
     subgroup_closure,
@@ -58,14 +59,13 @@ def brute_is_minimal(T):
 
 
 def test_minimal_zero_sums_examples():
-    rep = minimal_zero_sums(parse_sequence(C3, "1^3"), D=3)
+    rep = minimal_zero_sums(parse_sequence(C3, "1^3"))
     assert [format_sequence(T) for T in rep.minimals] == ["1^3"]
-    assert rep.pairwise_disjoint and rep.expected_count == 1
+    assert rep.pairwise_disjoint
 
     rep = minimal_zero_sums(parse_sequence(C22, "(1,0) (0,1) (1,1)"))
     assert len(rep.minimals) == 1
     assert rep.minimals[0] == parse_sequence(C22, "(1,0) (0,1) (1,1)")
-    assert rep.expected_count is None
 
     rep = minimal_zero_sums(parse_sequence(C3, "1^2"))
     assert rep.minimals == () and rep.pairwise_disjoint
@@ -78,6 +78,7 @@ def test_minimal_zero_sums_cap():
 
 def test_minimal_zero_sums_against_definition():
     rng = random.Random(13)
+    disjointness_seen = set()
     for G in (C3, C22, make_group([4]), C33):
         elems = all_elements(G)
         for _ in range(25):
@@ -86,6 +87,13 @@ def test_minimal_zero_sums_against_definition():
             listed = set(rep.minimals)
             for T in listed:
                 assert brute_is_minimal(T)
+            # disjointness: no two listed multisets share a term
+            assert rep.pairwise_disjoint == all(
+                seq_gcd([T, U]).is_empty()
+                for i, T in enumerate(rep.minimals)
+                for U in rep.minimals[i + 1:]
+            )
+            disjointness_seen.add(rep.pairwise_disjoint)
             # completeness: every minimal sub-multiset is listed
             support = S.support()
             mults = [S.multiplicity(g) for g in support]
@@ -93,6 +101,7 @@ def test_minimal_zero_sums_against_definition():
                 T = sequence(G, dict(zip(support, vector)))
                 if brute_is_minimal(T):
                     assert T in listed
+    assert disjointness_seen == {True, False}
 
 
 def test_single_removal_criterion_matches_definition():
