@@ -458,10 +458,10 @@ def sweep_counts(G: Group, max_length: int, *, min_length: int = 0,
 
     The vectors are packed in ``limb_layout(G, max_length)``.  Equivalent
     to running count_packed on each sequence from iterate_multisets with
-    ``exclude_zero`` (for every length), but costs one translation and one addition per
-    multiset instead of one per term.  Multisets appear in lexicographic
-    order of their occurrence tuples (a pre-order walk of the tree);
-    lengths are interleaved.
+    ``exclude_zero`` (for every length), but costs one translation and one
+    addition per multiset instead of one per term.  Multisets appear in
+    lexicographic order of their occurrence tuples (a pre-order walk of
+    the tree); lengths are interleaved.
 
     With ``zero_ceiling``, a multiset whose zero count exceeds it is
     neither yielded nor extended.  Appending a can only raise the zero
