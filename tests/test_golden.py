@@ -58,6 +58,9 @@ COMMANDS = (
     ("verify-subgroup-es-c2xc2xc2", ["verify", "subgroup-es", "C2xC2xC2", "--max-len", "7"]),
     ("group-info-c2xc32", ["group", "info", "C2xC32"]),
     ("group-info-c2xc34", ["group", "info", "C2xC34"]),
+    ("verify-es-chain-c3xc3", ["verify", "es-chain", "C3xC3", "--max-len", "7"]),
+    ("verify-corollary-c2xc4", ["verify", "corollary", "C2xC4", "--max-len", "7"]),
+    ("construct-c2xc2xc6", ["construct", "C2xC2xC6", "--g", "(1,1,5)", "--m", "8"]),
 )
 
 
