@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-from . import __version__
+from . import __version__, counting
 from .groups import (
     SUBGROUP_CAP,
     Group,
@@ -283,7 +283,7 @@ def cmd_construct(args) -> Report:
     G = parse_group(args.group)
     g = parse_element(G, args.g)
     D = davenport(G, cap=args.davenport_cap).value
-    S = construct_extremal(G, g, args.m, budget=args.budget)
+    S = construct_extremal(G, g, args.m)
     result = {
         "sequence": format_sequence(S),
         "length": len(S),
@@ -347,6 +347,14 @@ def _nonnegative(text: str) -> int:
     return value
 
 
+def _length(text: str) -> int:
+    """A length >= 0 and at most ``counting.MAX_LENGTH``, read per call."""
+    value = _nonnegative(text)
+    if value > counting.MAX_LENGTH:
+        raise argparse.ArgumentTypeError(f"must be <= {counting.MAX_LENGTH}, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the report as JSON")
@@ -385,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ext = sub.add_parser("extremal", parents=[common],
                            help="catalog sequences attaining the count bound")
     p_ext.add_argument("group")
-    p_ext.add_argument("--max-len", type=_nonnegative, required=True)
+    p_ext.add_argument("--max-len", type=_length, required=True)
     p_ext.add_argument("--budget", type=_nonnegative, default=DEFAULT_BUDGET)
     p_ext.add_argument("--random", action="store_true",
                        help="sample instead of sweeping (max-len = sampled length)")
@@ -397,7 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("theorem", choices=THEOREMS)
     p_ver.add_argument("group", nargs="?")
     p_ver.add_argument("--n", type=int, help="cyclic order for `verify cn`")
-    p_ver.add_argument("--max-len", type=_nonnegative)
+    p_ver.add_argument("--max-len", type=_length)
     p_ver.add_argument("--trials", type=_nonnegative, default=1000)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--family-k", type=_nonnegative, default=10)
@@ -407,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="run a conjecture-falsification harness")
     p_conj.add_argument("which", type=int, choices=(1, 2))
     p_conj.add_argument("group")
-    p_conj.add_argument("--max-len", type=_nonnegative)
+    p_conj.add_argument("--max-len", type=_length)
     p_conj.add_argument("--budget", type=_nonnegative, default=DEFAULT_BUDGET)
     p_conj.set_defaults(run=cmd_conjecture)
 
@@ -415,8 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="build a sequence attaining the bound at g")
     p_con.add_argument("group")
     p_con.add_argument("--g", required=True)
-    p_con.add_argument("--m", type=int, required=True)
-    p_con.add_argument("--budget", type=_nonnegative, default=200_000)
+    p_con.add_argument("--m", type=_length, required=True)
     p_con.set_defaults(run=cmd_construct)
 
     return parser

@@ -68,6 +68,7 @@ from .sequences import (
 )
 
 BRUTE_CAP = 25
+MAX_LENGTH = 1024
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,14 @@ class CountVector:
 def limb_width(max_length: int) -> int:
     """The limb width for sequences of length at most ``max_length``: the
     least multiple of 64 that is >= max_length + 2, so one width (and one
-    translation table) serves every length up to 62."""
+    translation table) serves every length up to 62.
+
+    Refuses a length above ``MAX_LENGTH``, before any table is built.  At
+    the cap a vector over 1,024 elements takes 136 KiB, and the widest
+    translation table under the order cap (C2 x C512, two masks per shift)
+    about 136 MiB."""
+    if max_length > MAX_LENGTH:
+        raise ValueError(f"length {max_length} exceeds the cap {MAX_LENGTH}")
     return (max(max_length, 0) + 65) // 64 * 64
 
 
@@ -524,12 +532,11 @@ def sweep_counts(G: Group, max_length: int, *, min_length: int = 0,
             occurrences.pop()
 
 
-def extremal_sweep(G: Group, D: int, max_length: int, *, min_length: int = 0,
-                   prune: bool = False):
+def extremal_sweep(G: Group, D: int, max_length: int, *, prune: bool = False):
     """Yield (occurrence tuple, extremal members) for every zero-free
-    multiset from ``min_length`` to ``max_length``, in ``sweep_counts``
-    order.  The members are the elements whose count is exactly
-    2^(len-D+1), and none below length D-1.
+    multiset up to ``max_length``, in ``sweep_counts`` order.  The members
+    are the elements whose count is exactly 2^(len-D+1), and none below
+    length D-1.
 
     With ``prune`` the sweep is for extremal sequences only: it skips every
     multiset whose zero count exceeds 2^(max_length-D+1), and the members
@@ -542,8 +549,7 @@ def extremal_sweep(G: Group, D: int, max_length: int, *, min_length: int = 0,
     if prune:
         top = max_length - D + 1
         ceiling = 1 << top if top >= 0 else 0
-    for occ, packed in sweep_counts(G, max_length, min_length=min_length,
-                                    zero_ceiling=ceiling):
+    for occ, packed in sweep_counts(G, max_length, zero_ceiling=ceiling):
         exponent = len(occ) - D + 1
         if exponent < 0 or (prune and packed & mask != 1 << exponent):
             yield occ, frozenset()

@@ -391,15 +391,13 @@ def smith_normal_form(matrix, transforms: bool = False):
     return (diag, U, V) if transforms else diag
 
 
-@lru_cache(maxsize=None)
-def quotient_group(G: Group, H: Subgroup):
-    """Quotient G/H in canonical form, with the projection homomorphism.
+def _relation_form(G: Group, H: Subgroup):
+    """The Smith form ``(diag, U)`` of the relation matrix of H in G.
 
-    The invariant factors come from the Smith normal form of the relation
-    matrix whose columns are diag(n_1..n_r) followed by the elements of H;
-    the returned projection maps a G-element to its class in the quotient.
-    Memoized per (G, H): sweeps ask for the same few quotients many times.
-    An invalid H raises on every call (exceptions are not cached).
+    The matrix has the columns diag(n_1..n_r) followed by the elements of
+    H; its column lattice L is the preimage of H in Z^r, so G/H = Z^r / L
+    and H = L / N with N = diag(n) Z^r.  ``U @ M @ V = diag`` with U
+    unimodular; L has full rank, so every d_i is positive.
     """
     _validate_subgroup(G, H)
     r = G.rank
@@ -411,6 +409,18 @@ def quotient_group(G: Group, H: Subgroup):
         for i in range(r):
             M[i][r + j] = h[i]
     diag, U, _ = smith_normal_form(M, transforms=True)
+    return diag, U
+
+
+@lru_cache(maxsize=None)
+def quotient_group(G: Group, H: Subgroup):
+    """Quotient G/H in canonical form, with the projection homomorphism:
+    the diagonal entries d_i > 1 of ``_relation_form`` and a -> (U a)_i mod
+    d_i.  Memoized per (G, H): sweeps ask for the same few quotients many
+    times.  An invalid H raises on every call (exceptions are not cached).
+    """
+    diag, U = _relation_form(G, H)
+    r = G.rank
     quotient = Group(tuple(d for d in diag if d > 1))
     keep = [(i, d) for i, d in enumerate(diag) if d > 1]
 
@@ -422,30 +432,18 @@ def quotient_group(G: Group, H: Subgroup):
 
 
 def subgroup_invariants(G: Group, H: Subgroup) -> Group:
-    """Abstract isomorphism type of a subgroup.
+    """Abstract isomorphism type of a subgroup, from the relation form.
 
-    For each prime p, the number of elements killed by p^j determines how
-    many cyclic p-power factors have exponent >= j; assembling those prime
-    powers and re-normalizing gives the invariant factors.
+    H = L / N, where L = U^-1 diag(d) Z^r is the relation lattice and
+    N = diag(n) Z^r.  In the basis U^-1 diag(d) of L, N is spanned by the
+    columns of C = diag(d)^-1 U diag(n), that is C[i][k] = U[i][k] n_k / d_i
+    (an integer, since N lies in L), so the invariant factors of H are
+    those of the Smith form of C above 1.
     """
-    _validate_subgroup(G, H)
-    size = len(H.elements)
-    parts: list[int] = []
-    for p in _prime_factors(size):
-        logs = [0]
-        j = 1
-        while True:
-            killed = sum(1 for x in H.elements if all(c == 0 for c in elem_scale(G, p**j, x)))
-            s = _exact_log(killed, p)
-            logs.append(s)
-            if p**s == _p_part(size, p):
-                break
-            j += 1
-        at_least = [logs[j] - logs[j - 1] for j in range(1, len(logs))]
-        at_least.append(0)
-        for j in range(1, len(at_least)):
-            parts.extend([p**j] * (at_least[j - 1] - at_least[j]))
-    return make_group(parts)
+    diag, U = _relation_form(G, H)
+    C = [[U[i][k] * n // d for k, n in enumerate(G.invariants)]
+         for i, d in enumerate(diag)]
+    return Group(tuple(d for d in smith_normal_form(C) if d > 1))
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -460,24 +458,6 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-def _p_part(n: int, p: int) -> int:
-    out = 1
-    while n % p == 0:
-        out *= p
-        n //= p
-    return out
-
-
-def _exact_log(n: int, p: int) -> int:
-    e = 0
-    while n > 1:
-        if n % p:
-            raise ArithmeticError(f"{n} is not a power of {p}")
-        n //= p
-        e += 1
-    return e
 
 
 def d_star(G: Group) -> int:

@@ -1,8 +1,9 @@
 import json
+import re
 
 import pytest
 
-from zerosum import search
+from zerosum import counting, search
 from zerosum.cli import main
 
 
@@ -218,13 +219,34 @@ def test_human_output_mentions_status(capsys):
     ("verify", "equivalences", "C2xC4", "--family-k", "-1"),
     ("conjecture", "2", "C5", "--max-len", "-7"),
     ("conjecture", "1", "C3xC3", "--budget", "-1"),
-    ("construct", "C5", "--g", "2", "--m", "6", "--budget", "-1"),
+    ("construct", "C5", "--g", "2", "--m", "-1"),
 ])
 def test_negative_counts_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
     assert "must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "C3", "1^9"),
+    ("extremal", "C3", "--max-len", "9"),
+    ("verify", "transform", "C3", "--max-len", "9"),
+    ("construct", "C3", "--g", "1", "--m", "9"),
+])
+def test_lengths_above_the_cap_exit_2_before_any_limb_table(monkeypatch, capsys, argv):
+    def refuse(*args):
+        raise AssertionError("a limb table was built")
+
+    monkeypatch.setattr(counting, "MAX_LENGTH", 8)
+    monkeypatch.setattr(counting, "_limbs", refuse)
+    monkeypatch.setattr(counting, "_limb_adders", refuse)
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert re.search(r"(must be <=|exceeds the cap) 8\b", capsys.readouterr().err)
 
 
 # Every command that needs D, on C2xC2xC6: it has no settled closed form,

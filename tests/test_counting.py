@@ -23,6 +23,7 @@ from zerosum import (
     subsums,
     transform,
 )
+from zerosum import counting
 from zerosum.counting import (
     Limbs,
     _below_bound,
@@ -314,24 +315,20 @@ def test_extremal_sweep_matches_extremal_set(shape):
     D = davenport(G).value
     for max_length in (D - 2, D - 1, D + 2):
         ceiling = 1 << (max_length - D + 1) if max_length >= D - 1 else 0
-        for min_length in (0, D - 1, D):
-            expected = []
-            for occ, _ in sweep_counts(G, max_length, min_length=min_length):
-                S = sequence(G, list(occ))
-                E = extremal_set(S, D).members if len(S) >= D - 1 else frozenset()
-                expected.append((occ, E))
-                assert zero_count(S) == count_all(S).zero_count
-            assert list(extremal_sweep(G, D, max_length, min_length=min_length)) \
-                == expected
-            pruned = list(extremal_sweep(G, D, max_length, min_length=min_length,
-                                         prune=True))
-            assert [occ for occ, _ in pruned] == [
-                occ for occ, _ in sweep_counts(G, max_length, min_length=min_length,
-                                               zero_ceiling=ceiling)
-            ]
-            assert [(occ, E) for occ, E in pruned if E] == [
-                (occ, E) for occ, E in expected if G.zero() in E
-            ]
+        expected = []
+        for occ, _ in sweep_counts(G, max_length):
+            S = sequence(G, list(occ))
+            E = extremal_set(S, D).members if len(S) >= D - 1 else frozenset()
+            expected.append((occ, E))
+            assert zero_count(S) == count_all(S).zero_count
+        assert list(extremal_sweep(G, D, max_length)) == expected
+        pruned = list(extremal_sweep(G, D, max_length, prune=True))
+        assert [occ for occ, _ in pruned] == [
+            occ for occ, _ in sweep_counts(G, max_length, zero_ceiling=ceiling)
+        ]
+        assert [(occ, E) for occ, E in pruned if E] == [
+            (occ, E) for occ, E in expected if G.zero() in E
+        ]
 
 
 def test_sweep_counts_yields_immutable_vectors():
@@ -411,6 +408,15 @@ def test_limb_width_keeps_counts_below_the_sentinel():
         S = sequence(C2, {(0,): 2, (1,): length - 2})
         assert count_all(S).counts == (1 << (length - 1), 1 << (length - 1))
         assert count_all(sequence(C2, {(0,): length})).counts == (1 << length, 0)
+
+
+def test_limb_width_refuses_lengths_above_the_cap(monkeypatch):
+    monkeypatch.setattr(counting, "MAX_LENGTH", 8)
+    assert limb_width(8) == 64
+    with pytest.raises(ValueError, match="length 9 exceeds the cap 8"):
+        limb_width(9)
+    with pytest.raises(ValueError, match="exceeds the cap 8"):
+        count_all(sequence(C2, {(1,): 9}))
 
 
 def test_count_vector_lookup_reduces():

@@ -259,7 +259,7 @@ def test_order_cap_rejects_before_building_tables(monkeypatch):
 
 
 def test_subgroup_invariants_matches_order_multisets():
-    for G in groups_up_to_order(16):
+    for G in [make_group([])] + groups_up_to_order(32):
         for H in all_subgroups(G):
             K = subgroup_invariants(G, H)
             assert K.order == H.order

@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import product
 
 import pytest
@@ -20,6 +21,8 @@ from zerosum import (
 from zerosum import search
 from zerosum.reports import VerificationReport, sweep_status
 from zerosum.search import splitmix64
+
+from helpers import groups_up_to_order
 
 C2 = make_group([2])
 C3 = make_group([3])
@@ -144,11 +147,18 @@ def test_construct_extremal_examples():
         construct_extremal(C5, (2,), 3)
 
 
-def test_construct_extremal_reaches_every_element():
-    for G in (C3, C5, C22, make_group([2, 4])):
-        D = davenport(G).value
-        from zerosum import all_elements
+def test_construct_extremal_refuses_a_wrong_davenport_constant(monkeypatch):
+    # With D(C5) taken as 4, the first base 1^3 reaches no subsum 4.
+    real = search.davenport
+    monkeypatch.setattr(search, "davenport",
+                        lambda G: dataclasses.replace(real(G), value=real(G).value - 1))
+    with pytest.raises(RuntimeError, match="must be wrong"):
+        construct_extremal(C5, (4,), 4)
 
+
+def test_construct_extremal_reaches_every_element():
+    for G in [make_group([])] + groups_up_to_order(16):
+        D = davenport(G).value
         for g in all_elements(G):
             for m in (D - 1, D + 1):
                 S = construct_extremal(G, g, m)

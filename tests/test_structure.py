@@ -24,14 +24,22 @@ from zerosum import (
     order_two_subgroups,
     parse_sequence,
     quotient_group,
+    elem_neg,
+    seq_div,
     seq_gcd,
     seq_sum,
     sequence,
     subgroup_closure,
+    subsums,
 )
 from zerosum.counting import ExtremalSet, extremal_sweep
 from zerosum.reports import VerificationReport
-from zerosum.structure import _family_base, is_minimal_zero_sum, sweep_subgroup_es
+from zerosum.structure import (
+    _family_base,
+    is_minimal_zero_sum,
+    sweep_es_chain,
+    sweep_subgroup_es,
+)
 
 from helpers import groups_up_to_order
 
@@ -140,9 +148,27 @@ def test_es_chain_examples():
     S = parse_sequence(C33, "(1,0)^3 (0,1)^3")
     assert check_es_chain(S, (1, 0), 5).passed
     assert check_es_chain(parse_sequence(C2, "1^2"), (1,), 2).passed
-    with pytest.raises(ValueError):
-        # (0,1) over C3xC3 with S = e1^3: not inside any zero-sum subsequence
-        check_es_chain(parse_sequence(C33, "(1,0)^3 (0,1)^2"), (0, 1), 5)
+    # (0,1) over C3xC3 with S = e1^3 e2^2: not inside any zero-sum subsequence
+    rep = check_es_chain(parse_sequence(C33, "(1,0)^3 (0,1)^2"), (0, 1), 5)
+    assert rep.status == "skipped"
+
+
+@pytest.mark.parametrize("G,text,a,D,unmet", [
+    (C3, "0 1^3", (1,), 3, "sequence contains zero"),
+    (C33, "(1,0)^3", (1, 0), 5, "sequence is shorter than D"),
+    (C33, "(1,0)^3 (0,1)^3 (1,1)", (1, 0), 5, "zero does not attain the count bound"),
+    (C33, "(1,0)^3 (0,1)^2", (0, 1), 5,
+     "removed term lies in no nonempty zero-sum subsequence"),
+])
+def test_es_chain_skips_each_unmet_hypothesis(G, text, a, D, unmet):
+    rep = check_es_chain(parse_sequence(G, text), a, D)
+    assert rep.status == "skipped"
+    assert rep.details["unmet"] == [unmet]
+
+
+def test_es_chain_raises_on_a_non_term():
+    with pytest.raises(ValueError, match="not a term"):
+        check_es_chain(parse_sequence(C33, "(1,0)^3 (0,1)^3"), (1, 1), 5)
 
 
 def test_es_chain_exhaustive_small():
@@ -160,6 +186,24 @@ def test_es_chain_exhaustive_small():
                 if neg not in subsums(rest):
                     continue
                 assert check_es_chain(S, a, D).passed
+
+
+def test_es_chain_sweep_counts_the_pairs_of_its_own_filter():
+    # Oracle: the catalog entries of length >= D and their terms a with -a
+    # a subsum of S with a removed, filtered here rather than by the check.
+    for G in groups_up_to_order(8):
+        D = davenport(G).value
+        expected = 0
+        for S, _ in find_extremals(G, D + 2).entries:
+            if len(S) < D:
+                continue
+            for a in S.support():
+                rest = seq_div(S, sequence(G, {a: 1}))
+                if elem_neg(G, a) in subsums(rest):
+                    expected += 1
+        report = sweep_es_chain(G, D, D + 2)
+        assert report.passed
+        assert report.details["pairs_checked"] == expected, G
 
 
 def test_max_subgroups_examples():
@@ -266,7 +310,7 @@ def test_family_base_matches_the_multiset_scan():
 
 def unmemoized_subgroup_es(G, D, max_len):
     checked = nontrivial = 0
-    for occ, members in extremal_sweep(G, D, max_len, min_length=max(D - 1, 0)):
+    for occ, members in extremal_sweep(G, D, max_len):
         if members:
             contained, verdict = max_subgroups_in_extremal_set(
                 ExtremalSet(G, members, len(occ) - D + 1))
