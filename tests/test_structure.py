@@ -14,6 +14,7 @@ from zerosum import (
     construct_unbounded_family,
     count_all,
     davenport,
+    elem_neg,
     extremal_set,
     find_extremals,
     format_sequence,
@@ -24,7 +25,6 @@ from zerosum import (
     order_two_subgroups,
     parse_sequence,
     quotient_group,
-    elem_neg,
     seq_div,
     seq_gcd,
     seq_sum,
@@ -179,8 +179,6 @@ def test_es_chain_exhaustive_small():
             if len(S) < D:
                 continue
             for a in S.support():
-                from zerosum import seq_div, subsums
-
                 rest = seq_div(S, sequence(G, {a: 1}))
                 neg = tuple((-x) % n for x, n in zip(a, G.invariants))
                 if neg not in subsums(rest):
