@@ -61,6 +61,11 @@ COMMANDS = (
     ("verify-es-chain-c3xc3", ["verify", "es-chain", "C3xC3", "--max-len", "7"]),
     ("verify-corollary-c2xc4", ["verify", "corollary", "C2xC4", "--max-len", "7"]),
     ("construct-c2xc2xc6", ["construct", "C2xC2xC6", "--g", "(1,1,5)", "--m", "8"]),
+    ("group-info-c2xc2xc2xc2xc4", ["group", "info", "C2xC2xC2xC2xC4"]),
+    ("verify-subgroup-es-c2xc2xc2xc2", ["verify", "subgroup-es", "C2xC2xC2xC2",
+                                        "--max-len", "6"]),
+    ("conjecture-2-c2xc2xc2", ["conjecture", "2", "C2xC2xC2"]),
+    ("verify-es-chain-c5xc5", ["verify", "es-chain", "C5xC5", "--max-len", "8"]),
 )
 
 
