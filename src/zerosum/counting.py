@@ -237,7 +237,8 @@ def count_all(S: Sequence) -> CountVector:
     """Exact subsequence-sum counts for every group element at once."""
     packed, limbs = count_packed(S)
     counts = limbs.unpack(packed)
-    assert sum(counts) == 1 << len(S)
+    if sum(counts) != 1 << len(S):
+        raise RuntimeError("count vector does not sum to 2^|S|")
     return CountVector(S.group, counts)
 
 

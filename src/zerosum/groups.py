@@ -86,9 +86,8 @@ def _check_order(order: int) -> None:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup given by generators together with its full element set."""
+    """A subgroup given by its element set: equal sets, equal subgroups."""
 
-    generators: tuple[GroupElement, ...]
     elements: frozenset[GroupElement]
 
     @property
@@ -252,7 +251,7 @@ def subgroup_closure(G: Group, gens) -> Subgroup:
             if y not in elems:
                 elems.add(y)
                 frontier.append(y)
-    return Subgroup(generators=gens, elements=frozenset(elems))
+    return Subgroup(frozenset(elems))
 
 
 def order_two_subgroups(G: Group) -> list[Subgroup]:
@@ -265,10 +264,10 @@ def order_two_subgroups(G: Group) -> list[Subgroup]:
 
 
 def all_subgroups(G: Group) -> list[Subgroup]:
-    """Every subgroup exactly once, by iterated joins of cyclic subgroups.
-
-    Refuses groups of order above ``SUBGROUP_CAP``; the lattice is only
-    needed at desk scale.
+    """Every subgroup exactly once, sorted by (order, elements): the
+    closure of the trivial subgroup under the sumset joins H + C with
+    cyclic subgroups C.  Refuses groups of order above ``SUBGROUP_CAP``;
+    the lattice is only needed at desk scale.
     """
     if G.order > SUBGROUP_CAP:
         raise ValueError(f"all_subgroups: |G| = {G.order} exceeds cap {SUBGROUP_CAP}")
@@ -277,23 +276,25 @@ def all_subgroups(G: Group) -> list[Subgroup]:
 
 @lru_cache(maxsize=None)
 def _all_subgroups_cached(G: Group) -> tuple[Subgroup, ...]:
-    cyclic = {}
-    for g in all_elements(G):
-        H = subgroup_closure(G, [g])
-        cyclic.setdefault(H.elements, H)
-    trivial = subgroup_closure(G, [])
-    seen = {trivial.elements: trivial}
-    queue = [trivial]
+    # Subgroups as index sets into all_elements(G); index order is lex order.
+    elems = all_elements(G)
+    idx = element_index(G)
+    add = [[idx[elem_add(G, a, b)] for b in elems] for a in elems]
+    cyclic = {frozenset(idx[x] for x in subgroup_closure(G, [g]).elements)
+              for g in elems}
+    seen = {frozenset({0})}
+    queue = list(seen)
     while queue:
         H = queue.pop()
-        for C in cyclic.values():
-            if C.elements <= H.elements:
+        for C in cyclic:
+            if C <= H:
                 continue
-            J = subgroup_closure(G, H.generators + C.generators)
-            if J.elements not in seen:
-                seen[J.elements] = J
+            J = frozenset(add[h][c] for h in H for c in C)
+            if J not in seen:
+                seen.add(J)
                 queue.append(J)
-    return tuple(sorted(seen.values(), key=lambda H: (H.order, sorted(H.elements))))
+    lattice = sorted(seen, key=lambda H: (len(H), sorted(H)))
+    return tuple(Subgroup(frozenset(elems[i] for i in H)) for H in lattice)
 
 
 def _validate_subgroup(G: Group, H: Subgroup) -> None:

@@ -3,7 +3,18 @@
 from itertools import combinations
 from math import gcd
 
-from zerosum import Group, all_elements, elem_add, elem_order, elem_scale, make_group
+from zerosum import (
+    Group,
+    all_elements,
+    elem_add,
+    elem_neg,
+    elem_order,
+    elem_scale,
+    make_group,
+    seq_div,
+    sequence,
+    subsums,
+)
 from zerosum.groups import element_index
 
 
@@ -60,6 +71,31 @@ def automorphisms(G, limit=None):
         return True
 
     return found if extend([0], 0) else None
+
+
+def subgroups_by_closure(G):
+    """Every subgroup of G as a frozenset of elements, by closing every set
+    of at most rank(G) elements under addition: a subgroup of an abelian
+    group of rank r needs at most r generators."""
+    found = set()
+    for k in range(G.rank + 1):
+        for gens in combinations(all_elements(G), k):
+            H = {G.zero()}
+            while True:
+                grown = {elem_add(G, h, g) for h in H for g in gens} - H
+                if not grown:
+                    break
+                H |= grown
+            found.add(frozenset(H))
+    return found
+
+
+def es_chain_terms(S):
+    """The terms a of S (support order) with -a a subsum of S with one a
+    removed: the terms an es-chain check of S must check."""
+    G = S.group
+    return [a for a in S.support()
+            if elem_neg(G, a) in subsums(seq_div(S, sequence(G, {a: 1})))]
 
 
 ODD_GROUPS_9 = [make_group(s) for s in [[3], [5], [7], [9], [3, 3]]]

@@ -57,6 +57,20 @@ def test_count_all_frozen_examples():
     assert counts_of(C3, "empty") == {(0,): 1, (1,): 0, (2,): 0}
 
 
+def test_count_all_refuses_a_vector_of_the_wrong_total(monkeypatch):
+    # The normalization check is a raise, not an assert, so it also holds
+    # under ``python -O``.
+    real = counting.count_packed
+
+    def one_too_many(S):
+        packed, limbs = real(S)
+        return packed + 1, limbs
+
+    monkeypatch.setattr(counting, "count_packed", one_too_many)
+    with pytest.raises(RuntimeError, match="does not sum"):
+        count_all(parse_sequence(C3, "1^2 2"))
+
+
 def test_count_brute_matches_naive_subset_iteration():
     for text in ("empty", "1", "1^2 2", "1^3 2^2", "1 2^4"):
         S = parse_sequence(C3, text)

@@ -29,6 +29,7 @@ from helpers import (
     gcd_of_k_minors,
     groups_up_to_order,
     matmul,
+    subgroups_by_closure,
 )
 
 
@@ -116,8 +117,9 @@ def test_order_two_subgroups():
     assert order_two_subgroups(make_group([3])) == []
     (only,) = order_two_subgroups(make_group([2]))
     assert only.elements == {(0,), (1,)}
-    gens = {H.generators[0] for H in order_two_subgroups(make_group([2, 4]))}
-    assert gens == {(1, 0), (0, 2), (1, 2)}
+    subgroups = order_two_subgroups(make_group([2, 4]))
+    assert [sorted(H.elements) for H in subgroups] == [
+        [(0, 0), (0, 2)], [(0, 0), (1, 0)], [(0, 0), (1, 2)]]
 
 
 def test_subgroup_closure():
@@ -134,6 +136,27 @@ def test_all_subgroups_counts():
     assert len(all_subgroups(make_group([]))) == 1
     with pytest.raises(ValueError):
         all_subgroups(make_group([65]))
+
+
+def test_all_subgroups_match_the_closure_oracle():
+    for G in [make_group([])] + groups_up_to_order(16):
+        lattice = all_subgroups(G)
+        assert len(lattice) == len({H.elements for H in lattice}), G
+        assert {H.elements for H in lattice} == subgroups_by_closure(G), G
+        assert lattice == sorted(lattice, key=lambda H: (H.order, sorted(H.elements)))
+
+
+def test_elementary_abelian_subgroup_counts_are_gaussian_binomial_sums():
+    def gaussian_binomial(k, j):  # number of j-dimensional subspaces of F_2^k
+        num = den = 1
+        for i in range(j):
+            num *= 2 ** (k - i) - 1
+            den *= 2 ** (i + 1) - 1
+        return num // den
+
+    counts = [len(all_subgroups(make_group([2] * k))) for k in range(7)]
+    assert counts == [1, 2, 5, 16, 67, 374, 2825]
+    assert counts == [sum(gaussian_binomial(k, j) for j in range(k + 1)) for k in range(7)]
 
 
 def test_all_subgroups_lagrange_and_closure():
@@ -216,7 +239,7 @@ def test_quotient_rejects_foreign_subgroup():
 def test_quotient_rejects_invalid_subgroup_on_every_call():
     # lru_cache does not cache exceptions: every call re-validates.
     G = make_group([2, 4])
-    not_closed = Subgroup(((0, 1),), frozenset({(0, 0), (0, 1)}))
+    not_closed = Subgroup(frozenset({(0, 0), (0, 1)}))
     for _ in range(3):
         with pytest.raises(ValueError, match="not closed"):
             quotient_group(G, not_closed)

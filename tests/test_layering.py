@@ -7,7 +7,8 @@ import the primitives: its exact search runs on the width-1 bitset, and
 its zero-sum-free enumeration on `sweep_counts`.  The CLI only parses
 and renders, so it imports no private name.  `iterate_multisets` is the
 itertools oracle the tests compare the library's enumerators with, so no
-library module uses it.
+library module uses it.  The library holds no `assert` statement, since
+`python -O` strips it: a check that must hold on every call raises.
 """
 
 import ast
@@ -58,3 +59,10 @@ def _used_names(path: pathlib.Path) -> set[str]:
 @pytest.mark.parametrize("path", LIBRARY, ids=[p.stem for p in LIBRARY])
 def test_iterate_multisets_is_a_test_oracle_only(path):
     assert "iterate_multisets" not in _used_names(path)
+
+
+def test_library_has_no_assert_statement():
+    asserts = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Assert)]
+    assert not asserts

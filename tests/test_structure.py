@@ -14,7 +14,6 @@ from zerosum import (
     construct_unbounded_family,
     count_all,
     davenport,
-    elem_neg,
     extremal_set,
     find_extremals,
     format_sequence,
@@ -25,12 +24,10 @@ from zerosum import (
     order_two_subgroups,
     parse_sequence,
     quotient_group,
-    seq_div,
     seq_gcd,
     seq_sum,
     sequence,
     subgroup_closure,
-    subsums,
 )
 from zerosum.counting import ExtremalSet, extremal_sweep
 from zerosum.reports import VerificationReport
@@ -41,7 +38,7 @@ from zerosum.structure import (
     sweep_subgroup_es,
 )
 
-from helpers import groups_up_to_order
+from helpers import es_chain_terms, groups_up_to_order
 
 C2 = make_group([2])
 C3 = make_group([3])
@@ -145,30 +142,45 @@ def test_corollary_examples():
 
 
 def test_es_chain_examples():
-    S = parse_sequence(C33, "(1,0)^3 (0,1)^3")
-    assert check_es_chain(S, (1, 0), 5).passed
-    assert check_es_chain(parse_sequence(C2, "1^2"), (1,), 2).passed
-    # (0,1) over C3xC3 with S = e1^3 e2^2: not inside any zero-sum subsequence
-    rep = check_es_chain(parse_sequence(C33, "(1,0)^3 (0,1)^2"), (0, 1), 5)
-    assert rep.status == "skipped"
+    for G, text, D, terms in [
+        (C33, "(1,0)^3 (0,1)^3", 5, 2),
+        (C2, "1^2", 2, 1),
+        # (0,1) lies in no nonempty zero-sum subsequence, so it is passed over
+        (C33, "(1,0)^3 (0,1)^2", 5, 1),
+    ]:
+        S = parse_sequence(G, text)
+        rep = check_es_chain(S, D)
+        assert rep.passed
+        assert rep.details["terms_checked"] == len(es_chain_terms(S)) == terms
 
 
-@pytest.mark.parametrize("G,text,a,D,unmet", [
-    (C3, "0 1^3", (1,), 3, "sequence contains zero"),
-    (C33, "(1,0)^3", (1, 0), 5, "sequence is shorter than D"),
-    (C33, "(1,0)^3 (0,1)^3 (1,1)", (1, 0), 5, "zero does not attain the count bound"),
-    (C33, "(1,0)^3 (0,1)^2", (0, 1), 5,
-     "removed term lies in no nonempty zero-sum subsequence"),
+@pytest.mark.parametrize("G,text,D,unmet", [
+    (C3, "0 1^3", 3, "sequence contains zero"),
+    (C33, "(1,0)^3", 5, "sequence is shorter than D"),
+    (C33, "(1,0)^3 (0,1)^3 (1,1)", 5, "zero does not attain the count bound"),
 ])
-def test_es_chain_skips_each_unmet_hypothesis(G, text, a, D, unmet):
-    rep = check_es_chain(parse_sequence(G, text), a, D)
+def test_es_chain_skips_each_unmet_hypothesis(G, text, D, unmet):
+    rep = check_es_chain(parse_sequence(G, text), D)
     assert rep.status == "skipped"
     assert rep.details["unmet"] == [unmet]
 
 
-def test_es_chain_raises_on_a_non_term():
-    with pytest.raises(ValueError, match="not a term"):
-        check_es_chain(parse_sequence(C33, "(1,0)^3 (0,1)^3"), (1, 1), 5)
+def test_es_chain_fails_at_the_first_failing_term(monkeypatch):
+    # An extremal set that empties on removal breaks the inclusion for every
+    # checked term; the check stops at the first one in support order.
+    import zerosum.structure as structure
+
+    real = structure.extremal_set
+    S = parse_sequence(C33, "(1,0)^3 (0,1)^3")
+    monkeypatch.setattr(structure, "extremal_set", lambda T, D: (
+        real(T, D) if T == S else ExtremalSet(T.group, frozenset(), len(T) - D + 1)))
+    rep = check_es_chain(S, 5)
+    assert rep.failed and rep.witnesses == (S,)
+    assert rep.details["removed"] == "(0,1)"
+    assert rep.details["terms_checked"] == 1
+    report = sweep_es_chain(C33, 5, 6)
+    assert report.failed and report.witnesses == (S,)
+    assert report.details["removed"] == "(0,1)"
 
 
 def test_es_chain_exhaustive_small():
@@ -178,12 +190,9 @@ def test_es_chain_exhaustive_small():
         for S, E in catalog.entries:
             if len(S) < D:
                 continue
-            for a in S.support():
-                rest = seq_div(S, sequence(G, {a: 1}))
-                neg = tuple((-x) % n for x, n in zip(a, G.invariants))
-                if neg not in subsums(rest):
-                    continue
-                assert check_es_chain(S, a, D).passed
+            rep = check_es_chain(S, D)
+            assert rep.passed
+            assert rep.details["terms_checked"] == len(es_chain_terms(S))
 
 
 def test_es_chain_sweep_counts_the_pairs_of_its_own_filter():
@@ -191,14 +200,8 @@ def test_es_chain_sweep_counts_the_pairs_of_its_own_filter():
     # a subsum of S with a removed, filtered here rather than by the check.
     for G in groups_up_to_order(8):
         D = davenport(G).value
-        expected = 0
-        for S, _ in find_extremals(G, D + 2).entries:
-            if len(S) < D:
-                continue
-            for a in S.support():
-                rest = seq_div(S, sequence(G, {a: 1}))
-                if elem_neg(G, a) in subsums(rest):
-                    expected += 1
+        expected = sum(len(es_chain_terms(S)) for S, _ in find_extremals(G, D + 2).entries
+                       if len(S) >= D)
         report = sweep_es_chain(G, D, D + 2)
         assert report.passed
         assert report.details["pairs_checked"] == expected, G
