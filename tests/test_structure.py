@@ -145,13 +145,21 @@ def test_es_chain_examples():
     for G, text, D, terms in [
         (C33, "(1,0)^3 (0,1)^3", 5, 2),
         (C2, "1^2", 2, 1),
-        # (0,1) lies in no nonempty zero-sum subsequence, so it is passed over
-        (C33, "(1,0)^3 (0,1)^2", 5, 1),
     ]:
         S = parse_sequence(G, text)
         rep = check_es_chain(S, D)
         assert rep.passed
         assert rep.details["terms_checked"] == len(es_chain_terms(S)) == terms
+
+
+def test_es_chain_passes_over_a_term_in_no_zero_sum_subsequence():
+    # (0,1) lies in no nonempty zero-sum subsequence, so it is not checked;
+    # the check still runs on (1,0) instead of skipping the whole sequence.
+    S = parse_sequence(C33, "(1,0)^3 (0,1)^2")
+    assert es_chain_terms(S) == [(1, 0)]
+    rep = check_es_chain(S, 5)
+    assert rep.passed
+    assert rep.details["terms_checked"] == 1
 
 
 @pytest.mark.parametrize("G,text,D,unmet", [
