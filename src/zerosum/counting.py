@@ -27,8 +27,16 @@ bitset of ``davenport.davenport_exact``.
 SWAR predicates.  With ONES the repunit of W-bit limbs and TOP = ONES <<
 (W-1) the mask of their sentinel bits, ``(x + ONES*(2^(W-1) - b)) & TOP``
 sets the sentinel of exactly the limbs whose count is >= b, for every
-limb at once and without carries between limbs (``Limbs.at_least``).
-"Nonzero" is b = 1, and "equal to b" is ">= b and not >= b+1".
+limb at once and without carries between limbs.  ``Limbs.offset`` is the
+one home of that addend and ``Limbs.at_least`` applies it.  "Nonzero" is
+b = 1, and "equal to b" is ">= b and not >= b+1".  Each census check
+tests two thresholds fixed by the length alone: the lower bound "count
+>= 1" and "count >= 2^e", one-and-all "count >= 2^e" and "count >= 2^e +
+1", with e = |S| - D + 1.  ``_lower_bound_offsets`` and
+``_one_and_all_offsets`` give that pair of offsets for one length, or
+None where the check is vacuous.  The single-sequence checks read them
+per call; the sweeps build a table of them indexed by length before their
+loop, so the per-node test is two additions and a few ands.
 
 Everything here is exact integer arithmetic: the statements being checked
 are equalities against powers of two, so a single rounding error would be
@@ -121,8 +129,9 @@ class Limbs:
         self._offsets: dict[int, int] = {}
         self._words = struct.Struct(f"<{order * width // 64}Q")
 
-    def at_least(self, packed: int, b: int) -> int:
-        """The sentinel bits of the limbs whose count is >= b."""
+    def offset(self, b: int) -> int:
+        """The addend whose sum with a packed vector sets the sentinel bit
+        of exactly the limbs whose count is >= b."""
         offset = self._offsets.get(b)
         if offset is None:
             # Counts are < 2^(W-1): b <= 0 flags every limb, and
@@ -130,7 +139,11 @@ class Limbs:
             half = 1 << (self.width - 1)
             offset = self.ones * (half - min(max(b, 0), half))
             self._offsets[b] = offset
-        return (packed + offset) & self.top
+        return offset
+
+    def at_least(self, packed: int, b: int) -> int:
+        """The sentinel bits of the limbs whose count is >= b."""
+        return (packed + self.offset(b)) & self.top
 
     def equal(self, packed: int, b: int) -> int:
         """The sentinel bits of the limbs whose count is exactly b."""
@@ -249,6 +262,15 @@ def zero_count(S: Sequence) -> int:
     return packed & limbs.mask
 
 
+@lru_cache(maxsize=16)
+def _index_tables(G: Group) -> tuple[list[list[int]], list[list[int]]]:
+    """The addition and subtraction tables of G on element indices."""
+    elems = all_elements(G)
+    idx = element_index(G)
+    return ([[idx[elem_add(G, x, y)] for y in elems] for x in elems],
+            [[idx[elem_sub(G, x, y)] for y in elems] for x in elems])
+
+
 def count_brute_vector(S: Sequence) -> CountVector:
     """The same histogram by enumerating all 2^|S| index subsets.
 
@@ -261,8 +283,7 @@ def count_brute_vector(S: Sequence) -> CountVector:
     if m > BRUTE_CAP:
         raise ValueError(f"brute-force enumeration capped at length {BRUTE_CAP}, got {m}")
     idx = element_index(G)
-    add = [[idx[elem_add(G, x, y)] for y in all_elements(G)] for x in all_elements(G)]
-    sub = [[idx[elem_sub(G, x, y)] for y in all_elements(G)] for x in all_elements(G)]
+    add, sub = _index_tables(G)
     occ_idx = [idx[g] for g in occurrences]
     counts = [0] * G.order
     counts[0] = 1  # empty subset
@@ -293,23 +314,42 @@ def subsums(S: Sequence) -> frozenset[GroupElement]:
     return frozenset(elems[i] for i in limbs.flagged(limbs.at_least(packed, 1)))
 
 
-def _below_bound(limbs: Limbs, packed: int, exponent: int) -> int:
-    """Sentinel flags of the nonzero counts below 2^exponent (none when
-    exponent <= 0, since every nonzero count is >= 1 = 2^0)."""
+def _lower_bound_offsets(limbs: Limbs, exponent: int) -> tuple[int, int] | None:
+    """The offsets of "count >= 1" and "count >= 2^exponent", or None when
+    the lower bound is vacuous (exponent <= 0: every nonzero count is
+    >= 1 = 2^0)."""
     if exponent <= 0:
+        return None
+    return limbs.offset(1), limbs.offset(1 << exponent)
+
+
+def _below_bound(limbs: Limbs, packed: int, exponent: int) -> int:
+    """Sentinel flags of the nonzero counts below 2^exponent."""
+    offsets = _lower_bound_offsets(limbs, exponent)
+    if offsets is None:
         return 0
-    return limbs.at_least(packed, 1) & ~limbs.at_least(packed, 1 << exponent)
+    nonzero, meets = offsets
+    return (packed + nonzero) & ~(packed + meets) & limbs.top
+
+
+def _one_and_all_offsets(limbs: Limbs, exponent: int) -> tuple[int, int] | None:
+    """The offsets of "count >= 2^exponent" and "count >= 2^exponent + 1",
+    or None when no count can equal 2^exponent (exponent < 0)."""
+    if exponent < 0:
+        return None
+    bound = 1 << exponent
+    return limbs.offset(bound), limbs.offset(bound + 1)
 
 
 def _one_and_all(limbs: Limbs, packed: int, exponent: int) -> tuple[bool, bool]:
     """(some count equals 2^exponent, every count is >= 2^exponent); the
     first is False when exponent < 0."""
-    if exponent < 0:
+    offsets = _one_and_all_offsets(limbs, exponent)
+    if offsets is None:
         return False, False
-    bound = 1 << exponent
-    meets = limbs.at_least(packed, bound)
-    attained = bool(meets & ~limbs.at_least(packed, bound + 1))
-    return attained, meets == limbs.top
+    meets, above = offsets
+    flags = (packed + meets) & limbs.top
+    return bool(flags & ~(packed + above)), flags == limbs.top
 
 
 def check_lower_bound(S: Sequence, D: int) -> VerificationReport:
@@ -398,10 +438,17 @@ def sweep_lower_bound(G: Group, D: int, max_len: int) -> VerificationReport:
     """``check_lower_bound`` on every zero-free multiset up to ``max_len``;
     stops at the first violation."""
     limbs = limb_layout(G, max_len)
+    top = limbs.top
+    # _below_bound inlined on offsets fixed per length: the per-node test.
+    table = [_lower_bound_offsets(limbs, length - D + 1) for length in range(max_len + 1)]
     checked = 0
     for occ, packed in sweep_counts(G, max_len):
         checked += 1
-        if _below_bound(limbs, packed, len(occ) - D + 1):
+        offsets = table[len(occ)]
+        if offsets is None:
+            continue
+        nonzero, meets = offsets
+        if (packed + nonzero) & ~(packed + meets) & top:
             S = _seq_from_sorted(G, occ)
             return VerificationReport.fail(
                 "lower-bound-sweep", (S,), group=G.spec(),
@@ -417,14 +464,21 @@ def sweep_one_and_all(G: Group, D: int, max_len: int) -> VerificationReport:
     """``check_one_and_all`` on every zero-free multiset up to ``max_len``;
     stops at the first violation."""
     limbs = limb_layout(G, max_len)
+    top = limbs.top
+    # _one_and_all inlined on offsets fixed per length: the per-node test.
+    table = [_one_and_all_offsets(limbs, length - D + 1) for length in range(max_len + 1)]
     checked = 0
     attained = 0
     for occ, packed in sweep_counts(G, max_len):
         checked += 1
-        is_attained, all_meet = _one_and_all(limbs, packed, len(occ) - D + 1)
-        if is_attained:
+        offsets = table[len(occ)]
+        if offsets is None:
+            continue
+        meets, above = offsets
+        flags = (packed + meets) & top
+        if flags & ~(packed + above):
             attained += 1
-            if not all_meet:
+            if flags != top:
                 S = _seq_from_sorted(G, occ)
                 return VerificationReport.fail(
                     "one-and-all-sweep", (S,), group=G.spec(),

@@ -138,7 +138,17 @@ def _check_arity(G: Group, a: GroupElement) -> None:
 
 
 def elem_reduce(G: Group, a) -> GroupElement:
-    """Reduce each coordinate into its modulus (arity must match the rank)."""
+    """Reduce each coordinate into its modulus (arity must match the rank).
+
+    An input equal to a reduced element, the common case, is answered by
+    one lookup in ``reduced_elements(G)``; anything else, unhashable
+    input included, goes through the arithmetic and its errors."""
+    try:
+        reduced = reduced_elements(G).get(a)
+    except TypeError:
+        reduced = None
+    if reduced is not None:
+        return reduced
     a = tuple(int(x) for x in a)
     _check_arity(G, a)
     return tuple(x % n for x, n in zip(a, G.invariants))
@@ -176,6 +186,14 @@ def elem_order(G: Group, a: GroupElement) -> int:
 def all_elements(G: Group) -> tuple[GroupElement, ...]:
     """All |G| elements in lexicographic coordinate order, zero first."""
     return tuple(product(*(range(n) for n in G.invariants)))
+
+
+@lru_cache(maxsize=None)
+def reduced_elements(G: Group) -> dict[GroupElement, GroupElement]:
+    """Each reduced element of G mapped to itself: a tuple equal to a key,
+    such as ``(True, 0)`` or ``(1.0, 0)``, looks up the canonical int
+    tuple.  Shared cache; do not mutate."""
+    return {e: e for e in all_elements(G)}
 
 
 @lru_cache(maxsize=None)

@@ -36,6 +36,7 @@ from .groups import (
     elem_neg,
     elem_reduce,
     elem_scale,
+    reduced_elements,
 )
 
 
@@ -47,11 +48,16 @@ class Sequence:
     terms: tuple[tuple[GroupElement, int], ...]
 
     def __post_init__(self) -> None:
+        reduced = reduced_elements(self.group)
         prev = None
         for g, m in self.terms:
             if m < 1:
                 raise ValueError(f"multiplicity of {g!r} must be positive, got {m}")
-            if elem_reduce(self.group, g) != g:
+            try:
+                known = g in reduced
+            except TypeError:  # unhashable, such as a list
+                known = False
+            if not known and elem_reduce(self.group, g) != g:
                 raise ValueError(f"{g!r} is not a reduced element of {self.group}")
             if prev is not None and g <= prev:
                 raise ValueError("terms must be strictly sorted by element")

@@ -1,15 +1,19 @@
 """Shared test fixtures: group pools and dead-simple reference oracles."""
 
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
 from zerosum import (
     Group,
     all_elements,
+    count_brute_vector,
     elem_add,
     elem_neg,
     elem_order,
     elem_scale,
+    format_sequence,
+    iterate_multisets,
     make_group,
     seq_div,
     sequence,
@@ -101,6 +105,27 @@ def es_chain_terms(S):
 ODD_GROUPS_9 = [make_group(s) for s in [[3], [5], [7], [9], [3, 3]]]
 
 
+def reduce_by_arithmetic(G, a):
+    """The reduction of ``a`` by plain arithmetic: int() of every
+    coordinate, the arity checked, each coordinate taken mod its factor."""
+    a = tuple(int(x) for x in a)
+    if len(a) != G.rank:
+        raise ValueError(f"element {a!r} has arity {len(a)}, group {G} has rank {G.rank}")
+    return tuple(x % n for x, n in zip(a, G.invariants))
+
+
+def element_forms(G, e):
+    """Inputs that denote the element e of G: e itself, each coordinate
+    plus or minus its modulus, every coordinate made negative, e as a
+    list, and e with bool or float coordinates."""
+    forms = [e, list(e), tuple(x - n for x, n in zip(e, G.invariants)),
+             tuple(x == 1 if x < 2 else x for x in e), tuple(float(x) for x in e)]
+    for i, n in enumerate(G.invariants):
+        for shift in (n, -n):
+            forms.append(e[:i] + (e[i] + shift,) + e[i + 1:])
+    return forms
+
+
 def naive_count(S, g):
     """Count index subsets summing to g by explicit subset iteration.
 
@@ -118,6 +143,51 @@ def naive_count(S, g):
             if s == g:
                 total += 1
     return total
+
+
+@lru_cache(maxsize=None)
+def _zero_free_counts(G, max_len):
+    """(occurrence tuple, counts) for every multiset of nonzero elements
+    of length at most ``max_len``, sorted by occurrence tuple, the counts
+    from ``count_brute_vector``."""
+    rows = [(S.expanded(), count_brute_vector(S).counts)
+            for S in iterate_multisets(G, max_len, exclude_zero=True)]
+    if max_len > 0:
+        rows += _zero_free_counts(G, max_len - 1)
+    return tuple(sorted(rows))
+
+
+def sweep_oracle(G, D, max_len, check):
+    """The status and details that ``sweep_lower_bound`` (check
+    "lower-bound") or ``sweep_one_and_all`` (check "one-and-all") must
+    report on G with Davenport constant D up to ``max_len``, from
+    plain-int counts.
+
+    Walks the zero-free multisets of lengths 0 to ``max_len`` in
+    lexicographic order of their occurrence tuples, the order the sweeps
+    visit them in, and stops at the first that breaks the check.  The
+    bound 2^(|S|-D+1) is an exact float below 1 when the exponent is
+    negative, so that case needs no branch.
+    """
+    rows = _zero_free_counts(G, max_len)
+    attained = 0
+    for occ, counts in rows:
+        bound = 2 ** (len(occ) - D + 1)
+        if check == "lower-bound":
+            failed = any(0 < c < bound for c in counts)
+        else:
+            hit = bound in counts
+            attained += hit
+            failed = hit and any(c < bound for c in counts)
+        if failed:
+            S = sequence(G, occ)
+            return "fail", {"group": G.spec(), "sequence": format_sequence(S),
+                            "max_len": max_len}
+    if check == "lower-bound":
+        return "pass", {"group": G.spec(), "max_len": max_len, "davenport": D,
+                        "sequences_checked": len(rows)}
+    return "pass", {"group": G.spec(), "max_len": max_len,
+                    "sequences_checked": len(rows), "bound_attained": attained}
 
 
 def determinant(M):

@@ -13,6 +13,7 @@ from zerosum import (
     davenport,
     divides,
     extremal_set,
+    format_sequence,
     iterate_multisets,
     make_group,
     parse_sequence,
@@ -37,7 +38,7 @@ from zerosum.counting import (
 )
 from zerosum.sequences import empty_sequence
 
-from helpers import groups_up_to_order, naive_count
+from helpers import groups_up_to_order, naive_count, sweep_oracle
 
 C2 = make_group([2])
 C3 = make_group([3])
@@ -240,6 +241,29 @@ def test_one_and_all_sweep_order_8():
     # the report-producing wrapper agrees on a small slice
     for S in iterate_multisets(C3, 4, exclude_zero=True):
         assert check_one_and_all(S, 3).passed
+
+
+@pytest.mark.parametrize("G", [make_group([])] + groups_up_to_order(8), ids=str)
+def test_census_sweeps_match_the_brute_force_oracle(G):
+    # Every max_len from 0 to D+2 and every D' from D-2 to D+2, so both
+    # sweeps reach their fail branch as well as their pass branch.
+    D = davenport(G).value
+    statuses = {"lower-bound": set(), "one-and-all": set()}
+    for max_len in range(D + 3):
+        for D2 in range(D - 2, D + 3):
+            for check, sweep in (("lower-bound", counting.sweep_lower_bound),
+                                 ("one-and-all", counting.sweep_one_and_all)):
+                status, details = sweep_oracle(G, D2, max_len, check)
+                report = sweep(G, D2, max_len)
+                assert (report.status, report.details) == (status, details), \
+                    (check, D2, max_len)
+                if status == "fail":
+                    assert [format_sequence(S) for S in report.witnesses] == \
+                        [details["sequence"]]
+                statuses[check].add(status)
+    # On C1 every count is the zero count, so one-and-all cannot fail.
+    assert statuses["lower-bound"] == {"pass", "fail"}
+    assert statuses["one-and-all"] == ({"pass", "fail"} if G.order > 1 else {"pass"})
 
 
 def test_pushforward_examples():

@@ -21,14 +21,21 @@ from zerosum import (
     subgroup_closure,
     subgroup_invariants,
 )
-from zerosum.groups import _elementary_automorphisms, element_index, element_orbits
+from zerosum.groups import (
+    _elementary_automorphisms,
+    elem_reduce,
+    element_index,
+    element_orbits,
+)
 
 from helpers import (
     automorphisms,
     determinant,
+    element_forms,
     gcd_of_k_minors,
     groups_up_to_order,
     matmul,
+    reduce_by_arithmetic,
     subgroups_by_closure,
 )
 
@@ -95,6 +102,18 @@ def test_element_arithmetic_examples():
     assert elem_scale(G, 3, (1, 1)) == (1, 3)
     with pytest.raises(ValueError):
         elem_add(G, (1,), (0, 0))
+
+
+@pytest.mark.parametrize("G", [make_group([])] + groups_up_to_order(16), ids=str)
+def test_elem_reduce_lookup_matches_the_arithmetic(G):
+    for e in all_elements(G):
+        for a in element_forms(G, e):
+            reduced = elem_reduce(G, a)
+            assert reduced == reduce_by_arithmetic(G, a) == e, a
+            assert type(reduced) is tuple and all(type(x) is int for x in reduced), a
+        for a in (e + (0,), e[:-1]) if e else ((0,),):
+            with pytest.raises(ValueError, match="arity"):
+                elem_reduce(G, a)
 
 
 def test_all_elements_order_and_count():

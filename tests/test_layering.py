@@ -19,7 +19,8 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "zerosum"
 
 PACKED = {"limb_layout", "count_packed", "Limbs", "_extremal_members",
-          "_below_bound", "_one_and_all"}
+          "_below_bound", "_one_and_all", "_lower_bound_offsets",
+          "_one_and_all_offsets"}
 BITSET = {"_limb_adders", "translate", "sweep_counts"}
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "counting.py")
 # `sequences` defines the oracle and `__init__` re-exports it.

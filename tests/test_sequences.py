@@ -20,13 +20,14 @@ from zerosum import (
     sequence,
 )
 from zerosum.sequences import (
+    Sequence,
     empty_sequence,
     parse_element,
     seq_key,
     subsequences_with_sum,
 )
 
-from helpers import groups_up_to_order
+from helpers import element_forms, groups_up_to_order
 
 
 C3 = make_group([3])
@@ -64,6 +65,17 @@ def test_parse_errors():
         parse_sequence(C3, "1 ? 2")
     with pytest.raises(ValueError):
         parse_sequence(C24, "(1,)")
+
+
+@pytest.mark.parametrize("G", [make_group([])] + groups_up_to_order(16), ids=str)
+def test_sequence_accepts_only_reduced_tuples(G):
+    for e in all_elements(G):
+        assert Sequence(G, ((e, 1),)).terms == ((e, 1),)
+        unreduced = [a for a in element_forms(G, e)
+                     if type(a) is not tuple or a != e]
+        for a in unreduced + [e + (0,)]:
+            with pytest.raises(ValueError):
+                Sequence(G, ((a, 1),))
 
 
 def test_trivial_group_sequences():
