@@ -26,7 +26,6 @@ from .sequences import (
     format_sequence,
     iterate_multisets,
     parse_sequence,
-    seq_gcd,
     seq_div,
     seq_mul,
     seq_neg,
@@ -36,10 +35,7 @@ from .sequences import (
 from .counting import (
     CountVector,
     ExtremalSet,
-    check_lower_bound,
-    check_one_and_all,
     count_all,
-    count_brute,
     count_brute_vector,
     extremal_set,
     pushforward_counts,
@@ -88,10 +84,9 @@ __all__ = [
     "quotient_group", "smith_normal_form", "d_star",
     "elem_add", "elem_neg", "elem_scale", "elem_order",
     "sequence", "parse_sequence", "format_sequence", "seq_sum", "divides",
-    "seq_gcd", "seq_mul", "seq_div", "seq_neg", "iterate_multisets",
-    "count_all", "count_brute", "count_brute_vector", "subsums",
-    "check_lower_bound", "transform", "extremal_set", "check_one_and_all",
-    "pushforward_counts",
+    "seq_mul", "seq_div", "seq_neg", "iterate_multisets",
+    "count_all", "count_brute_vector", "subsums", "transform",
+    "extremal_set", "pushforward_counts",
     "is_zero_sum_free", "davenport", "davenport_exact", "davenport_formula",
     "check_davenport_inequalities", "t_bound",
     "minimal_zero_sums", "check_odd_group_structure",

@@ -29,14 +29,12 @@ SWAR predicates.  With ONES the repunit of W-bit limbs and TOP = ONES <<
 sets the sentinel of exactly the limbs whose count is >= b, for every
 limb at once and without carries between limbs.  ``Limbs.offset`` is the
 one home of that addend and ``Limbs.at_least`` applies it.  "Nonzero" is
-b = 1, and "equal to b" is ">= b and not >= b+1".  Each census check
-tests two thresholds fixed by the length alone: the lower bound "count
->= 1" and "count >= 2^e", one-and-all "count >= 2^e" and "count >= 2^e +
-1", with e = |S| - D + 1.  ``_lower_bound_offsets`` and
-``_one_and_all_offsets`` give that pair of offsets for one length, or
-None where the check is vacuous.  The single-sequence checks read them
-per call; the sweeps build a table of them indexed by length before their
-loop, so the per-node test is two additions and a few ands.
+b = 1, and "equal to b" is ">= b and not >= b+1".  Each census sweep
+tests two thresholds fixed by the length alone: ``sweep_lower_bound``
+"count >= 1" and "count >= 2^e", ``sweep_one_and_all`` "count >= 2^e" and
+"count >= 2^e + 1", with e = |S| - D + 1.  Each builds a table of that
+pair of offsets indexed by length before its loop (None where the check
+is vacuous), so the per-node test is two additions and a few ands.
 
 Everything here is exact integer arithmetic: the statements being checked
 are equalities against powers of two, so a single rounding error would be
@@ -66,8 +64,6 @@ from .reports import VerificationReport
 from .sequences import (
     Sequence,
     _seq_from_sorted,
-    divides,
-    format_element,
     format_sequence,
     seq_div,
     seq_mul,
@@ -93,9 +89,6 @@ class CountVector:
     @property
     def zero_count(self) -> int:
         return self.counts[0]
-
-    def total(self) -> int:
-        return sum(self.counts)
 
     def as_dict(self) -> dict[GroupElement, int]:
         return dict(zip(all_elements(self.group), self.counts))
@@ -301,11 +294,6 @@ def count_brute_vector(S: Sequence) -> CountVector:
     return CountVector(G, tuple(counts))
 
 
-def count_brute(S: Sequence, g: GroupElement) -> int:
-    """Number of index subsets of S summing to g, by enumeration."""
-    return count_brute_vector(S)[g]
-
-
 def subsums(S: Sequence) -> frozenset[GroupElement]:
     """The set of all subset sums of S, zero (the empty subset) included:
     the elements whose count is nonzero."""
@@ -314,74 +302,14 @@ def subsums(S: Sequence) -> frozenset[GroupElement]:
     return frozenset(elems[i] for i in limbs.flagged(limbs.at_least(packed, 1)))
 
 
-def _lower_bound_offsets(limbs: Limbs, exponent: int) -> tuple[int, int] | None:
-    """The offsets of "count >= 1" and "count >= 2^exponent", or None when
-    the lower bound is vacuous (exponent <= 0: every nonzero count is
-    >= 1 = 2^0)."""
-    if exponent <= 0:
-        return None
-    return limbs.offset(1), limbs.offset(1 << exponent)
-
-
-def _below_bound(limbs: Limbs, packed: int, exponent: int) -> int:
-    """Sentinel flags of the nonzero counts below 2^exponent."""
-    offsets = _lower_bound_offsets(limbs, exponent)
-    if offsets is None:
-        return 0
-    nonzero, meets = offsets
-    return (packed + nonzero) & ~(packed + meets) & limbs.top
-
-
-def _one_and_all_offsets(limbs: Limbs, exponent: int) -> tuple[int, int] | None:
-    """The offsets of "count >= 2^exponent" and "count >= 2^exponent + 1",
-    or None when no count can equal 2^exponent (exponent < 0)."""
-    if exponent < 0:
-        return None
-    bound = 1 << exponent
-    return limbs.offset(bound), limbs.offset(bound + 1)
-
-
-def _one_and_all(limbs: Limbs, packed: int, exponent: int) -> tuple[bool, bool]:
-    """(some count equals 2^exponent, every count is >= 2^exponent); the
-    first is False when exponent < 0."""
-    offsets = _one_and_all_offsets(limbs, exponent)
-    if offsets is None:
-        return False, False
-    meets, above = offsets
-    flags = (packed + meets) & limbs.top
-    return bool(flags & ~(packed + above)), flags == limbs.top
-
-
-def check_lower_bound(S: Sequence, D: int) -> VerificationReport:
-    """Every attainable sum g must have at least 2^(|S|-D+1) subsequences.
-
-    D is the Davenport constant of S's group, passed in so sweeps can
-    reuse one computation.  A failure would falsify this implementation,
-    not the statement.
-    """
-    packed, limbs = count_packed(S)
-    exponent = len(S) - D + 1
-    elems = all_elements(S.group)
-    violations = [elems[i] for i in limbs.flagged(_below_bound(limbs, packed, exponent))]
-    details = {
-        "sequence": format_sequence(S),
-        "exponent": exponent,
-        "violations": [format_element(S.group, g) for g in violations],
-    }
-    if violations:
-        return VerificationReport("lower-bound", "fail", details, (S,))
-    return VerificationReport("lower-bound", "pass", details)
-
-
 def transform(S: Sequence, T: Sequence) -> Sequence:
     """The length-preserving rewrite W = T * (-(S * T^{-1})).
 
     W satisfies count_all(S)[sum(T)] == count_all(W)[0]; the subsequences
     of S summing to sum(T) correspond bijectively to the zero-sum
-    subsequences of W.
+    subsequences of W.  Requires T | S: ``seq_div`` raises ValueError
+    otherwise.
     """
-    if not divides(T, S):
-        raise ValueError("transform requires T | S")
     return seq_mul(T, seq_neg(seq_div(S, T)))
 
 
@@ -416,31 +344,18 @@ def _extremal_members(G: Group, limbs: Limbs, packed: int,
     return frozenset(elems[i] for i in limbs.flagged(flags))
 
 
-def check_one_and_all(S: Sequence, D: int) -> VerificationReport:
-    """If any element attains the bound exactly, every element must meet it."""
-    packed, limbs = count_packed(S)
-    exponent = len(S) - D + 1
-    attained, all_meet = _one_and_all(limbs, packed, exponent)
-    details = {
-        "sequence": format_sequence(S),
-        "exponent": exponent,
-        "attained": attained,
-    }
-    if not attained:
-        details["note"] = "no element attains the bound; vacuous"
-        return VerificationReport("one-and-all", "pass", details)
-    if all_meet:
-        return VerificationReport("one-and-all", "pass", details)
-    return VerificationReport("one-and-all", "fail", details, (S,))
-
-
 def sweep_lower_bound(G: Group, D: int, max_len: int) -> VerificationReport:
-    """``check_lower_bound`` on every zero-free multiset up to ``max_len``;
-    stops at the first violation."""
+    """The lower bound on every zero-free multiset S up to ``max_len``:
+    each count is 0 or at least 2^(|S|-D+1).  D is the Davenport constant
+    of G, so a failure would falsify this implementation, not the
+    statement.  Stops at the first violation."""
     limbs = limb_layout(G, max_len)
     top = limbs.top
-    # _below_bound inlined on offsets fixed per length: the per-node test.
-    table = [_lower_bound_offsets(limbs, length - D + 1) for length in range(max_len + 1)]
+    # By length, the offsets of "count >= 1" and "count >= 2^e", e =
+    # length - D + 1; None where the bound is vacuous (e <= 0: every
+    # nonzero count is >= 1 = 2^0).
+    table = [None if e <= 0 else (limbs.offset(1), limbs.offset(1 << e))
+             for e in (length - D + 1 for length in range(max_len + 1))]
     checked = 0
     for occ, packed in sweep_counts(G, max_len):
         checked += 1
@@ -461,12 +376,15 @@ def sweep_lower_bound(G: Group, D: int, max_len: int) -> VerificationReport:
 
 
 def sweep_one_and_all(G: Group, D: int, max_len: int) -> VerificationReport:
-    """``check_one_and_all`` on every zero-free multiset up to ``max_len``;
-    stops at the first violation."""
+    """One-and-all on every zero-free multiset S up to ``max_len``: if
+    some count equals 2^(|S|-D+1), every count is at least that.  Stops at
+    the first violation."""
     limbs = limb_layout(G, max_len)
     top = limbs.top
-    # _one_and_all inlined on offsets fixed per length: the per-node test.
-    table = [_one_and_all_offsets(limbs, length - D + 1) for length in range(max_len + 1)]
+    # By length, the offsets of "count >= 2^e" and "count >= 2^e + 1", e =
+    # length - D + 1; None where no count can equal 2^e (e < 0).
+    table = [None if e < 0 else (limbs.offset(1 << e), limbs.offset((1 << e) + 1))
+             for e in (length - D + 1 for length in range(max_len + 1))]
     checked = 0
     attained = 0
     for occ, packed in sweep_counts(G, max_len):

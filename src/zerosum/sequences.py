@@ -214,19 +214,6 @@ def divides(T: Sequence, S: Sequence) -> bool:
     return all(m <= S.multiplicity(g) for g, m in T.terms)
 
 
-def seq_gcd(seqs) -> Sequence:
-    """Longest common subsequence: pointwise minimum of multiplicities."""
-    seqs = list(seqs)
-    if not seqs:
-        raise ValueError("seq_gcd needs at least one sequence")
-    G = seqs[0].group
-    counts = dict(seqs[0].terms)
-    for S in seqs[1:]:
-        _same_group(seqs[0], S)
-        counts = {g: min(m, S.multiplicity(g)) for g, m in counts.items()}
-    return sequence(G, counts)
-
-
 def seq_mul(A: Sequence, B: Sequence) -> Sequence:
     G = _same_group(A, B)
     counts = dict(A.terms)

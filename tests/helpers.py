@@ -1,8 +1,8 @@
 """Shared test fixtures: group pools and dead-simple reference oracles."""
 
 from functools import lru_cache
-from itertools import combinations
-from math import gcd
+from itertools import combinations, product
+from math import comb, gcd
 
 from zerosum import (
     Group,
@@ -157,11 +157,40 @@ def _zero_free_counts(G, max_len):
     return tuple(sorted(rows))
 
 
-def sweep_oracle(G, D, max_len, check):
+def cyclic_zero_free_counts(n, max_len):
+    """The rows of ``_zero_free_counts`` for the cyclic group C_n, at any
+    length: counts from binomial sums and cyclic convolution.
+
+    k of the m occurrences of a term a give comb(m, k) subsets summing to
+    k*a, and distinct terms combine by convolution over Z/n.  No subset
+    walk and no packed vector is involved.
+    """
+    def term_counts(a, m):
+        out = [0] * n
+        for k in range(m + 1):
+            out[k * a % n] += comb(m, k)
+        return out
+
+    rows = []
+    for mults in product(range(max_len + 1), repeat=n - 1):
+        if sum(mults) > max_len:
+            continue
+        counts = [1] + [0] * (n - 1)
+        for a, m in enumerate(mults, 1):
+            term = term_counts(a, m)
+            counts = [sum(counts[(r - s) % n] * term[s] for s in range(n))
+                      for r in range(n)]
+        occ = tuple((a,) for a, m in enumerate(mults, 1) for _ in range(m))
+        rows.append((occ, tuple(counts)))
+    return tuple(sorted(rows))
+
+
+def sweep_oracle(G, D, max_len, check, rows=None):
     """The status and details that ``sweep_lower_bound`` (check
     "lower-bound") or ``sweep_one_and_all`` (check "one-and-all") must
     report on G with Davenport constant D up to ``max_len``, from
-    plain-int counts.
+    plain-int counts: ``rows`` if given (as ``_zero_free_counts`` gives
+    them), else the Gray-code counts of ``_zero_free_counts``.
 
     Walks the zero-free multisets of lengths 0 to ``max_len`` in
     lexicographic order of their occurrence tuples, the order the sweeps
@@ -169,7 +198,8 @@ def sweep_oracle(G, D, max_len, check):
     bound 2^(|S|-D+1) is an exact float below 1 when the exponent is
     negative, so that case needs no branch.
     """
-    rows = _zero_free_counts(G, max_len)
+    if rows is None:
+        rows = _zero_free_counts(G, max_len)
     attained = 0
     for occ, counts in rows:
         bound = 2 ** (len(occ) - D + 1)
@@ -188,6 +218,12 @@ def sweep_oracle(G, D, max_len, check):
                         "sequences_checked": len(rows)}
     return "pass", {"group": G.spec(), "max_len": max_len,
                     "sequences_checked": len(rows), "bound_attained": attained}
+
+
+def seq_gcd(A, B):
+    """The longest common subsequence of A and B: the pointwise minimum of
+    multiplicities."""
+    return sequence(A.group, {g: min(m, B.multiplicity(g)) for g, m in A.terms})
 
 
 def determinant(M):

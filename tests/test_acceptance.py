@@ -295,7 +295,7 @@ def test_criterion_11_normalization():
         G = rng.choice(pool)
         elems = all_elements(G)
         S = sequence(G, [rng.choice(elems) for _ in range(rng.randint(0, 14))])
-        if count_all(S).total() != 1 << len(S):
+        if sum(count_all(S).counts) != 1 << len(S):
             problems.append(f"{G}: {format_sequence(S)}")
     for G in (make_group([5]), make_group([2, 2])):
         unpack = limb_layout(G, 6).unpack

@@ -24,7 +24,6 @@ from zerosum import (
     order_two_subgroups,
     parse_sequence,
     quotient_group,
-    seq_gcd,
     seq_sum,
     sequence,
     subgroup_closure,
@@ -38,7 +37,7 @@ from zerosum.structure import (
     sweep_subgroup_es,
 )
 
-from helpers import es_chain_terms, groups_up_to_order
+from helpers import es_chain_terms, groups_up_to_order, seq_gcd
 
 C2 = make_group([2])
 C3 = make_group([3])
@@ -94,7 +93,7 @@ def test_minimal_zero_sums_against_definition():
                 assert brute_is_minimal(T)
             # disjointness: no two listed multisets share a term
             assert rep.pairwise_disjoint == all(
-                seq_gcd([T, U]).is_empty()
+                seq_gcd(T, U).is_empty()
                 for i, T in enumerate(rep.minimals)
                 for U in rep.minimals[i + 1:]
             )
