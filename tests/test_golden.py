@@ -72,6 +72,10 @@ COMMANDS = (
                                         "--max-len", "6"]),
     ("verify-transform-c8xc8", ["verify", "transform", "C8xC8", "--max-len", "30",
                                 "--trials", "60", "--seed", "3"]),
+    ("davenport-c2xc4xc4", ["davenport", "C2xC4xC4", "--method", "both"]),
+    ("davenport-c2xc2xc2xc4", ["davenport", "C2xC2xC2xC4", "--method", "both"]),
+    ("davenport-c2xc2xc6", ["davenport", "C2xC2xC6", "--method", "exact"]),
+    ("davenport-c2xc2xc2xc2xc2", ["davenport", "C2xC2xC2xC2xC2", "--method", "exact"]),
 )
 
 
