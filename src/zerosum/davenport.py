@@ -13,15 +13,26 @@ zero-sum free reads the zero count of ``counting.count_packed``:
 ``is_zero_sum_free`` on one sequence, ``zero_sum_free_sequences`` on the
 zero-count-ceiling sweep.
 
-The search also cuts by symmetry.  ``groups.element_orbits`` maps each
-element to the least index in its orbit under automorphisms of G, and a
-child a is skipped when that index lies below the first term of the
-multiset (at depth 1, below a itself).  This is sound for any set of
-automorphisms: the lex-least multiset of an orbit has no term with an
-image below its first term, and each of its prefixes is lex-least too, so
-it survives.  The first zero-sum-free multiset of each length in lex
-order is lex-least in its orbit, so the value and the witness are those
-of the search without the cut.
+The search also cuts by symmetry, at every depth.  For a prefix P, the
+table ``groups.stabilizer_orbits(G, <P>)`` maps each element to the least
+index in its orbit under the automorphisms that fix every element of the
+subgroup <P>, and a child c is skipped when its entry lies below c.  At
+the root <P> = {0}, so the table is ``groups.element_orbits`` (the full
+Aut(G)); that table also skips a child whose entry lies below the first
+term of the multiset.  ``groups`` holds Aut(G) as a Schreier–Sims chain
+and never lists it.  The search carries <P> as a bitmask over element
+indices and recomputes it only when c is not in it, as the sumset
+<P> + <c>, cached per (<P>, c), so testing a child is one table lookup.
+
+Both cuts are sound for any set of automorphisms: they never cut a
+prefix of a multiset L that is lex-least in its orbit.  If sigma fixes
+<P> and sigma(c) < c for the term c after the prefix P of L, then sorted
+sigma(L) is lex-smaller than L: it holds P and sigma(c), so its first
+|P| + 1 terms are termwise at most those of P and c sorted, which are the
+first |P| + 1 terms of L, and they sum to less.  If sigma(c) lies below
+the first term of L, so does the least term of sigma(L).  The first zero-sum-free multiset of each length in lex order
+is lex-least in its orbit, so the value and the witness are those of the
+search without the cuts.
 
 The closed form D = 1 + sum(n_i - 1) is applied only where it is settled:
 cyclic groups, rank <= 2, and p-groups.  Everywhere else the constant must
@@ -41,8 +52,10 @@ from .groups import (
     elem_neg,
     elem_order,
     element_orbits,
+    stabilizer_orbits,
     quotient_group,
     subgroup_invariants,
+    _join,
     _prime_factors,
 )
 from .reports import VerificationReport
@@ -87,7 +100,12 @@ def davenport_exact(G: Group, cap: int = DAVENPORT_CAP) -> DavenportResult:
     subset-sum bitset.  Branches are cut when they cannot beat the best
     length found so far: each append grows the sum set by at least one
     element, and element a can repeat at most order(a) - 1 times in total.
-    Children are also cut by automorphism orbit (see the module notes).
+    Children are also cut by symmetry: c is skipped when an automorphism
+    that fixes every element of the subgroup generated by the prefix maps
+    it below itself, or when an automorphism maps it below the first term.
+    Neither cut removes a prefix of the lex-least multiset of an orbit, so
+    the value and the witness are those of the uncut search (see the
+    module notes).
     The search starts from the known-zero-sum-free prod e_i^(n_i - 1), so
     groups whose constant meets that floor are confirmed, not rediscovered.
     """
@@ -105,9 +123,19 @@ def davenport_exact(G: Group, cap: int = DAVENPORT_CAP) -> DavenportResult:
     neg_idx = [idx[elem_neg(G, e)] for e in elems]
     orders = [elem_order(G, e) for e in elems]
     orbit_min = element_orbits(G)
+    joins: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
     stack: list[int] = []
 
-    def dfs(start: int, mask: int, size: int) -> None:
+    def join(span: int, c: int) -> tuple[int, tuple[int, ...]]:
+        # <P> + <c> as a bitmask over element indices, with its stabilizer orbits.
+        if (span, c) not in joins:
+            joined = _join(G, (elems[h] for h in range(n) if span >> h & 1), elems[c])
+            joins[span, c] = (sum(1 << idx[x] for x in joined),
+                              stabilizer_orbits(G, Subgroup(joined)))
+        return joins[span, c]
+
+    def dfs(start: int, mask: int, size: int, first: int, span: int,
+            low: tuple[int, ...]) -> None:
         nonlocal best_len, best_occ
         headroom = n - mask.bit_count()
         if size + headroom <= best_len:
@@ -119,16 +147,17 @@ def davenport_exact(G: Group, cap: int = DAVENPORT_CAP) -> DavenportResult:
         if size + min(headroom, budget) <= best_len:
             return
         for i in range(start, n):
-            if (mask >> neg_idx[i]) & 1 or orbit_min[i] < (stack[0] if stack else i):
+            if (mask >> neg_idx[i]) & 1 or low[i] < i or orbit_min[i] < first:
                 continue
             stack.append(i)
             if size + 1 > best_len:
                 best_len = size + 1
                 best_occ = tuple(elems[j] for j in stack)
-            dfs(i, mask | translate(mask, adders[i]), size + 1)
+            child = (span, low) if span >> i & 1 else join(span, i)
+            dfs(i, mask | translate(mask, adders[i]), size + 1, first or i, *child)
             stack.pop()
 
-    dfs(1, 1, 0)
+    dfs(1, 1, 0, 0, 1, orbit_min)
     witness = _seq_from_sorted(G, best_occ)
     return DavenportResult(G, best_len + 1, "exact-search", witness)
 

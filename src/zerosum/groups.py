@@ -20,6 +20,7 @@ Group(invariants=(2, 4))
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -228,29 +229,207 @@ def _elementary_automorphisms(G: Group) -> list[tuple[int, ...]]:
     return [tuple(idx[f(x)] for x in all_elements(G)) for f in maps]
 
 
-@lru_cache(maxsize=None)
-def element_orbits(G: Group) -> tuple[int, ...]:
-    """For each element index, the least index in its Aut(G)-orbit.
+Perm = tuple[int, ...]
 
-    Union-find over the elementary automorphisms, each root kept at the
-    least index of its class.  Any set of automorphisms gives true orbit
-    subsets, which is all a symmetry cut needs; the tests compare these
-    with the orbits of the full Aut(G) on small groups.
+
+def _compose(p: Perm, q: Perm) -> Perm:
+    """p, then q."""
+    return tuple(map(q.__getitem__, p))
+
+
+def _inverse(p: Perm) -> Perm:
+    inv = [0] * len(p)
+    for i, x in enumerate(p):
+        inv[x] = i
+    return tuple(inv)
+
+
+class _Chain:
+    """A base and strong generating set, grown by deterministic Schreier–Sims
+    (C. C. Sims, 1970; Á. Seress, *Permutation Group Algorithms*, 2003).
+
+    Level l has the base point ``base[l]``, the strong generators
+    ``gens[l]`` that fix ``base[:l]``, and a transversal of the orbit of
+    ``base[l]`` under them: ``trans[l][x]`` maps ``base[l]`` to x, and
+    ``inv[l][x]`` is its inverse.  Transversal entries are never replaced,
+    so a Schreier generator once sifted stays sifted; ``pending[l]`` holds
+    the (point, generator number) pairs whose Schreier generator is not yet
+    sifted.  The group order is the product of the orbit lengths.
     """
-    root = list(range(G.order))
 
-    def find(a: int) -> int:
-        while root[a] != a:
-            root[a] = root[root[a]]
-            a = root[a]
-        return a
+    def __init__(self, n: int, base=()) -> None:
+        self.identity = tuple(range(n))
+        self.base: list[int] = []
+        self.gens: list[list[Perm]] = []
+        self.trans: list[dict[int, Perm]] = []
+        self.inv: list[dict[int, Perm]] = []
+        self.pending: list[deque[tuple[int, int]]] = []
+        for b in base:
+            self._new_level(b)
 
+    @property
+    def order(self) -> int:
+        return prod(len(t) for t in self.trans)
+
+    def sift(self, g: Perm, level: int = 0) -> tuple[Perm, int]:
+        """Strip g through the levels from ``level`` on: the residue and the
+        level where it left the chain (``len(base)`` if it sifted through)."""
+        for l in range(level, len(self.base)):
+            x = g[self.base[l]]
+            if x not in self.inv[l]:
+                return g, l
+            if x != self.base[l]:
+                g = _compose(g, self.inv[l][x])
+        return g, len(self.base)
+
+    def add(self, g: Perm, order: int | None = None) -> None:
+        """Close the chain under g.  With the group's ``order`` known, stop as
+        soon as the chain reaches it: the orbit product of a partial chain
+        never exceeds the order of the group it generates, and equals it
+        only when every level's generators reach that level's stabilizer."""
+        g, j = self.sift(g)
+        if g == self.identity:
+            return
+        self._insert(g, 0, j)
+        i = j
+        while i >= 0 and self.order != order:
+            failed = self._unsifted_schreier_generator(i)
+            if failed is None:
+                i -= 1
+            else:
+                h, j = failed
+                self._insert(h, i + 1, j)
+                i = j
+
+    def _new_level(self, b: int) -> None:
+        self.base.append(b)
+        self.gens.append([])
+        self.trans.append({b: self.identity})
+        self.inv.append({b: self.identity})
+        self.pending.append(deque())
+
+    def _insert(self, h: Perm, low: int, high: int) -> None:
+        """Add h, which fixes ``base[:high]``, to levels ``low..high``."""
+        if high == len(self.base):
+            self._new_level(next(x for x, y in enumerate(h) if x != y))
+        for l in range(low, high + 1):
+            trans, inv, gens, pending = self.trans[l], self.inv[l], self.gens[l], self.pending[l]
+            gens.append(h)
+            pending.extend((x, len(gens) - 1) for x in trans)
+            orbit = list(trans)
+            for x in orbit:  # grows while iterating: a breadth-first orbit walk
+                for s in gens:
+                    y = s[x]
+                    if y not in trans:
+                        trans[y] = _compose(trans[x], s)
+                        inv[y] = _inverse(trans[y])
+                        orbit.append(y)
+                        pending.extend((y, k) for k in range(len(gens)))
+
+    def _unsifted_schreier_generator(self, i: int):
+        """The residue and level of the first Schreier generator
+        u_x s u_(xs)^-1 of level i that does not sift through the levels
+        below, or None when all of them do."""
+        trans, inv, gens, pending = self.trans[i], self.inv[i], self.gens[i], self.pending[i]
+        while pending:
+            x, k = pending.popleft()
+            s = gens[k]
+            h = tuple(map(inv[s[x]].__getitem__, map(s.__getitem__, trans[x])))
+            h, j = self.sift(h, i + 1)
+            if h != self.identity:
+                return h, j
+        return None
+
+
+@dataclass(frozen=True)
+class _Stabilizer:
+    """A subgroup of Aut(G): strong generators, order, and for each element
+    index the least index in its orbit."""
+
+    gens: tuple[Perm, ...]
+    order: int
+    orbit_min: tuple[int, ...]
+
+
+def _chain_stabilizer(n: int, chain: _Chain, level: int) -> _Stabilizer:
+    """The subgroup that fixes the first ``level`` base points of a
+    complete chain."""
+    gens = tuple(chain.gens[level]) if level < len(chain.base) else ()
+    low = list(range(n))
+    for a in range(n):
+        if low[a] == a:  # a is the least point of its orbit
+            orbit = [a]
+            for x in orbit:
+                for s in gens:
+                    y = s[x]
+                    if low[y] == y and y != a:
+                        low[y] = a
+                        orbit.append(y)
+    return _Stabilizer(gens, prod(len(t) for t in chain.trans[level:]), tuple(low))
+
+
+@lru_cache(maxsize=None)
+def _stabilizers(G: Group) -> dict[Subgroup, _Stabilizer]:
+    """Per-group cache of pointwise stabilizers, keyed by the subgroup they
+    fix.  Seeded with Aut(G) itself, the stabilizer of {0}: Schreier–Sims
+    over the elementary automorphisms, whose order the tests compare with
+    the closed form for |Aut(G)|."""
+    chain = _Chain(G.order)
     for perm in _elementary_automorphisms(G):
-        for a, b in enumerate(perm):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                root[max(ra, rb)] = min(ra, rb)
-    return tuple(find(a) for a in range(G.order))
+        chain.add(perm)
+    return {Subgroup(frozenset({G.zero()})): _chain_stabilizer(G.order, chain, 0)}
+
+
+def _stabilizer(G: Group, H: Subgroup) -> _Stabilizer:
+    """The automorphisms of G that fix every element of H.
+
+    Starts from the largest cached subgroup K of H and joins the least
+    element c of H outside K until K = H.  The stabilizer of K + <c> is
+    level 1 of a chain for that of K whose base starts at c, closed by
+    Schreier–Sims over K's generators and stopped at K's known order.  So
+    each step starts from the last, and H's stabilizer is the tail of a
+    chain of Aut(G) whose base starts with generators of H.
+    """
+    cache = _stabilizers(G)
+    if H in cache:
+        return cache[H]
+    idx = element_index(G)
+    K = max((K for K in cache if K.elements <= H.elements), key=lambda K: K.order,
+            default=None)
+    if K is None or not H.elements <= idx.keys():
+        raise ValueError(f"not a set of elements of {G} that contains zero")
+    while K.elements < H.elements:
+        c = min(H.elements - K.elements, key=idx.__getitem__)
+        joined = Subgroup(_join(G, K.elements, c))
+        if joined not in cache:
+            chain = _Chain(G.order, base=[idx[c]])
+            for s in cache[K].gens:
+                chain.add(s, cache[K].order)
+            cache[joined] = _chain_stabilizer(G.order, chain, 1)
+        K = joined
+    if K != H:  # the subgroup that H generates is larger than H
+        raise ValueError("subgroup element set is not closed under addition")
+    return cache[H]
+
+
+def _join(G: Group, elements, c: GroupElement) -> frozenset[GroupElement]:
+    """The sumset of a subgroup's elements and <c>: the subgroup they generate."""
+    multiples = subgroup_closure(G, [c]).elements
+    return frozenset(elem_add(G, h, m) for h in elements for m in multiples)
+
+
+def stabilizer_orbits(G: Group, H: Subgroup) -> tuple[int, ...]:
+    """For each element index, the least index in its orbit under the
+    automorphisms of G that fix every element of H.  Aut(G) is never
+    listed: it is held as a Schreier–Sims chain, and each stabilizer as
+    the strong generators and order a chain gives it."""
+    return _stabilizer(G, H).orbit_min
+
+
+def element_orbits(G: Group) -> tuple[int, ...]:
+    """For each element index, the least index in its Aut(G)-orbit: the
+    stabilizer orbits of the trivial subgroup."""
+    return stabilizer_orbits(G, Subgroup(frozenset({G.zero()})))
 
 
 def subgroup_closure(G: Group, gens) -> Subgroup:

@@ -77,6 +77,37 @@ def automorphisms(G, limit=None):
     return found if extend([0], 0) else None
 
 
+def automorphism_count(G):
+    """|Aut(G)| in closed form (C. J. Hillar and D. L. Rhea, "Automorphisms
+    of finite abelian groups", Amer. Math. Monthly 114, 2007).
+
+    Aut(G) is the product of the Aut(G_p) over the Sylow subgroups.  For
+    G_p = Z/p^e_1 + ... + Z/p^e_k with e_1 <= ... <= e_k, let
+    d_j = max{l : e_l = e_j} and c_j = min{l : e_l = e_j} (1-based); then
+    |Aut(G_p)| = prod_j (p^d_j - p^(j-1)) * prod_j p^(e_j (k - d_j))
+    * prod_j p^((e_j - 1)(k - c_j + 1)).
+    """
+    total = 1
+    for p in sorted({q for n in G.invariants for q in range(2, n + 1)
+                     if n % q == 0 and all(q % r for r in range(2, q))}):
+        e = []
+        for n in G.invariants:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            if k:
+                e.append(k)
+        k = len(e)
+        d = [max(l for l in range(1, k + 1) if e[l - 1] == ej) for ej in e]
+        c = [min(l for l in range(1, k + 1) if e[l - 1] == ej) for ej in e]
+        for j in range(1, k + 1):
+            total *= p ** d[j - 1] - p ** (j - 1)
+            total *= p ** (e[j - 1] * (k - d[j - 1]))
+            total *= p ** ((e[j - 1] - 1) * (k - c[j - 1] + 1))
+    return total
+
+
 def subgroups_by_closure(G):
     """Every subgroup of G as a frozenset of elements, by closing every set
     of at most rank(G) elements under addition: a subgroup of an abelian

@@ -109,11 +109,25 @@ def test_both_without_a_closed_form_refuses_before_searching(monkeypatch, capsys
         davenport.cache_clear()
 
 
-def _search_without_orbit_cut(monkeypatch, G):
+def _search_with_orbit_tables(monkeypatch, G, depth_one, deeper):
+    """davenport_exact on G with the Aut(G) orbit table (the depth-1 cut
+    and the cut below the first term) and the stabilizer orbit tables (the
+    cut at depth 2 and below) each replaced by the identity when off."""
     dav = importlib.import_module("zerosum.davenport")
     with monkeypatch.context() as m:
-        m.setattr(dav, "element_orbits", lambda G: tuple(range(G.order)))
+        if not depth_one:
+            m.setattr(dav, "element_orbits", lambda G: tuple(range(G.order)))
+        if not deeper:
+            m.setattr(dav, "stabilizer_orbits", lambda G, H: tuple(range(G.order)))
         return davenport_exact(G)
+
+
+def _search_without_orbit_cut(monkeypatch, G):
+    return _search_with_orbit_tables(monkeypatch, G, depth_one=False, deeper=False)
+
+
+def _search_with_depth_one_cut_only(monkeypatch, G):
+    return _search_with_orbit_tables(monkeypatch, G, depth_one=True, deeper=False)
 
 
 def test_orbit_cut_keeps_value_and_witness(monkeypatch):
@@ -121,18 +135,41 @@ def test_orbit_cut_keeps_value_and_witness(monkeypatch):
         assert davenport_exact(G) == _search_without_orbit_cut(monkeypatch, G), G
 
 
-def test_orbit_cut_visits_fewer_nodes(monkeypatch):
+def test_stabilizer_cut_keeps_value_and_witness(monkeypatch):
+    groups = groups_up_to_order(36)
+    assert len(groups) == 61
+    for G in groups:
+        assert davenport_exact(G) == _search_with_depth_one_cut_only(monkeypatch, G), G
+
+
+def _dfs_nodes(monkeypatch, search):
+    """DFS nodes below the root of a search: one translation each."""
     dav = importlib.import_module("zerosum.davenport")
     nodes = []
-    monkeypatch.setattr(dav, "translate", lambda mask, ops: nodes.append(1) or translate(mask, ops))
+    with monkeypatch.context() as m:
+        m.setattr(dav, "translate",
+                  lambda mask, ops: nodes.append(1) or translate(mask, ops))
+        search()
+    return len(nodes)
+
+
+def test_orbit_cut_visits_fewer_nodes(monkeypatch):
     for spec in ([2, 2, 6], [3, 6], [2, 12]):
         G = make_group(spec)
-        nodes.clear()
-        davenport_exact(G)
-        pruned = len(nodes)
-        nodes.clear()
-        _search_without_orbit_cut(monkeypatch, G)
-        assert 0 < pruned < len(nodes) / 2, (G, pruned, len(nodes))
+        pruned = _dfs_nodes(monkeypatch, lambda: davenport_exact(G))
+        nodes = _dfs_nodes(monkeypatch, lambda: _search_without_orbit_cut(monkeypatch, G))
+        assert 0 < pruned < nodes / 2, (G, pruned, nodes)
+
+
+def test_stabilizer_cut_visits_fewer_nodes(monkeypatch):
+    cut = {}
+    for spec in ([3, 12], [2, 4, 4]):
+        G = make_group(spec)
+        cut[G.spec()] = _dfs_nodes(monkeypatch, lambda: davenport_exact(G))
+        depth_one = _dfs_nodes(monkeypatch,
+                               lambda: _search_with_depth_one_cut_only(monkeypatch, G))
+        assert cut[G.spec()] < depth_one, (G, cut[G.spec()], depth_one)
+    assert cut["C3xC12"] <= 120_000  # 297,243 with the depth-1 cut only
 
 
 def test_witness_properties():

@@ -23,12 +23,15 @@ from zerosum import (
 )
 from zerosum.groups import (
     _elementary_automorphisms,
+    _stabilizer,
     elem_reduce,
     element_index,
     element_orbits,
+    stabilizer_orbits,
 )
 
 from helpers import (
+    automorphism_count,
     automorphisms,
     determinant,
     element_forms,
@@ -329,8 +332,24 @@ def test_automorphism_enumerator_counts():
     expected = {(12,): 4, (7,): 6, (2, 2): 6, (2, 2, 2): 168, (2, 2, 2, 2): 20160,
                 (3, 3, 3): 11232, (4, 4): 96, (2, 4): 8}
     for shape, count in expected.items():
-        assert len(set(automorphisms(make_group(list(shape))))) == count, shape
+        G = make_group(list(shape))
+        assert len(set(automorphisms(G))) == count, shape
+        assert automorphism_count(G) == count, shape
     assert automorphisms(make_group([2, 2, 2]), limit=100) is None
+    assert automorphism_count(make_group([2] * 5)) == 9_999_360  # |GL(5,2)|
+
+
+def _trivial(G):
+    return Subgroup(frozenset({G.zero()}))
+
+
+def test_automorphism_chain_order_matches_the_closed_form():
+    # The elementary automorphisms generate Aut(G): Schreier-Sims over them
+    # reaches the order Hillar and Rhea give, on every group up to order 64.
+    groups = groups_up_to_order(64)
+    assert len(groups) == 116
+    for G in groups:
+        assert _stabilizer(G, _trivial(G)).order == automorphism_count(G), G
 
 
 def test_elementary_automorphisms_are_bijective_homomorphisms():
@@ -352,10 +371,38 @@ def test_element_orbits_match_the_full_automorphism_group():
         if auts is None:
             assert G.invariants == (2, 2, 2, 2, 2)  # |GL(5,2)| is about 10^7
             continue
+        assert _stabilizer(G, _trivial(G)).order == len(auts), G
         brute = tuple(min(perm[a] for perm in auts) for a in range(G.order))
         assert element_orbits(G) == brute, G
         checked += 1
     assert checked == 60
+
+
+def test_stabilizer_orbits_match_the_listed_automorphisms():
+    # For every subgroup H, the least image of each element under the
+    # listed automorphisms that fix every element of H.
+    subgroups = 0
+    for G in groups_up_to_order(16):
+        auts = automorphisms(G)
+        idx = element_index(G)
+        fixed = [{a for a, b in enumerate(perm) if a == b} for perm in auts]
+        for H in all_subgroups(G):
+            points = {idx[h] for h in H.elements}
+            stab = [perm for perm, fix in zip(auts, fixed) if points <= fix]
+            brute = tuple(min(perm[a] for perm in stab) for a in range(G.order))
+            assert stabilizer_orbits(G, H) == brute, (G, H)
+            assert _stabilizer(G, H).order == len(stab), (G, H)
+            subgroups += 1
+    assert subgroups == 214
+
+
+def test_stabilizer_orbits_refuse_a_set_that_is_not_a_subgroup():
+    G = make_group([2, 4])
+    for elements, message in (({(0, 1)}, "contains zero"),
+                              ({(0, 0), (0, 5)}, "contains zero"),
+                              ({(0, 0), (0, 1)}, "not closed")):
+        with pytest.raises(ValueError, match=message):
+            stabilizer_orbits(G, Subgroup(frozenset(elements)))
 
 
 def test_element_orbits_examples():
