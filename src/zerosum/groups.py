@@ -208,7 +208,9 @@ def _elementary_automorphisms(G: Group) -> list[tuple[int, ...]]:
 
     Unit scalings e_i -> u*e_i; shears e_i -> e_i + c*e_j with
     c = n_j/n_i for j > i and c = 1 for j < i (so c*e_j has order dividing
-    n_i); swaps of equal invariant factors.
+    n_i); swaps of equal invariant factors.  They generate Aut(G): the
+    tests check the order of their Schreier–Sims chain against |Aut(G)| in
+    closed form on every group of order at most 64.
     """
     inv = G.invariants
     idx = element_index(G)
@@ -327,7 +329,7 @@ class _Chain:
                         pending.extend((y, k) for k in range(len(gens)))
 
     def _unsifted_schreier_generator(self, i: int):
-        """The residue and level of the first Schreier generator
+        """The residue and level of the next pending Schreier generator
         u_x s u_(xs)^-1 of level i that does not sift through the levels
         below, or None when all of them do."""
         trans, inv, gens, pending = self.trans[i], self.inv[i], self.gens[i], self.pending[i]
