@@ -30,9 +30,10 @@ prefix of a multiset L that is lex-least in its orbit.  If sigma fixes
 sigma(L) is lex-smaller than L: it holds P and sigma(c), so its first
 |P| + 1 terms are termwise at most those of P and c sorted, which are the
 first |P| + 1 terms of L, and they sum to less.  If sigma(c) lies below
-the first term of L, so does the least term of sigma(L).  The first zero-sum-free multiset of each length in lex order
-is lex-least in its orbit, so the value and the witness are those of the
-search without the cuts.
+the first term of L, so does the least term of sigma(L).  The first
+zero-sum-free multiset of each length in lex order is lex-least in its
+orbit, so the value and the witness are those of the search without the
+cuts.
 
 The closed form D = 1 + sum(n_i - 1) is applied only where it is settled:
 cyclic groups, rank <= 2, and p-groups.  Everywhere else the constant must

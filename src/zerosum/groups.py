@@ -353,10 +353,11 @@ class _Stabilizer:
     orbit_min: tuple[int, ...]
 
 
-def _chain_stabilizer(n: int, chain: _Chain, level: int) -> _Stabilizer:
+def _chain_stabilizer(chain: _Chain, level: int) -> _Stabilizer:
     """The subgroup that fixes the first ``level`` base points of a
     complete chain."""
     gens = tuple(chain.gens[level]) if level < len(chain.base) else ()
+    n = len(chain.identity)
     low = list(range(n))
     for a in range(n):
         if low[a] == a:  # a is the least point of its orbit
@@ -379,7 +380,7 @@ def _stabilizers(G: Group) -> dict[Subgroup, _Stabilizer]:
     chain = _Chain(G.order)
     for perm in _elementary_automorphisms(G):
         chain.add(perm)
-    return {Subgroup(frozenset({G.zero()})): _chain_stabilizer(G.order, chain, 0)}
+    return {Subgroup(frozenset({G.zero()})): _chain_stabilizer(chain, 0)}
 
 
 def _stabilizer(G: Group, H: Subgroup) -> _Stabilizer:
@@ -407,7 +408,7 @@ def _stabilizer(G: Group, H: Subgroup) -> _Stabilizer:
             chain = _Chain(G.order, base=[idx[c]])
             for s in cache[K].gens:
                 chain.add(s, cache[K].order)
-            cache[joined] = _chain_stabilizer(G.order, chain, 1)
+            cache[joined] = _chain_stabilizer(chain, 1)
         K = joined
     if K != H:  # the subgroup that H generates is larger than H
         raise ValueError("subgroup element set is not closed under addition")
