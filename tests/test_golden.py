@@ -76,6 +76,10 @@ COMMANDS = (
     ("davenport-c2xc2xc2xc4", ["davenport", "C2xC2xC2xC4", "--method", "both"]),
     ("davenport-c2xc2xc6", ["davenport", "C2xC2xC6", "--method", "exact"]),
     ("davenport-c2xc2xc2xc2xc2", ["davenport", "C2xC2xC2xC2xC2", "--method", "exact"]),
+    ("davenport-c2xc2xc2xc6", ["davenport", "C2xC2xC2xC6", "--method", "exact",
+                               "--davenport-cap", "48"]),
+    ("davenport-c256", ["davenport", "C256", "--method", "exact",
+                        "--davenport-cap", "256"]),
 )
 
 
