@@ -21,8 +21,9 @@ below bit W-1 of its limb, the sentinel bit, which is therefore always 0.
 Adding a to every element is a rotation of the limbs, done per coordinate
 with a constant mask and two shifts (``_limb_adders``), so the append step
 is ``x + translate(x, a)``: O(rank) big-int operations instead of O(|G|)
-Python-level additions.  The table at W = 1 serves only the subset-sum
-bitset of ``davenport.davenport_exact``.
+Python-level additions.  The table at W = 1 serves only
+``davenport.davenport_exact``: its subset-sum bitset and its joins of
+the subgroup <P> generated by a prefix with <c>, coset by coset.
 
 SWAR predicates.  With ONES the repunit of W-bit limbs and TOP = ONES <<
 (W-1) the mask of their sentinel bits, ``(x + ONES*(2^(W-1) - b)) & TOP``

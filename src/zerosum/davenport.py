@@ -13,16 +13,17 @@ zero-sum free reads the zero count of ``counting.count_packed``:
 ``is_zero_sum_free`` on one sequence, ``zero_sum_free_sequences`` on the
 zero-count-ceiling sweep.
 
-The search also cuts by symmetry, at every depth.  For a prefix P, the
-table ``groups.stabilizer_orbits(G, <P>)`` maps each element to the least
-index in its orbit under the automorphisms that fix every element of the
-subgroup <P>, and a child c is skipped when its entry lies below c.  At
-the root <P> = {0}, so the table is ``groups.element_orbits`` (the full
-Aut(G)); that table also skips a child whose entry lies below the first
-term of the multiset.  ``groups`` holds Aut(G) as a Schreier–Sims chain
-and never lists it.  The search carries <P> as a bitmask over element
-indices and recomputes it only when c is not in it, as the sumset
-<P> + <c>, cached per (<P>, c), so testing a child is one table lookup.
+The search also cuts by symmetry, at every depth.  The automorphisms that
+fix every term of a prefix P are those that fix the subgroup <P>, and a
+child c is skipped when one of them maps c below itself: one lookup in
+their ``orbit_min`` table.  At the root that is Aut(G)
+(``groups._automorphism_group``, a Schreier–Sims chain, never listed),
+whose table also skips a child below the first term.  The search carries
+<P> as a bitmask over element indices.  When c is not in it, <P> + <c> is
+the union of the cosets <P> + kc, each the last one translated by c with
+the width-1 table, until the coset is <P> again; its stabilizer is
+Stab(<P>) ∩ Stab(c), one ``groups._fix_point`` step from that of <P>.
+Joins are kept per (<P>, c) and stabilizers per joined bitmask.
 
 Both cuts are sound for any set of automorphisms: they never cut a
 prefix of a multiset L that is lex-least in its orbit.  If sigma fixes
@@ -52,11 +53,10 @@ from .groups import (
     d_star,
     elem_neg,
     elem_order,
-    element_orbits,
-    stabilizer_orbits,
     quotient_group,
     subgroup_invariants,
-    _join,
+    _automorphism_group,
+    _fix_point,
     _prime_factors,
 )
 from .reports import VerificationReport
@@ -102,41 +102,49 @@ def davenport_exact(G: Group, cap: int = DAVENPORT_CAP) -> DavenportResult:
     length found so far: each append grows the sum set by at least one
     element, and element a can repeat at most order(a) - 1 times in total.
     Children are also cut by symmetry: c is skipped when an automorphism
-    that fixes every element of the subgroup generated by the prefix maps
-    it below itself, or when an automorphism maps it below the first term.
-    Neither cut removes a prefix of the lex-least multiset of an orbit, so
-    the value and the witness are those of the uncut search (see the
-    module notes).
+    that fixes every element of the subgroup <P> generated by the prefix
+    maps it below itself, or when an automorphism maps it below the first
+    term.  The only stabilizer step is fixing one point: that of
+    <P> + <c>, joined coset by coset on the bitmask of <P>, is the
+    stabilizer of c inside that of <P>.  Neither cut removes a prefix of
+    the lex-least multiset of an orbit, so the value and the witness are
+    those of the uncut search (see the module notes).
     The search starts from the known-zero-sum-free prod e_i^(n_i - 1), so
-    groups whose constant meets that floor are confirmed, not rediscovered.
+    groups whose constant meets that floor are confirmed, not rediscovered;
+    where d* = |G| - 1 (the cyclic groups) the root bound returns it before
+    any table is built.
     """
     if G.order > cap:
         raise ValueError(f"davenport_exact: |G| = {G.order} exceeds cap {cap}")
     n = G.order
-    elems = all_elements(G)
-    idx = element_index(G)
     star = _star_witness(G)
     best_len = d_star(G)
+    if n - 1 <= best_len:  # the root bound: the sum set {0} grows by n - 1 at most
+        return DavenportResult(G, best_len + 1, "exact-search", star)
+    elems = all_elements(G)
+    idx = element_index(G)
     best_occ = star.expanded()
-    if n == 1:
-        return DavenportResult(G, 1, "exact-search", sequence(G))
     adders = _limb_adders(G, 1)
     neg_idx = [idx[elem_neg(G, e)] for e in elems]
     orders = [elem_order(G, e) for e in elems]
-    orbit_min = element_orbits(G)
-    joins: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
+    stabilizers = {1: _automorphism_group(G)}  # keyed by the bitmask of <P>
+    orbit_min = stabilizers[1].orbit_min
+    joins: dict[tuple[int, int], int] = {}
     stack: list[int] = []
 
-    def join(span: int, c: int) -> tuple[int, tuple[int, ...]]:
-        # <P> + <c> as a bitmask over element indices, with its stabilizer orbits.
+    def join(span: int, c: int) -> int:
+        # <P> + <c>: the cosets of <P> through the multiples of c.
         if (span, c) not in joins:
-            joined = _join(G, (elems[h] for h in range(n) if span >> h & 1), elems[c])
-            joins[span, c] = (sum(1 << idx[x] for x in joined),
-                              stabilizer_orbits(G, Subgroup(joined)))
+            joined, coset = span, translate(span, adders[c])
+            while coset != span:
+                joined |= coset
+                coset = translate(coset, adders[c])
+            if joined not in stabilizers:
+                stabilizers[joined] = _fix_point(stabilizers[span], c)
+            joins[span, c] = joined
         return joins[span, c]
 
-    def dfs(start: int, mask: int, size: int, first: int, span: int,
-            low: tuple[int, ...]) -> None:
+    def dfs(start: int, mask: int, size: int, first: int, span: int) -> None:
         nonlocal best_len, best_occ
         headroom = n - mask.bit_count()
         if size + headroom <= best_len:
@@ -147,6 +155,7 @@ def davenport_exact(G: Group, cap: int = DAVENPORT_CAP) -> DavenportResult:
                 budget += orders[i] - 1
         if size + min(headroom, budget) <= best_len:
             return
+        low = stabilizers[span].orbit_min
         for i in range(start, n):
             if (mask >> neg_idx[i]) & 1 or low[i] < i or orbit_min[i] < first:
                 continue
@@ -154,11 +163,11 @@ def davenport_exact(G: Group, cap: int = DAVENPORT_CAP) -> DavenportResult:
             if size + 1 > best_len:
                 best_len = size + 1
                 best_occ = tuple(elems[j] for j in stack)
-            child = (span, low) if span >> i & 1 else join(span, i)
-            dfs(i, mask | translate(mask, adders[i]), size + 1, first or i, *child)
+            child = span if span >> i & 1 else join(span, i)
+            dfs(i, mask | translate(mask, adders[i]), size + 1, first or i, child)
             stack.pop()
 
-    dfs(1, 1, 0, 0, 1, orbit_min)
+    dfs(1, 1, 0, 0, 1)
     witness = _seq_from_sorted(G, best_occ)
     return DavenportResult(G, best_len + 1, "exact-search", witness)
 

@@ -372,67 +372,25 @@ def _chain_stabilizer(chain: _Chain, level: int) -> _Stabilizer:
 
 
 @lru_cache(maxsize=None)
-def _stabilizers(G: Group) -> dict[Subgroup, _Stabilizer]:
-    """Per-group cache of pointwise stabilizers, keyed by the subgroup they
-    fix.  Seeded with Aut(G) itself, the stabilizer of {0}: Schreier–Sims
-    over the elementary automorphisms, whose order the tests compare with
-    the closed form for |Aut(G)|."""
+def _automorphism_group(G: Group) -> _Stabilizer:
+    """Aut(G), the stabilizer of nothing: Schreier–Sims over the elementary
+    automorphisms, whose order the tests compare with the closed form for
+    |Aut(G)|.  Aut(G) is never listed."""
     chain = _Chain(G.order)
     for perm in _elementary_automorphisms(G):
         chain.add(perm)
-    return {Subgroup(frozenset({G.zero()})): _chain_stabilizer(chain, 0)}
+    return _chain_stabilizer(chain, 0)
 
 
-def _stabilizer(G: Group, H: Subgroup) -> _Stabilizer:
-    """The automorphisms of G that fix every element of H.
-
-    Starts from the largest cached subgroup K of H and joins the least
-    element c of H outside K until K = H.  The stabilizer of K + <c> is
-    level 1 of a chain for that of K whose base starts at c, closed by
-    Schreier–Sims over K's generators and stopped at K's known order.  So
-    each step starts from the last, and H's stabilizer is the tail of a
-    chain of Aut(G) whose base starts with generators of H.
-    """
-    cache = _stabilizers(G)
-    if H in cache:
-        return cache[H]
-    idx = element_index(G)
-    K = max((K for K in cache if K.elements <= H.elements), key=lambda K: K.order,
-            default=None)
-    if K is None or not H.elements <= idx.keys():
-        raise ValueError(f"not a set of elements of {G} that contains zero")
-    while K.elements < H.elements:
-        c = min(H.elements - K.elements, key=idx.__getitem__)
-        joined = Subgroup(_join(G, K.elements, c))
-        if joined not in cache:
-            chain = _Chain(G.order, base=[idx[c]])
-            for s in cache[K].gens:
-                chain.add(s, cache[K].order)
-            cache[joined] = _chain_stabilizer(chain, 1)
-        K = joined
-    if K != H:  # the subgroup that H generates is larger than H
-        raise ValueError("subgroup element set is not closed under addition")
-    return cache[H]
-
-
-def _join(G: Group, elements, c: GroupElement) -> frozenset[GroupElement]:
-    """The sumset of a subgroup's elements and <c>: the subgroup they generate."""
-    multiples = subgroup_closure(G, [c]).elements
-    return frozenset(elem_add(G, h, m) for h in elements for m in multiples)
-
-
-def stabilizer_orbits(G: Group, H: Subgroup) -> tuple[int, ...]:
-    """For each element index, the least index in its orbit under the
-    automorphisms of G that fix every element of H.  Aut(G) is never
-    listed: it is held as a Schreier–Sims chain, and each stabilizer as
-    the strong generators and order a chain gives it."""
-    return _stabilizer(G, H).orbit_min
-
-
-def element_orbits(G: Group) -> tuple[int, ...]:
-    """For each element index, the least index in its Aut(G)-orbit: the
-    stabilizer orbits of the trivial subgroup."""
-    return stabilizer_orbits(G, Subgroup(frozenset({G.zero()})))
+def _fix_point(stab: _Stabilizer, point: int) -> _Stabilizer:
+    """The elements of ``stab`` that fix ``point``: level 1 of a chain based
+    at ``point``, closed by Schreier–Sims over ``stab.gens`` and stopped at
+    ``stab.order``.  Folding it over the points of a set gives the set's
+    pointwise stabilizer, each step starting from the last."""
+    chain = _Chain(len(stab.orbit_min), base=[point])
+    for s in stab.gens:
+        chain.add(s, stab.order)
+    return _chain_stabilizer(chain, 1)
 
 
 def subgroup_closure(G: Group, gens) -> Subgroup:

@@ -25,7 +25,7 @@ from zerosum import (
 )
 from zerosum.counting import _limb_adders, limb_width, translate
 from zerosum.davenport import zero_sum_free_sequences
-from zerosum.groups import element_index
+from zerosum.groups import _Stabilizer, element_index
 
 from helpers import groups_up_to_order
 
@@ -109,6 +109,11 @@ def test_both_without_a_closed_form_refuses_before_searching(monkeypatch, capsys
         davenport.cache_clear()
 
 
+def _identity(n):
+    """The trivial group of automorphisms: no generators, every orbit a point."""
+    return _Stabilizer((), 1, tuple(range(n)))
+
+
 def _search_with_orbit_tables(monkeypatch, G, depth_one, deeper):
     """davenport_exact on G with the Aut(G) orbit table (the depth-1 cut
     and the cut below the first term) and the stabilizer orbit tables (the
@@ -116,9 +121,9 @@ def _search_with_orbit_tables(monkeypatch, G, depth_one, deeper):
     dav = importlib.import_module("zerosum.davenport")
     with monkeypatch.context() as m:
         if not depth_one:
-            m.setattr(dav, "element_orbits", lambda G: tuple(range(G.order)))
+            m.setattr(dav, "_automorphism_group", lambda G: _identity(G.order))
         if not deeper:
-            m.setattr(dav, "stabilizer_orbits", lambda G, H: tuple(range(G.order)))
+            m.setattr(dav, "_fix_point", lambda stab, point: _identity(len(stab.orbit_min)))
         return davenport_exact(G)
 
 
@@ -143,7 +148,8 @@ def test_stabilizer_cut_keeps_value_and_witness(monkeypatch):
 
 
 def _dfs_nodes(monkeypatch, search):
-    """DFS nodes below the root of a search: one translation each."""
+    """The translations a search makes: one per DFS node below the root,
+    plus one per coset step of each subgroup join <P> + <c>."""
     dav = importlib.import_module("zerosum.davenport")
     nodes = []
     with monkeypatch.context() as m:
@@ -170,6 +176,22 @@ def test_stabilizer_cut_visits_fewer_nodes(monkeypatch):
                                lambda: _search_with_depth_one_cut_only(monkeypatch, G))
         assert cut[G.spec()] < depth_one, (G, cut[G.spec()], depth_one)
     assert cut["C3xC12"] <= 120_000  # 297,243 with the depth-1 cut only
+
+
+def test_root_bound_ends_a_cyclic_search_before_any_table(monkeypatch):
+    # On C_n, d* = n - 1 fills the headroom of the empty prefix, so the
+    # search returns the star witness 1^(n-1) before it builds Aut(G).
+    dav = importlib.import_module("zerosum.davenport")
+
+    def refuse(G):
+        raise RuntimeError(f"Aut({G}) built")
+
+    monkeypatch.setattr(dav, "_automorphism_group", refuse)
+    for n in (1, 2, 7, 256, 1024):
+        G = make_group([n])
+        res = davenport_exact(G, cap=1024)
+        assert res.value == n, G
+        assert res.witness == sequence(G, {(1,): n - 1}), G
 
 
 def test_witness_properties():

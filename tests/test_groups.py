@@ -22,12 +22,11 @@ from zerosum import (
     subgroup_invariants,
 )
 from zerosum.groups import (
+    _automorphism_group,
     _elementary_automorphisms,
-    _stabilizer,
+    _fix_point,
     elem_reduce,
     element_index,
-    element_orbits,
-    stabilizer_orbits,
 )
 
 from helpers import (
@@ -345,7 +344,7 @@ def test_automorphism_chain_order_matches_the_closed_form():
     groups = groups_up_to_order(64)
     assert len(groups) == 116
     for G in groups:
-        assert _stabilizer(G, subgroup_closure(G, [])).order == automorphism_count(G), G
+        assert _automorphism_group(G).order == automorphism_count(G), G
 
 
 def test_elementary_automorphisms_are_bijective_homomorphisms():
@@ -367,42 +366,45 @@ def test_element_orbits_match_the_full_automorphism_group():
         if auts is None:
             assert G.invariants == (2, 2, 2, 2, 2)  # |GL(5,2)| is about 10^7
             continue
-        assert _stabilizer(G, subgroup_closure(G, [])).order == len(auts), G
+        assert _automorphism_group(G).order == len(auts), G
         brute = tuple(min(perm[a] for perm in auts) for a in range(G.order))
-        assert element_orbits(G) == brute, G
+        assert _automorphism_group(G).orbit_min == brute, G
         checked += 1
     assert checked == 60
 
 
 def test_stabilizer_orbits_match_the_listed_automorphisms():
-    # For every subgroup H, the least image of each element under the
-    # listed automorphisms that fix every element of H.
-    subgroups = 0
+    # For every subgroup and every set of one or two element indices,
+    # _fix_point folded over its points from Aut(G) gives the listed
+    # automorphisms that fix every point: their number and the least
+    # image of each element.
+    subgroups = point_sets = 0
     for G in groups_up_to_order(16):
         auts = automorphisms(G)
         idx = element_index(G)
         fixed = [{a for a, b in enumerate(perm) if a == b} for perm in auts]
-        for H in all_subgroups(G):
-            points = {idx[h] for h in H.elements}
-            stab = [perm for perm, fix in zip(auts, fixed) if points <= fix]
-            brute = tuple(min(perm[a] for perm in stab) for a in range(G.order))
-            assert stabilizer_orbits(G, H) == brute, (G, H)
-            assert _stabilizer(G, H).order == len(stab), (G, H)
-            subgroups += 1
+        sets = {tuple(sorted(idx[h] for h in H.elements)) for H in all_subgroups(G)}
+        subgroups += len(sets)
+        sets.update((a,) for a in range(G.order))
+        sets.update((a, b) for a in range(G.order) for b in range(a + 1, G.order))
+        for points in sorted(sets):
+            stab = _automorphism_group(G)
+            for a in points:
+                stab = _fix_point(stab, a)
+            listed = [perm for perm, fix in zip(auts, fixed) if fix.issuperset(points)]
+            brute = tuple(min(perm[a] for perm in listed) for a in range(G.order))
+            assert stab.orbit_min == brute, (G, points)
+            assert stab.order == len(listed), (G, points)
+            point_sets += 1
     assert subgroups == 214
-
-
-def test_stabilizer_orbits_refuse_a_set_that_is_not_a_subgroup():
-    G = make_group([2, 4])
-    for elements, message in (({(0, 1)}, "contains zero"),
-                              ({(0, 0), (0, 5)}, "contains zero"),
-                              ({(0, 0), (0, 1)}, "not closed")):
-        with pytest.raises(ValueError, match=message):
-            stabilizer_orbits(G, Subgroup(frozenset(elements)))
+    assert point_sets == 1702
 
 
 def test_element_orbits_examples():
-    assert element_orbits(make_group([])) == (0,)
-    assert element_orbits(make_group([5])) == (0, 1, 1, 1, 1)
+    def orbit_min(spec):
+        return _automorphism_group(make_group(spec)).orbit_min
+
+    assert orbit_min([]) == (0,)
+    assert orbit_min([5]) == (0, 1, 1, 1, 1)
     # C2xC4: {0}, {(0,2)} (the doubles), {(1,0), (1,2)}, the order-4 elements.
-    assert element_orbits(make_group([2, 4])) == (0, 1, 2, 1, 4, 1, 4, 1)
+    assert orbit_min([2, 4]) == (0, 1, 2, 1, 4, 1, 4, 1)

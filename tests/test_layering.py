@@ -10,7 +10,9 @@ itertools oracle the tests compare the library's enumerators with, so no
 library module uses it.  The library holds no `assert` statement, since
 `python -O` strips it: a check that must hold on every call raises.
 Every public function is reached from the library itself, so a statement
-has one home, its verify sweep, and no second copy that only tests run.
+has one home, its verify sweep, and no second copy that only tests run,
+and every private module-level name is read somewhere in the library, so
+no helper outlives its last caller.
 """
 
 import ast
@@ -49,14 +51,18 @@ def test_cli_imports_no_private_name():
     assert not private
 
 
-def _used_names(path: pathlib.Path) -> set[str]:
-    names = _imported_names(path)
-    for node in ast.walk(ast.parse(path.read_text())):
+def _names_in(tree: ast.AST) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     return names
+
+
+def _used_names(path: pathlib.Path) -> set[str]:
+    return _imported_names(path) | _names_in(ast.parse(path.read_text()))
 
 
 @pytest.mark.parametrize("path", LIBRARY, ids=[p.stem for p in LIBRARY])
@@ -88,3 +94,27 @@ def test_every_public_function_is_reached_from_the_library():
                  if callable(getattr(zerosum, name))
                  and not isinstance(getattr(zerosum, name), type)}
     assert functions - used == set(UNREACHED)
+
+
+def _private_definitions(statement: ast.stmt) -> set[str]:
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        names = {statement.name}
+    elif isinstance(statement, ast.Assign):
+        names = {t.id for t in statement.targets if isinstance(t, ast.Name)}
+    elif isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+        names = {statement.target.id}
+    else:
+        names = set()
+    return {name for name in names if name.startswith("_") and not name.endswith("__")}
+
+
+def test_every_private_name_is_used():
+    # A module-level private name must be read by some other statement of
+    # the library; importing it is not a use.
+    statements = [statement for path in sorted(SRC.glob("*.py"))
+                  for statement in ast.parse(path.read_text()).body]
+    reads = [_names_in(statement) for statement in statements]
+    unused = {name for i, statement in enumerate(statements)
+              for name in _private_definitions(statement)
+              if not any(name in names for j, names in enumerate(reads) if j != i)}
+    assert not unused
