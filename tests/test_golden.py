@@ -80,6 +80,11 @@ COMMANDS = (
                                "--davenport-cap", "48"]),
     ("davenport-c256", ["davenport", "C256", "--method", "exact",
                         "--davenport-cap", "256"]),
+    ("verify-lower-bound-c4xc4", ["verify", "lower-bound", "C4xC4", "--max-len", "8"]),
+    ("verify-one-and-all-c4xc4", ["verify", "one-and-all", "C4xC4", "--max-len", "8"]),
+    ("verify-lower-bound-c13", ["verify", "lower-bound", "C13", "--max-len", "10"]),
+    ("verify-lower-bound-c6", ["verify", "lower-bound", "C6", "--max-len", "14"]),
+    ("verify-one-and-all-c6", ["verify", "one-and-all", "C6", "--max-len", "15"]),
 )
 
 
