@@ -15,12 +15,14 @@ Gray-code order (one toggle per step) and is kept as an independent
 oracle; the two must agree everywhere.
 
 Limb layout.  A count vector is one Python int: element i of
-``all_elements(G)`` owns the W bits [i*W, (i+1)*W) (its limb).  W is a
-multiple of 64 and at least m + 2, so every count (at most 2^m) stays
-below bit W-1 of its limb, the sentinel bit, which is therefore always 0.
-Adding a to every element is a rotation of the limbs, done per coordinate
-with a constant mask and two shifts (``_limb_adders``), so the append step
-is ``x + translate(x, a)``: O(rank) big-int operations instead of O(|G|)
+``all_elements(G)`` owns the W bits [i*W, (i+1)*W) (its limb).  W is the
+least of 16, 32 or a multiple of 64 that is at least m + 2
+(``limb_width``), so every count (at most 2^m) stays below bit W-1 of its
+limb, the sentinel bit, which is therefore always 0; a sweep capped at
+length 8 packs 16 bits per element instead of 64.  Adding a to every
+element is a rotation of the limbs, done per coordinate with a constant
+mask and two shifts (``_limb_adders``), so the append step is ``x +
+translate(x, a)``: O(rank) big-int operations instead of O(|G|)
 Python-level additions.  The table at W = 1 serves only
 ``davenport.davenport_exact``: its subset-sum bitset and its joins of
 the subgroup <P> generated by a prefix with <c>, coset by coset.
@@ -31,11 +33,15 @@ sets the sentinel of exactly the limbs whose count is >= b, for every
 limb at once and without carries between limbs.  ``Limbs.offset`` is the
 one home of that addend and ``Limbs.at_least`` applies it.  "Nonzero" is
 b = 1, and "equal to b" is ">= b and not >= b+1".  Each census sweep
-tests two thresholds fixed by the length alone: ``sweep_lower_bound``
-"count >= 1" and "count >= 2^e", ``sweep_one_and_all`` "count >= 2^e" and
-"count >= 2^e + 1", with e = |S| - D + 1.  Each builds a table of that
-pair of offsets indexed by length before its loop (None where the check
-is vacuous), so the per-node test is two additions and a few ands.
+looks for counts in one band [b_lo, b_hi) fixed by the length alone, e =
+|S| - D + 1: ``sweep_lower_bound`` for a count in [1, 2^e), which breaks
+the bound, and ``sweep_one_and_all`` for one in [2^e, 2^e + 1), which
+attains it.  It builds the table of the pair of offsets by length (None
+where the band is empty) before the walk, and ``sweep_counts`` tests
+each multiset inside the walk, ``(x + lo) & ~(x + hi) & TOP``: two
+additions and a few ands.  The walk yields only the multisets that flag
+and counts the ones it visits, and builds no vector for a leaf whose
+length has no band.
 
 Everything here is exact integer arithmetic: the statements being checked
 are equalities against powers of two, so a single rounding error would be
@@ -97,21 +103,27 @@ class CountVector:
 
 def limb_width(max_length: int) -> int:
     """The limb width for sequences of length at most ``max_length``: the
-    least multiple of 64 that is >= max_length + 2, so one width (and one
-    translation table) serves every length up to 62.
+    least of 16, 32 or a multiple of 64 that is >= max_length + 2, so every
+    count (at most 2^max_length) stays below the sentinel bit W-1.  16-bit
+    limbs serve lengths up to 14, 32-bit limbs up to 30 and 64-bit limbs
+    up to 62.
 
     Refuses a length above ``MAX_LENGTH``, before any table is built.  At
-    the cap a vector over 1,024 elements takes 136 KiB, and the widest
-    translation table under the order cap (C2 x C512, two masks per shift)
-    about 136 MiB."""
+    the cap (W = 1,088) a vector over 1,024 elements takes 136 KiB, and the
+    widest translation table under the order cap (C2 x C512, two masks per
+    shift) about 136 MiB."""
     if max_length > MAX_LENGTH:
         raise ValueError(f"length {max_length} exceeds the cap {MAX_LENGTH}")
-    return (max(max_length, 0) + 65) // 64 * 64
+    need = max(max_length, 0) + 2
+    if need <= 32:
+        return 16 if need <= 16 else 32
+    return (need + 63) // 64 * 64
 
 
 class Limbs:
     """The layout of packed count vectors over a group of a given order at
-    a given limb width (a multiple of 64), with the SWAR predicates on it."""
+    a given limb width (16, 32 or a multiple of 64), with the SWAR
+    predicates on it."""
 
     __slots__ = ("width", "mask", "ones", "top", "_offsets", "_words")
 
@@ -121,7 +133,10 @@ class Limbs:
         self.ones = ((1 << (order * width)) - 1) // self.mask
         self.top = self.ones << (width - 1)
         self._offsets: dict[int, int] = {}
-        self._words = struct.Struct(f"<{order * width // 64}Q")
+        if width < 64:
+            self._words = struct.Struct(f"<{order}{'H' if width == 16 else 'I'}")
+        else:
+            self._words = struct.Struct(f"<{order * width // 64}Q")
 
     def offset(self, b: int) -> int:
         """The addend whose sum with a packed vector sets the sentinel bit
@@ -157,7 +172,7 @@ class Limbs:
         """Every count, in element order."""
         words = self._words.unpack(packed.to_bytes(self._words.size, "little"))
         k = self.width // 64
-        if k == 1:
+        if k <= 1:
             return words
         return tuple(
             sum(words[i + j] << (64 * j) for j in range(k))
@@ -351,28 +366,20 @@ def sweep_lower_bound(G: Group, D: int, max_len: int) -> VerificationReport:
     of G, so a failure would falsify this implementation, not the
     statement.  Stops at the first violation."""
     limbs = limb_layout(G, max_len)
-    top = limbs.top
-    # By length, the offsets of "count >= 1" and "count >= 2^e", e =
-    # length - D + 1; None where the bound is vacuous (e <= 0: every
-    # nonzero count is >= 1 = 2^0).
-    table = [None if e <= 0 else (limbs.offset(1), limbs.offset(1 << e))
+    # By length, the band [1, 2^e) of counts that break the bound, e =
+    # length - D + 1; None where it is empty (e <= 0).
+    bands = [None if e <= 0 else (limbs.offset(1), limbs.offset(1 << e))
              for e in (length - D + 1 for length in range(max_len + 1))]
-    checked = 0
-    for occ, packed in sweep_counts(G, max_len):
-        checked += 1
-        offsets = table[len(occ)]
-        if offsets is None:
-            continue
-        nonzero, meets = offsets
-        if (packed + nonzero) & ~(packed + meets) & top:
-            S = _seq_from_sorted(G, occ)
-            return VerificationReport.fail(
-                "lower-bound-sweep", (S,), group=G.spec(),
-                sequence=format_sequence(S), max_len=max_len,
-            )
+    visited: list[int] = []
+    for occ, _ in sweep_counts(G, max_len, bands=bands, visited=visited):
+        S = _seq_from_sorted(G, occ)
+        return VerificationReport.fail(
+            "lower-bound-sweep", (S,), group=G.spec(),
+            sequence=format_sequence(S), max_len=max_len,
+        )
     return VerificationReport.ok(
         "lower-bound-sweep", group=G.spec(), max_len=max_len,
-        davenport=D, sequences_checked=checked,
+        davenport=D, sequences_checked=visited[0],
     )
 
 
@@ -382,30 +389,23 @@ def sweep_one_and_all(G: Group, D: int, max_len: int) -> VerificationReport:
     the first violation."""
     limbs = limb_layout(G, max_len)
     top = limbs.top
-    # By length, the offsets of "count >= 2^e" and "count >= 2^e + 1", e =
-    # length - D + 1; None where no count can equal 2^e (e < 0).
-    table = [None if e < 0 else (limbs.offset(1 << e), limbs.offset((1 << e) + 1))
+    # By length, the band [2^e, 2^e + 1) of counts that attain the bound,
+    # e = length - D + 1; None where no count can (e < 0).
+    bands = [None if e < 0 else (limbs.offset(1 << e), limbs.offset((1 << e) + 1))
              for e in (length - D + 1 for length in range(max_len + 1))]
-    checked = 0
+    visited: list[int] = []
     attained = 0
-    for occ, packed in sweep_counts(G, max_len):
-        checked += 1
-        offsets = table[len(occ)]
-        if offsets is None:
-            continue
-        meets, above = offsets
-        flags = (packed + meets) & top
-        if flags & ~(packed + above):
-            attained += 1
-            if flags != top:
-                S = _seq_from_sorted(G, occ)
-                return VerificationReport.fail(
-                    "one-and-all-sweep", (S,), group=G.spec(),
-                    sequence=format_sequence(S), max_len=max_len,
-                )
+    for occ, packed in sweep_counts(G, max_len, bands=bands, visited=visited):
+        attained += 1
+        if (packed + bands[len(occ)][0]) & top != top:
+            S = _seq_from_sorted(G, occ)
+            return VerificationReport.fail(
+                "one-and-all-sweep", (S,), group=G.spec(),
+                sequence=format_sequence(S), max_len=max_len,
+            )
     return VerificationReport.ok(
         "one-and-all-sweep", group=G.spec(), max_len=max_len,
-        sequences_checked=checked, bound_attained=attained,
+        sequences_checked=visited[0], bound_attained=attained,
     )
 
 
@@ -433,7 +433,8 @@ def pushforward_counts(S: Sequence, H: Subgroup) -> VerificationReport:
 
 
 def sweep_counts(G: Group, max_length: int, *, min_length: int = 0,
-                 zero_ceiling: int | None = None):
+                 zero_ceiling: int | None = None, bands: list | None = None,
+                 visited: list[int] | None = None):
     """Yield (occurrence tuple, packed count vector) for every zero-free
     multiset up to ``max_length``, sharing the counting DP along the
     enumeration tree.
@@ -450,14 +451,28 @@ def sweep_counts(G: Group, max_length: int, *, min_length: int = 0,
     count (N_0(S a) = N_0(S) + N_{-a}(S)), so every multiset skipped this
     way also exceeds the ceiling: the pruned stream is the unpruned one
     restricted to multisets whose zero count is at most the ceiling.
+
+    With ``bands`` the walk tests each multiset itself, for the census
+    sweeps: ``bands[n]`` is None or the pair (``Limbs.offset(b_lo)``,
+    ``Limbs.offset(b_hi)``), and a multiset of length n is yielded only
+    when some count lies in [b_lo, b_hi), that is when ``(c + lo) & ~(c +
+    hi) & top`` is nonzero.  It comes with the walk's own occurrence list,
+    not a tuple: copy it to keep it past the next step.  The leaves (length
+    ``max_length``) are built in one loop without frames, and not at all
+    when their entry is None.  ``visited``, if given, is a list to which
+    the walk appends the number of multisets it visited (pruned ones
+    excluded) when it ends.
     """
-    # Nothing to yield: no length fits, or the ceiling is below the zero
+    # Nothing to visit: no length fits, or the ceiling is below the zero
     # count 1 of the empty multiset.
     if (max_length < max(min_length, 0)
             or (zero_ceiling is not None and zero_ceiling < 1)):
+        if visited is not None:
+            visited.append(0)
         return
     limbs = limb_layout(G, max_length)
     mask = limbs.mask
+    top = limbs.top
     adders = _limb_adders(G, limbs.width)
     elems = all_elements(G)
     idx = element_index(G)
@@ -467,43 +482,74 @@ def sweep_counts(G: Group, max_length: int, *, min_length: int = 0,
     # limb 0 plus its limb of -a.
     neg_shift = [idx[elem_neg(G, a)] * limbs.width for a in terms]
     count = len(terms)
-    if min_length <= 0:
-        yield (), 1
-    if max_length == 0:
-        return
+    occurrences: list[GroupElement] = []
+    if bands is None:
+        if min_length <= 0:
+            yield (), 1
+    else:
+        bands = [band if n >= min_length else None for n, band in enumerate(bands)]
+        if bands[0] is not None and (1 + bands[0][0]) & ~(1 + bands[0][1]) & top:
+            yield occurrences, 1
+    nodes = 1
     # One frame per multiset on the current path: its packed counts and
     # the next term position to try.  Terms are appended in nondecreasing
     # position, so each multiset is reached once.
-    occurrences: list[GroupElement] = []
     path_counts = [1]
     next_pos = [0]
     while next_pos:
         pos = next_pos[-1]
-        if pos == count:
-            next_pos.pop()
-            path_counts.pop()
-            if occurrences:
+        x = path_counts[-1]
+        depth = len(next_pos)  # the length of this frame's children
+        if depth == max_length and bands is not None:
+            # The children are leaves: test them here, without frames.
+            leaves = range(pos, count)
+            if zero_ceiling is not None:
+                low = x & mask
+                leaves = [p for p in leaves
+                          if low + ((x >> neg_shift[p]) & mask) <= zero_ceiling]
+            nodes += len(leaves)
+            if bands[depth] is not None:
+                lo_offset, hi_offset = bands[depth]
+                for p in leaves:
+                    y = x
+                    for lo, ls, hi, rs in term_ops[p]:
+                        y = ((y << ls) & lo) | ((y >> rs) & hi)
+                    y += x
+                    if (y + lo_offset) & ~(y + hi_offset) & top:
+                        occurrences.append(terms[p])
+                        yield occurrences, y
+                        occurrences.pop()
+        elif depth <= max_length and pos < count:
+            next_pos[-1] = pos + 1
+            if (zero_ceiling is not None
+                    and (x & mask) + ((x >> neg_shift[pos]) & mask) > zero_ceiling):
+                continue
+            # translate() inlined: this is the per-node step.
+            y = x
+            for lo, ls, hi, rs in term_ops[pos]:
+                y = ((y << ls) & lo) | ((y >> rs) & hi)
+            child = x + y
+            nodes += 1
+            occurrences.append(terms[pos])
+            if bands is None:
+                if depth >= min_length:
+                    yield tuple(occurrences), child
+            else:
+                band = bands[depth]
+                if band is not None and (child + band[0]) & ~(child + band[1]) & top:
+                    yield occurrences, child
+            if depth < max_length:
+                path_counts.append(child)
+                next_pos.append(pos)
+            else:
                 occurrences.pop()
             continue
-        next_pos[-1] = pos + 1
-        x = path_counts[-1]
-        if (zero_ceiling is not None
-                and (x & mask) + ((x >> neg_shift[pos]) & mask) > zero_ceiling):
-            continue
-        # translate() inlined: this is the per-node step.
-        y = x
-        for lo, ls, hi, rs in term_ops[pos]:
-            y = ((y << ls) & lo) | ((y >> rs) & hi)
-        child = x + y
-        occurrences.append(terms[pos])
-        depth = len(occurrences)
-        if depth >= min_length:
-            yield tuple(occurrences), child
-        if depth < max_length:
-            path_counts.append(child)
-            next_pos.append(pos)
-        else:
+        next_pos.pop()
+        path_counts.pop()
+        if occurrences:
             occurrences.pop()
+    if visited is not None:
+        visited.append(nodes)
 
 
 def extremal_sweep(G: Group, D: int, max_length: int, *, prune: bool = False):

@@ -58,6 +58,15 @@ class Group:
                 )
             prev = n
         _check_order(self.order)
+        # Groups key every lru_cache of the library: hash them once.
+        object.__setattr__(self, "_hash", hash(self.invariants))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __init__, so the hash is this interpreter's.
+        return Group, (self.invariants,)
 
     @property
     def order(self) -> int:

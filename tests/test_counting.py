@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,7 @@ from zerosum import (
 )
 from zerosum import counting
 from zerosum.counting import (
+    MAX_LENGTH,
     Limbs,
     count_packed,
     extremal_sweep,
@@ -249,11 +251,15 @@ def test_census_sweeps_match_the_brute_force_oracle(G):
     assert statuses["one-and-all"] == ({"pass", "fail"} if G.order > 1 else {"pass"})
 
 
-@pytest.mark.parametrize("max_len", [70, 130])
+WIDTHS = {14: 16, 15: 32, 30: 32, 31: 64, 70: 128, 130: 192}
+
+
+@pytest.mark.parametrize("max_len", sorted(WIDTHS))
 def test_census_sweeps_on_wide_limbs_match_the_binomial_oracle(max_len):
-    # Lengths 70 and 130 give 128- and 192-bit limbs, past the reach of
-    # the Gray-code oracle; these counts come from binomial sums.
-    assert limb_layout(C2, max_len).width == {70: 128, 130: 192}[max_len]
+    # Lengths on both sides of each step of the limb width, up to 128- and
+    # 192-bit limbs, past the reach of the Gray-code oracle; these counts
+    # come from binomial sums.
+    assert limb_layout(C2, max_len).width == WIDTHS[max_len]
     statuses = {"lower-bound": set(), "one-and-all": set()}
     for G in (C2, C3):
         D = davenport(G).value
@@ -290,17 +296,35 @@ def test_pushforward_random():
             assert pushforward_counts(S, rng.choice(subgroups)).passed
 
 
+def _in_band(occ, counts, thresholds):
+    """Whether some count lies in the band [lo, hi) of len(occ), if any."""
+    band = thresholds[len(occ)]
+    return band is not None and any(band[0] <= c < band[1] for c in counts)
+
+
 def test_sweep_counts_matches_count_all():
-    for G in (make_group([5]), C22):
-        seen = {}
+    # Unfiltered, the stream is count_all on every zero-free multiset up
+    # to length 4.  With bands it is that stream restricted to the
+    # multisets with a count in the band of their length, and the walk
+    # still visits all C(|G| - 1 + 4, 4) of them.
+    thresholds = [(1, 2), (1, 2), None, (2, 3), (3, 9)]
+    for G in groups_up_to_order(8):
         limbs = limb_layout(G, 4)
-        for occ, packed in sweep_counts(G, 4):
-            seen[occ] = limbs.unpack(packed)
+        stream = [(occ, limbs.unpack(packed)) for occ, packed in sweep_counts(G, 4)]
         expected = {}
         for length in range(0, 5):
             for S in iterate_multisets(G, length, exclude_zero=True):
                 expected[S.expanded()] = count_all(S).counts
-        assert seen == expected
+        assert dict(stream) == expected and len(stream) == len(expected)
+        bands = [band and (limbs.offset(band[0]), limbs.offset(band[1]))
+                 for band in thresholds]
+        visited = []
+        assert [
+            (tuple(occ), limbs.unpack(packed))
+            for occ, packed in sweep_counts(G, 4, bands=bands, visited=visited)
+        ] == [(occ, counts) for occ, counts in stream
+              if _in_band(occ, counts, thresholds)]
+        assert visited == [comb(G.order - 1 + 4, 4)]
 
 
 def test_sweep_counts_min_length():
@@ -316,18 +340,25 @@ def test_sweep_counts_min_length():
     max_length=st.integers(-1, 5),
     min_length=st.integers(0, 3),
     zero_ceiling=st.integers(0, 40),
+    thresholds=st.lists(st.none() | st.tuples(st.integers(0, 40), st.integers(0, 40)),
+                        min_size=6, max_size=6),
 )
 def test_pruned_sweep_is_unpruned_sweep_restricted(shape, max_length, min_length,
-                                                   zero_ceiling):
+                                                   zero_ceiling, thresholds):
     # The pruned stream, in order, is the unpruned one restricted to the
     # multisets none of whose prefixes (the empty one included) has a zero
-    # count above the ceiling.
+    # count above the ceiling.  With bands, it is further restricted to the
+    # multisets with a count in the band [lo, hi) of their length, and the
+    # walk visits every multiset of the pruned tree, at every length.
     G = make_group(list(shape))
-    unpack = limb_layout(G, max_length).unpack
+    limbs = limb_layout(G, max_length)
+    unpack = limbs.unpack
     zero_count = {
         occ: unpack(packed)[0]
         for occ, packed in sweep_counts(G, max_length)
     }
+    tree = [occ for occ in zero_count
+            if all(zero_count[occ[:k]] <= zero_ceiling for k in range(len(occ) + 1))]
     expected = [
         (occ, unpack(packed))
         for occ, packed in sweep_counts(G, max_length, min_length=min_length)
@@ -339,6 +370,18 @@ def test_pruned_sweep_is_unpruned_sweep_restricted(shape, max_length, min_length
                                         zero_ceiling=zero_ceiling)
     ]
     assert got == expected
+    bands = [band and (limbs.offset(band[0]), limbs.offset(band[1]))
+             for band in thresholds]
+    visited = []
+    filtered = [
+        (tuple(occ), unpack(packed))
+        for occ, packed in sweep_counts(G, max_length, min_length=min_length,
+                                        zero_ceiling=zero_ceiling, bands=bands,
+                                        visited=visited)
+    ]
+    assert filtered == [(occ, counts) for occ, counts in expected
+                        if _in_band(occ, counts, thresholds)]
+    assert visited == [len(tree) if max_length >= min_length else 0]
 
 
 @pytest.mark.parametrize("shape", [(3,), (4,), (5,), (6,), (2, 2), (2, 4), (3, 3)])
@@ -402,7 +445,7 @@ def _boundary_counts(width):
     return sorted(v for v in values if v < 1 << (width - 1))
 
 
-@pytest.mark.parametrize("width", [64, 128, 192])
+@pytest.mark.parametrize("width", [16, 32, 64, 128, 192])
 def test_swar_predicates_match_per_limb_comparisons(width):
     # Every boundary count 0, 1, 2^e - 1, 2^e, 2^e + 1 and 2^(W-1) - 1
     # below the sentinel bit sits in some limb, tested against thresholds
@@ -426,13 +469,19 @@ def test_swar_predicates_match_per_limb_comparisons(width):
 
 
 def test_limb_width_keeps_counts_below_the_sentinel():
+    # The least of 16, 32 or a multiple of 64 that leaves the sentinel bit
+    # W-1 above every count (at most 2^length).
     for length in range(0, 200):
         width = limb_width(length)
-        assert width % 64 == 0 and length + 2 <= width < length + 66
-    assert {limb_width(length) for length in range(63)} == {64}
-    # A count of 2^62 needs bit 62, the last one below the sentinel of a
-    # 64-bit limb; one more term moves to 128-bit limbs.
-    for length in (62, 63, 64):
+        assert width in (16, 32) or width % 64 == 0
+        assert length + 2 <= width and not any(
+            length + 2 <= narrower < width
+            for narrower in (16, 32, *range(64, width, 64)))
+    assert [limb_width(length) for length in (14, 15, 30, 31, 62, 63, MAX_LENGTH)] == \
+        [16, 32, 32, 64, 64, 128, 1088]
+    # A count of 2^14, 2^30 or 2^62 needs the last bit below the sentinel
+    # of a 16-, 32- or 64-bit limb; one more term moves to wider limbs.
+    for length in (14, 15, 30, 31, 62, 63, 64):
         S = sequence(C2, {(0,): 2, (1,): length - 2})
         assert count_all(S).counts == (1 << (length - 1), 1 << (length - 1))
         assert count_all(sequence(C2, {(0,): length})).counts == (1 << length, 0)
@@ -440,7 +489,7 @@ def test_limb_width_keeps_counts_below_the_sentinel():
 
 def test_limb_width_refuses_lengths_above_the_cap(monkeypatch):
     monkeypatch.setattr(counting, "MAX_LENGTH", 8)
-    assert limb_width(8) == 64
+    assert limb_width(8) == 16
     with pytest.raises(ValueError, match="length 9 exceeds the cap 8"):
         limb_width(9)
     with pytest.raises(ValueError, match="exceeds the cap 8"):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from math import gcd, lcm
 
@@ -67,6 +69,19 @@ def test_make_group_crt_preserves_element_orders():
 def test_make_group_idempotent():
     for G in groups_up_to_order(16):
         assert make_group(G.invariants) == G
+
+
+def test_equal_groups_hash_and_compare_equal():
+    # The hash is computed once per Group; every way of getting an equal
+    # group (rebuilt, copied, unpickled) must still hash and compare equal,
+    # or the lru_caches keyed by groups would split.
+    groups = [make_group([])] + groups_up_to_order(16)
+    assert len(set(groups)) == len(groups)
+    for G in groups:
+        for H in (make_group(G.invariants), Group(tuple(G.invariants)), copy.copy(G),
+                  copy.deepcopy(G), pickle.loads(pickle.dumps(G))):
+            assert H == G and hash(H) == hash(G)
+            assert {G: 1}[H] == 1
 
 
 def test_make_group_rejects_nonpositive():
