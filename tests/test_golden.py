@@ -85,6 +85,8 @@ COMMANDS = (
     ("verify-lower-bound-c13", ["verify", "lower-bound", "C13", "--max-len", "10"]),
     ("verify-lower-bound-c6", ["verify", "lower-bound", "C6", "--max-len", "14"]),
     ("verify-one-and-all-c6", ["verify", "one-and-all", "C6", "--max-len", "15"]),
+    ("extremal-c3xc3-budget", ["extremal", "C3xC3", "--max-len", "6", "--budget", "50"]),
+    ("conjecture-2-c5-budget", ["conjecture", "2", "C5", "--budget", "200"]),
 )
 
 
