@@ -32,16 +32,15 @@ SWAR predicates.  With ONES the repunit of W-bit limbs and TOP = ONES <<
 sets the sentinel of exactly the limbs whose count is >= b, for every
 limb at once and without carries between limbs.  ``Limbs.offset`` is the
 one home of that addend and ``Limbs.at_least`` applies it.  "Nonzero" is
-b = 1, and "equal to b" is ">= b and not >= b+1".  Each census sweep
-looks for counts in one band [b_lo, b_hi) fixed by the length alone, e =
-|S| - D + 1: ``sweep_lower_bound`` for a count in [1, 2^e), which breaks
-the bound, and ``sweep_one_and_all`` for one in [2^e, 2^e + 1), which
-attains it.  It builds the table of the pair of offsets by length (None
-where the band is empty) before the walk, and ``sweep_counts`` tests
-each multiset inside the walk, ``(x + lo) & ~(x + hi) & TOP``: two
-additions and a few ands.  The walk yields only the multisets that flag
-and counts the ones it visits, and builds no vector for a leaf whose
-length has no band.
+b = 1, and "equal to b" is ">= b and not >= b+1".  ``sweep_counts``, the
+library's one walk over zero-free multisets, takes one band [b_lo, b_hi)
+of counts per length and tests each multiset inside the walk, ``(x + lo)
+& ~(x + hi) & TOP``: two additions and a few ands.  It yields only the
+multisets that flag, builds no vector for a leaf whose length has no
+band, and reports its visits in a ``SweepStats``.  The sweeps are views
+of it, with e = |S| - D + 1: ``sweep_lower_bound`` seeks a count in [1,
+2^e), breaking the bound; ``sweep_one_and_all`` and ``extremal_sweep``
+one in [2^e, 2^e + 1), attaining it; ``zero_sum_free_sequences`` any.
 
 Everything here is exact integer arithmetic: the statements being checked
 are equalities against powers of two, so a single rounding error would be
@@ -51,6 +50,7 @@ fatal.
 from __future__ import annotations
 
 import struct
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -365,13 +365,12 @@ def sweep_lower_bound(G: Group, D: int, max_len: int) -> VerificationReport:
     each count is 0 or at least 2^(|S|-D+1).  D is the Davenport constant
     of G, so a failure would falsify this implementation, not the
     statement.  Stops at the first violation."""
-    limbs = limb_layout(G, max_len)
     # By length, the band [1, 2^e) of counts that break the bound, e =
     # length - D + 1; None where it is empty (e <= 0).
-    bands = [None if e <= 0 else (limbs.offset(1), limbs.offset(1 << e))
+    bands = [None if e <= 0 else (1, 1 << e)
              for e in (length - D + 1 for length in range(max_len + 1))]
-    visited: list[int] = []
-    for occ, _ in sweep_counts(G, max_len, bands=bands, visited=visited):
+    stats = SweepStats()
+    for occ, _ in sweep_counts(G, max_len, bands, stats=stats):
         S = _seq_from_sorted(G, occ)
         return VerificationReport.fail(
             "lower-bound-sweep", (S,), group=G.spec(),
@@ -379,25 +378,31 @@ def sweep_lower_bound(G: Group, D: int, max_len: int) -> VerificationReport:
         )
     return VerificationReport.ok(
         "lower-bound-sweep", group=G.spec(), max_len=max_len,
-        davenport=D, sequences_checked=visited[0],
+        davenport=D, sequences_checked=stats.visited,
     )
+
+
+def _attained_bands(D: int, max_length: int) -> list:
+    """By length, the band [2^e, 2^e + 1) of counts that attain the bound,
+    e = length - D + 1; None where no count can (e < 0)."""
+    return [None if e < 0 else (1 << e, (1 << e) + 1)
+            for e in (length - D + 1 for length in range(max_length + 1))]
 
 
 def sweep_one_and_all(G: Group, D: int, max_len: int) -> VerificationReport:
     """One-and-all on every zero-free multiset S up to ``max_len``: if
     some count equals 2^(|S|-D+1), every count is at least that.  Stops at
     the first violation."""
+    bands = _attained_bands(D, max_len)
     limbs = limb_layout(G, max_len)
     top = limbs.top
-    # By length, the band [2^e, 2^e + 1) of counts that attain the bound,
-    # e = length - D + 1; None where no count can (e < 0).
-    bands = [None if e < 0 else (limbs.offset(1 << e), limbs.offset((1 << e) + 1))
-             for e in (length - D + 1 for length in range(max_len + 1))]
-    visited: list[int] = []
+    # By length, the offset that flags the counts >= 2^e.
+    floors = [band and limbs.offset(band[0]) for band in bands]
+    stats = SweepStats()
     attained = 0
-    for occ, packed in sweep_counts(G, max_len, bands=bands, visited=visited):
+    for occ, packed in sweep_counts(G, max_len, bands, stats=stats):
         attained += 1
-        if (packed + bands[len(occ)][0]) & top != top:
+        if (packed + floors[len(occ)]) & top != top:
             S = _seq_from_sorted(G, occ)
             return VerificationReport.fail(
                 "one-and-all-sweep", (S,), group=G.spec(),
@@ -405,7 +410,7 @@ def sweep_one_and_all(G: Group, D: int, max_len: int) -> VerificationReport:
             )
     return VerificationReport.ok(
         "one-and-all-sweep", group=G.spec(), max_len=max_len,
-        sequences_checked=visited[0], bound_attained=attained,
+        sequences_checked=stats.visited, bound_attained=attained,
     )
 
 
@@ -432,84 +437,92 @@ def pushforward_counts(S: Sequence, H: Subgroup) -> VerificationReport:
     return VerificationReport("pushforward-counts", status, details, witnesses)
 
 
-def sweep_counts(G: Group, max_length: int, *, min_length: int = 0,
-                 zero_ceiling: int | None = None, bands: list | None = None,
-                 visited: list[int] | None = None):
-    """Yield (occurrence tuple, packed count vector) for every zero-free
-    multiset up to ``max_length``, sharing the counting DP along the
-    enumeration tree.
+@dataclass
+class SweepStats:
+    """The accounting of one ``sweep_counts`` walk, a fresh record each:
+    ``budget`` in, the most multisets it may visit (None: no limit);
+    ``visited`` out, the multisets of the pruned tree it visited, the
+    empty one included; ``exhaustive`` out, False when the budget left
+    one unvisited."""
 
-    The vectors are packed in ``limb_layout(G, max_length)``.  Equivalent
-    to running count_packed on each sequence from iterate_multisets with
-    ``exclude_zero`` (for every length), but costs one translation and one
-    addition per multiset instead of one per term.  Multisets appear in
-    lexicographic order of their occurrence tuples (a pre-order walk of
-    the tree); lengths are interleaved.
+    budget: int | None = None
+    visited: int = 0
+    exhaustive: bool = True
+
+
+def sweep_counts(G: Group, max_length: int, bands: list, *,
+                 zero_ceiling: int | None = None, stats: SweepStats | None = None):
+    """Walk the zero-free multisets up to ``max_length``, sharing the
+    counting DP along the enumeration tree, and yield (occurrences, packed
+    count vector) for each with a count in the band of its length.
+
+    ``bands[n]``, for each length n from 0 to ``max_length``, is None
+    (yield nothing of length n) or count bounds (b_lo, b_hi): some count
+    must lie in [b_lo, b_hi), tested on all limbs at once through their
+    ``Limbs.offset``.  (0, 2^n + 1) takes every multiset.  The
+    occurrences are the walk's own list: copy it to keep it.
+
+    The vectors are packed in ``limb_layout(G, max_length)``, at one
+    translation and one addition per multiset.  Multisets come in
+    lexicographic order of their occurrence tuples (a pre-order walk;
+    lengths interleaved).  The leaves (length ``max_length``) are visited
+    in one loop without frames, and built only when their band is not None.
 
     With ``zero_ceiling``, a multiset whose zero count exceeds it is
-    neither yielded nor extended.  Appending a can only raise the zero
-    count (N_0(S a) = N_0(S) + N_{-a}(S)), so every multiset skipped this
-    way also exceeds the ceiling: the pruned stream is the unpruned one
-    restricted to multisets whose zero count is at most the ceiling.
-
-    With ``bands`` the walk tests each multiset itself, for the census
-    sweeps: ``bands[n]`` is None or the pair (``Limbs.offset(b_lo)``,
-    ``Limbs.offset(b_hi)``), and a multiset of length n is yielded only
-    when some count lies in [b_lo, b_hi), that is when ``(c + lo) & ~(c +
-    hi) & top`` is nonzero.  It comes with the walk's own occurrence list,
-    not a tuple: copy it to keep it past the next step.  The leaves (length
-    ``max_length``) are built in one loop without frames, and not at all
-    when their entry is None.  ``visited``, if given, is a list to which
-    the walk appends the number of multisets it visited (pruned ones
-    excluded) when it ends.
+    neither visited nor extended.  Appending a can only raise the zero
+    count (N_0(S a) = N_0(S) + N_{-a}(S)), so the pruned walk is the
+    unpruned one restricted to multisets whose zero count is at most the
+    ceiling.  ``stats`` (see ``SweepStats``) carries a budget in and the
+    visited count and ``exhaustive`` out.
     """
-    # Nothing to visit: no length fits, or the ceiling is below the zero
-    # count 1 of the empty multiset.
-    if (max_length < max(min_length, 0)
-            or (zero_ceiling is not None and zero_ceiling < 1)):
-        if visited is not None:
-            visited.append(0)
+    stats = stats or SweepStats()
+    budget = sys.maxsize if stats.budget is None else stats.budget
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    # Nothing to visit, or a ceiling below the empty multiset's N_0 = 1.
+    if max_length < 0 or (zero_ceiling is not None and zero_ceiling < 1):
+        return
+    if budget < 1:
+        stats.exhaustive = False
         return
     limbs = limb_layout(G, max_length)
-    mask = limbs.mask
-    top = limbs.top
-    adders = _limb_adders(G, limbs.width)
-    elems = all_elements(G)
+    mask, top = limbs.mask, limbs.top
+    offsets = [band and (limbs.offset(band[0]), limbs.offset(band[1])) for band in bands]
     idx = element_index(G)
-    terms = elems[1:]
-    term_ops = adders[1:]
+    terms = all_elements(G)[1:]
+    term_ops = _limb_adders(G, limbs.width)[1:]
     # Bit offset of the limb of -a: the child's zero count is the parent's
     # limb 0 plus its limb of -a.
     neg_shift = [idx[elem_neg(G, a)] * limbs.width for a in terms]
     count = len(terms)
     occurrences: list[GroupElement] = []
-    if bands is None:
-        if min_length <= 0:
-            yield (), 1
-    else:
-        bands = [band if n >= min_length else None for n, band in enumerate(bands)]
-        if bands[0] is not None and (1 + bands[0][0]) & ~(1 + bands[0][1]) & top:
-            yield occurrences, 1
+    if offsets[0] is not None and (1 + offsets[0][0]) & ~(1 + offsets[0][1]) & top:
+        yield occurrences, 1
     nodes = 1
-    # One frame per multiset on the current path: its packed counts and
-    # the next term position to try.  Terms are appended in nondecreasing
-    # position, so each multiset is reached once.
+    # One frame per multiset on the current path shorter than max_length:
+    # its packed counts and the next term position to try.  Terms are
+    # appended in nondecreasing position, so each multiset is reached once.
     path_counts = [1]
-    next_pos = [0]
+    next_pos = [0] if max_length else []
     while next_pos:
         pos = next_pos[-1]
         x = path_counts[-1]
         depth = len(next_pos)  # the length of this frame's children
-        if depth == max_length and bands is not None:
-            # The children are leaves: test them here, without frames.
+        if depth == max_length:
+            # The children are leaves: visit them here, without frames.
             leaves = range(pos, count)
             if zero_ceiling is not None:
                 low = x & mask
                 leaves = [p for p in leaves
                           if low + ((x >> neg_shift[p]) & mask) <= zero_ceiling]
             nodes += len(leaves)
-            if bands[depth] is not None:
-                lo_offset, hi_offset = bands[depth]
+            if nodes > budget:
+                # Cut to the budget; the next visit it would make ends the walk.
+                leaves = leaves[:len(leaves) + budget - nodes]
+                nodes = budget
+                stats.exhaustive = False
+            if offsets[depth] is not None:
+                lo_offset, hi_offset = offsets[depth]
                 for p in leaves:
                     y = x
                     for lo, ls, hi, rs in term_ops[p]:
@@ -519,11 +532,14 @@ def sweep_counts(G: Group, max_length: int, *, min_length: int = 0,
                         occurrences.append(terms[p])
                         yield occurrences, y
                         occurrences.pop()
-        elif depth <= max_length and pos < count:
+        elif pos < count:
             next_pos[-1] = pos + 1
             if (zero_ceiling is not None
                     and (x & mask) + ((x >> neg_shift[pos]) & mask) > zero_ceiling):
                 continue
+            if nodes >= budget:
+                stats.exhaustive = False
+                break
             # translate() inlined: this is the per-node step.
             y = x
             for lo, ls, hi, rs in term_ops[pos]:
@@ -531,37 +547,28 @@ def sweep_counts(G: Group, max_length: int, *, min_length: int = 0,
             child = x + y
             nodes += 1
             occurrences.append(terms[pos])
-            if bands is None:
-                if depth >= min_length:
-                    yield tuple(occurrences), child
-            else:
-                band = bands[depth]
-                if band is not None and (child + band[0]) & ~(child + band[1]) & top:
-                    yield occurrences, child
-            if depth < max_length:
-                path_counts.append(child)
-                next_pos.append(pos)
-            else:
-                occurrences.pop()
+            band = offsets[depth]
+            if band is not None and (child + band[0]) & ~(child + band[1]) & top:
+                yield occurrences, child
+            path_counts.append(child)
+            next_pos.append(pos)
             continue
         next_pos.pop()
         path_counts.pop()
         if occurrences:
             occurrences.pop()
-    if visited is not None:
-        visited.append(nodes)
+    stats.visited = nodes
 
 
-def extremal_sweep(G: Group, D: int, max_length: int, *, prune: bool = False):
-    """Yield (occurrence tuple, extremal members) for every zero-free
-    multiset up to ``max_length``, in ``sweep_counts`` order.  The members
-    are the elements whose count is exactly 2^(len-D+1), and none below
-    length D-1.
+def extremal_sweep(G: Group, D: int, max_length: int, *, prune: bool = False,
+                   stats: SweepStats | None = None):
+    """Yield (occurrence tuple, extremal members) for each zero-free
+    multiset up to ``max_length`` with a count of exactly 2^(len-D+1), in
+    ``sweep_counts`` order; the members are the elements with that count.
 
     With ``prune`` the sweep is for extremal sequences only: it skips every
-    multiset whose zero count exceeds 2^(max_length-D+1), and the members
-    are reported only where zero itself attains the bound (elsewhere they
-    are empty), so nonempty members mark exactly the extremal multisets.
+    multiset whose zero count exceeds 2^(max_length-D+1) and yields only
+    those where zero itself attains the bound.
     """
     limbs = limb_layout(G, max_length)
     mask = limbs.mask
@@ -569,9 +576,8 @@ def extremal_sweep(G: Group, D: int, max_length: int, *, prune: bool = False):
     if prune:
         top = max_length - D + 1
         ceiling = 1 << top if top >= 0 else 0
-    for occ, packed in sweep_counts(G, max_length, zero_ceiling=ceiling):
+    for occ, packed in sweep_counts(G, max_length, _attained_bands(D, max_length),
+                                    zero_ceiling=ceiling, stats=stats):
         exponent = len(occ) - D + 1
-        if exponent < 0 or (prune and packed & mask != 1 << exponent):
-            yield occ, frozenset()
-        else:
-            yield occ, _extremal_members(G, limbs, packed, exponent)
+        if not prune or packed & mask == 1 << exponent:
+            yield tuple(occ), _extremal_members(G, limbs, packed, exponent)

@@ -252,5 +252,6 @@ def zero_sum_free_sequences(G: Group, length: int):
     zero count stays 1."""
     if length < 0:
         raise ValueError("length must be >= 0")
-    for occ, _ in sweep_counts(G, length, min_length=length, zero_ceiling=1):
+    bands = [None] * length + [(0, (1 << length) + 1)]
+    for occ, _ in sweep_counts(G, length, bands, zero_ceiling=1):
         yield _seq_from_sorted(G, occ)

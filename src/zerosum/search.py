@@ -13,7 +13,6 @@ Harness passes always mean "no counterexample up to the stated cap".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 from .groups import Group, GroupElement, all_elements, all_subgroups, d_star, elem_reduce
 from .reports import VerificationReport, sweep_status
@@ -30,6 +29,7 @@ from .sequences import (
 )
 from .counting import (
     ExtremalSet,
+    SweepStats,
     count_all,
     extremal_set,
     extremal_sweep,
@@ -65,19 +65,19 @@ def find_extremals(G: Group, length_cap: int,
 
     An extremal S of length L <= cap has N_0(S) = 2^(L-D+1) <= 2^(cap-D+1),
     and the zero count never drops as terms are appended, so the sweep
-    prunes every multiset whose zero count exceeds 2^(cap-D+1).  The
-    budget counts the multisets visited after pruning.  Below cap D-1 no
-    extremal sequence exists and nothing is swept."""
+    prunes every multiset whose zero count exceeds 2^(cap-D+1).  The walk
+    stops after ``budget`` multisets of the pruned tree, the empty one
+    included, and the catalog is exhaustive unless one was left unvisited.
+    Below cap D-1 no extremal sequence exists and nothing is swept."""
     D = davenport(G).value
-    sweep = extremal_sweep(G, D, length_cap, prune=True)
+    stats = SweepStats(budget)
     entries = [
         (_seq_from_sorted(G, occ), ExtremalSet(G, members, len(occ) - D + 1))
-        for occ, members in islice(sweep, budget) if members
+        for occ, members in extremal_sweep(G, D, length_cap, prune=True, stats=stats)
     ]
-    exhaustive = next(sweep, None) is None
     entries.sort(key=lambda pair: seq_key(pair[0]))
     max_length = max((len(S) for S, _ in entries), default=0)
-    return ExtremalCatalog(G, D, tuple(entries), max_length, length_cap, exhaustive)
+    return ExtremalCatalog(G, D, tuple(entries), max_length, length_cap, stats.exhaustive)
 
 
 def construct_extremal(G: Group, g: GroupElement, m: int) -> Sequence:
@@ -155,9 +155,9 @@ def conjecture2_harness(G: Group, length_cap: int,
     max_qualifying = None
     qualifying = 0
     violation = None
-    sweep = extremal_sweep(G, D, length_cap)
-    for occ, members in islice(sweep, budget):
-        if not members or any(H.elements <= members for H in nontrivial):
+    stats = SweepStats(budget)
+    for occ, members in extremal_sweep(G, D, length_cap, stats=stats):
+        if any(H.elements <= members for H in nontrivial):
             continue
         length = len(occ)
         qualifying += 1
@@ -165,7 +165,7 @@ def conjecture2_harness(G: Group, length_cap: int,
             max_qualifying = length
         if length > bound and violation is None:
             violation = _seq_from_sorted(G, occ)
-    exhaustive = next(sweep, None) is None
+    exhaustive = stats.exhaustive
     witness = _product_of_generators(G, G.invariants)
     witness_members = extremal_set(witness, D).members
     details = {

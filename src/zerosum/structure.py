@@ -203,9 +203,7 @@ def sweep_es_chain(G: Group, D: int, max_len: int) -> VerificationReport:
     """``check_es_chain`` once on every extremal S up to ``max_len``;
     ``pairs_checked`` is the sum of the checks' ``terms_checked``."""
     checked = 0
-    for occ, members in extremal_sweep(G, D, max_len, prune=True):
-        if not members:
-            continue
+    for occ, _ in extremal_sweep(G, D, max_len, prune=True):
         S = _seq_from_sorted(G, occ)
         rep = check_es_chain(S, D)
         if rep.failed:
@@ -271,8 +269,6 @@ def sweep_subgroup_es(G: Group, D: int, max_len: int) -> VerificationReport:
     nontrivial_found = 0
     seen = {}
     for occ, members in extremal_sweep(G, D, max_len):
-        if not members:
-            continue
         if members not in seen:
             seen[members] = max_subgroups_in_extremal_set(
                 ExtremalSet(G, members, len(occ) - D + 1))
@@ -368,11 +364,7 @@ def check_cyclic_characterization(n: int, max_len: int) -> VerificationReport:
         raise ValueError(f"max_len must be at least n + 1 = {n + 1}")
     G = make_group([n])
     # D(C_n) = n.
-    found = [
-        _seq_from_sorted(G, occ)
-        for occ, members in extremal_sweep(G, n, max_len, prune=True)
-        if members
-    ]
+    found = [_seq_from_sorted(G, occ) for occ, _ in extremal_sweep(G, n, max_len, prune=True)]
     generators = [a for a in range(1, n) if gcd(a, n) == 1]
     expected = {
         seq_key(sequence(G, {(a,): reps}))

@@ -216,6 +216,12 @@ def cyclic_zero_free_counts(n, max_len):
     return tuple(sorted(rows))
 
 
+def every_band(max_length):
+    """The band table under which ``sweep_counts`` yields every multiset
+    it visits: at length n the band (0, 2^n + 1) holds every count."""
+    return [(0, (1 << n) + 1) for n in range(max_length + 1)]
+
+
 def sweep_oracle(G, D, max_len, check, rows=None):
     """The status and details that ``sweep_lower_bound`` (check
     "lower-bound") or ``sweep_one_and_all`` (check "one-and-all") must

@@ -36,7 +36,7 @@ from zerosum import (
     transform,
 )
 from zerosum.counting import ExtremalSet, limb_layout, sweep_counts
-from helpers import es_chain_terms, groups_up_to_order, ODD_GROUPS_9
+from helpers import es_chain_terms, every_band, groups_up_to_order, ODD_GROUPS_9
 
 
 def conclude(number, description, problems):
@@ -75,7 +75,7 @@ def test_criterion_02_lower_bound():
     for G in groups_up_to_order(8):
         D = davenport_exact(G).value
         unpack = limb_layout(G, D + 4).unpack
-        for occurrences, packed in sweep_counts(G, D + 4):
+        for occurrences, packed in sweep_counts(G, D + 4, every_band(D + 4)):
             counts = unpack(packed)
             exponent = len(occurrences) - D + 1
             for c in counts:
@@ -195,7 +195,8 @@ def test_criterion_08_extremal_set_lemmas():
                 problems.append(f"chain: {G} {format_sequence(S)} -> {report.status}")
         lo = max(D - 1, 0)
         unpack = limb_layout(G, D + 3).unpack
-        for occurrences, packed in sweep_counts(G, D + 3, min_length=lo):
+        bands = [None] * lo + every_band(D + 3)[lo:]
+        for occurrences, packed in sweep_counts(G, D + 3, bands):
             exponent = len(occurrences) - D + 1
             members = frozenset(
                 g for g, c in zip(all_elements(G), unpack(packed)) if c == 1 << exponent
@@ -299,7 +300,7 @@ def test_criterion_11_normalization():
             problems.append(f"{G}: {format_sequence(S)}")
     for G in (make_group([5]), make_group([2, 2])):
         unpack = limb_layout(G, 6).unpack
-        for occurrences, packed in sweep_counts(G, 6):
+        for occurrences, packed in sweep_counts(G, 6, every_band(6)):
             if sum(unpack(packed)) != 1 << len(occurrences):
                 problems.append(f"{G}: sweep at {occurrences}")
     # count_all additionally asserts this identity on every call made

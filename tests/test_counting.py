@@ -26,6 +26,7 @@ from zerosum import counting
 from zerosum.counting import (
     MAX_LENGTH,
     Limbs,
+    SweepStats,
     count_packed,
     extremal_sweep,
     limb_layout,
@@ -37,6 +38,7 @@ from zerosum.sequences import empty_sequence
 
 from helpers import (
     cyclic_zero_free_counts,
+    every_band,
     groups_up_to_order,
     naive_count,
     sweep_oracle,
@@ -212,7 +214,7 @@ def test_one_and_all_sweep_order_8():
     for G in groups_up_to_order(8):
         D = davenport(G).value
         limbs = limb_layout(G, D + 4)
-        for occ, packed in sweep_counts(G, D + 4):
+        for occ, packed in sweep_counts(G, D + 4, every_band(D + 4)):
             counts = limbs.unpack(packed)
             exponent = len(occ) - D + 1
             if exponent < 0:
@@ -303,117 +305,107 @@ def _in_band(occ, counts, thresholds):
 
 
 def test_sweep_counts_matches_count_all():
-    # Unfiltered, the stream is count_all on every zero-free multiset up
-    # to length 4.  With bands it is that stream restricted to the
-    # multisets with a count in the band of their length, and the walk
-    # still visits all C(|G| - 1 + 4, 4) of them.
+    # Under every_band, the stream is count_all on every zero-free
+    # multiset up to length 4.  Under other bands it is that stream
+    # restricted to the multisets with a count in the band of their
+    # length, and the walk still visits all C(|G| - 1 + 4, 4) of them.
     thresholds = [(1, 2), (1, 2), None, (2, 3), (3, 9)]
     for G in groups_up_to_order(8):
         limbs = limb_layout(G, 4)
-        stream = [(occ, limbs.unpack(packed)) for occ, packed in sweep_counts(G, 4)]
+        stream = [(tuple(occ), limbs.unpack(packed))
+                  for occ, packed in sweep_counts(G, 4, every_band(4))]
         expected = {}
         for length in range(0, 5):
             for S in iterate_multisets(G, length, exclude_zero=True):
                 expected[S.expanded()] = count_all(S).counts
         assert dict(stream) == expected and len(stream) == len(expected)
-        bands = [band and (limbs.offset(band[0]), limbs.offset(band[1]))
-                 for band in thresholds]
-        visited = []
+        stats = SweepStats()
         assert [
             (tuple(occ), limbs.unpack(packed))
-            for occ, packed in sweep_counts(G, 4, bands=bands, visited=visited)
+            for occ, packed in sweep_counts(G, 4, thresholds, stats=stats)
         ] == [(occ, counts) for occ, counts in stream
               if _in_band(occ, counts, thresholds)]
-        assert visited == [comb(G.order - 1 + 4, 4)]
-
-
-def test_sweep_counts_min_length():
-    lengths = {
-        len(occ) for occ, _ in sweep_counts(C3, 4, min_length=2)
-    }
-    assert lengths == {2, 3, 4}
+        assert stats.visited == comb(G.order - 1 + 4, 4) and stats.exhaustive
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     shape=st.sampled_from([(1,), (2,), (3,), (4,), (2, 2), (5,), (6,), (2, 4), (3, 3)]),
     max_length=st.integers(-1, 5),
-    min_length=st.integers(0, 3),
     zero_ceiling=st.integers(0, 40),
     thresholds=st.lists(st.none() | st.tuples(st.integers(0, 40), st.integers(0, 40)),
                         min_size=6, max_size=6),
+    budget=st.none() | st.integers(0, 80),
 )
-def test_pruned_sweep_is_unpruned_sweep_restricted(shape, max_length, min_length,
-                                                   zero_ceiling, thresholds):
-    # The pruned stream, in order, is the unpruned one restricted to the
+def test_pruned_sweep_is_unpruned_sweep_restricted(shape, max_length, zero_ceiling,
+                                                   thresholds, budget):
+    # The pruned walk, in order, is the unpruned one restricted to the
     # multisets none of whose prefixes (the empty one included) has a zero
-    # count above the ceiling.  With bands, it is further restricted to the
-    # multisets with a count in the band [lo, hi) of their length, and the
-    # walk visits every multiset of the pruned tree, at every length.
+    # count above the ceiling.  The stream is further restricted to the
+    # multisets with a count in the band [lo, hi) of their length, and a
+    # budget cuts the walk to its first ``budget`` multisets.
     G = make_group(list(shape))
     limbs = limb_layout(G, max_length)
     unpack = limbs.unpack
-    zero_count = {
-        occ: unpack(packed)[0]
-        for occ, packed in sweep_counts(G, max_length)
-    }
-    tree = [occ for occ in zero_count
+    thresholds = thresholds[:max_length + 1]
+    rows = [(tuple(occ), unpack(packed))
+            for occ, packed in sweep_counts(G, max_length, every_band(max_length))]
+    zero_count = {occ: counts[0] for occ, counts in rows}
+    tree = [(occ, counts) for occ, counts in rows
             if all(zero_count[occ[:k]] <= zero_ceiling for k in range(len(occ) + 1))]
-    expected = [
-        (occ, unpack(packed))
-        for occ, packed in sweep_counts(G, max_length, min_length=min_length)
-        if all(zero_count[occ[:k]] <= zero_ceiling for k in range(len(occ) + 1))
-    ]
+    stats = SweepStats()
     got = [
-        (occ, unpack(packed))
-        for occ, packed in sweep_counts(G, max_length, min_length=min_length,
-                                        zero_ceiling=zero_ceiling)
+        (tuple(occ), unpack(packed))
+        for occ, packed in sweep_counts(G, max_length, every_band(max_length),
+                                        zero_ceiling=zero_ceiling, stats=stats)
     ]
-    assert got == expected
-    bands = [band and (limbs.offset(band[0]), limbs.offset(band[1]))
-             for band in thresholds]
-    visited = []
+    assert got == tree
+    assert (stats.visited, stats.exhaustive) == (len(tree), True)
+    stats = SweepStats(budget)
+    visited = tree if budget is None else tree[:budget]
     filtered = [
         (tuple(occ), unpack(packed))
-        for occ, packed in sweep_counts(G, max_length, min_length=min_length,
-                                        zero_ceiling=zero_ceiling, bands=bands,
-                                        visited=visited)
+        for occ, packed in sweep_counts(G, max_length, thresholds,
+                                        zero_ceiling=zero_ceiling, stats=stats)
     ]
-    assert filtered == [(occ, counts) for occ, counts in expected
+    assert filtered == [(occ, counts) for occ, counts in visited
                         if _in_band(occ, counts, thresholds)]
-    assert visited == [len(tree) if max_length >= min_length else 0]
+    assert stats.visited == len(visited)
+    assert stats.exhaustive == (len(visited) == len(tree))
 
 
 @pytest.mark.parametrize("shape", [(3,), (4,), (5,), (6,), (2, 2), (2, 4), (3, 3)])
 def test_extremal_sweep_matches_extremal_set(shape):
     # Oracle: extremal_set and zero_count on each multiset of the unpruned
-    # sweep.  Unpruned, every multiset carries its extremal set; pruned,
-    # the stream is the zero-count-ceiling sweep, and exactly the
-    # multisets where zero attains the bound carry their extremal set.
+    # sweep.  Unpruned, the stream is every multiset with a nonempty
+    # extremal set, with that set; pruned, it is those where zero attains
+    # the bound, and the pruned walk visits the zero-count-ceiling tree.
     G = make_group(list(shape))
     D = davenport(G).value
     for max_length in (D - 2, D - 1, D + 2):
         ceiling = 1 << (max_length - D + 1) if max_length >= D - 1 else 0
         expected = []
-        for occ, _ in sweep_counts(G, max_length):
+        for occ, _ in sweep_counts(G, max_length, every_band(max_length)):
             S = sequence(G, list(occ))
-            E = extremal_set(S, D).members if len(S) >= D - 1 else frozenset()
-            expected.append((occ, E))
             assert zero_count(S) == count_all(S).zero_count
+            E = extremal_set(S, D).members if len(S) >= D - 1 else frozenset()
+            if E:
+                expected.append((tuple(occ), E))
         assert list(extremal_sweep(G, D, max_length)) == expected
-        pruned = list(extremal_sweep(G, D, max_length, prune=True))
-        assert [occ for occ, _ in pruned] == [
-            occ for occ, _ in sweep_counts(G, max_length, zero_ceiling=ceiling)
-        ]
-        assert [(occ, E) for occ, E in pruned if E] == [
-            (occ, E) for occ, E in expected if G.zero() in E
-        ]
+        stats = SweepStats()
+        pruned = list(extremal_sweep(G, D, max_length, prune=True, stats=stats))
+        assert pruned == [(occ, E) for occ, E in expected if G.zero() in E]
+        tree = SweepStats()
+        for _ in sweep_counts(G, max_length, every_band(max_length),
+                              zero_ceiling=ceiling, stats=tree):
+            pass
+        assert stats == tree
 
 
 def test_sweep_counts_yields_immutable_vectors():
     # Vectors are plain ints, so a caller may keep every one of them: the
     # kept stream still unpacks to count_all's counts.
-    seen = list(sweep_counts(C3, 3))
+    seen = [(tuple(occ), packed) for occ, packed in sweep_counts(C3, 3, every_band(3))]
     assert all(type(packed) is int for _, packed in seen)
     unpack = limb_layout(C3, 3).unpack
     for occ, packed in seen:

@@ -22,7 +22,7 @@ from zerosum import search
 from zerosum.reports import VerificationReport, sweep_status
 from zerosum.search import splitmix64
 
-from helpers import groups_up_to_order
+from helpers import every_band, groups_up_to_order
 
 C2 = make_group([2])
 C3 = make_group([3])
@@ -69,6 +69,51 @@ def test_catalog_sorted_and_budget():
     assert keys == sorted(keys)
     truncated = find_extremals(C33, 6, budget=50)
     assert not truncated.exhaustive
+    for cap in (1, 6):
+        with pytest.raises(ValueError):
+            find_extremals(C33, cap, budget=-1)
+
+
+def test_budget_keeps_the_entries_of_a_prefix_of_the_walk(monkeypatch):
+    # With N the multisets the pruned walk visits at cap D + 2, a budget b
+    # keeps exactly the entries among the first b of them, visits min(b, N)
+    # and is exhaustive exactly when b >= N.  Every b below 64 and from
+    # N - 2 to N + 1 is tried, and every 17th between: trying every b
+    # makes the test quadratic in N (about 1,500 on the groups of order 8).
+    from zerosum.counting import SweepStats, sweep_counts
+
+    walks = []
+
+    @dataclasses.dataclass
+    class Recorded(SweepStats):
+        def __post_init__(self):
+            walks.append(self)
+
+    monkeypatch.setattr(search, "SweepStats", Recorded)
+    inside_leaf_batch = 0
+    for G in groups_up_to_order(8):
+        D = davenport(G).value
+        cap = D + 2
+        full = SweepStats()
+        walk = [tuple(occ) for occ, _ in sweep_counts(
+            G, cap, every_band(cap), zero_ceiling=1 << (cap - D + 1), stats=full)]
+        N = full.visited
+        assert len(walk) == N and full.exhaustive
+        entries = find_extremals(G, cap).entries
+        for b in range(N + 2):
+            if 64 <= b < N - 2 and b % 17:
+                continue
+            prefix = set(walk[:b])
+            catalog = find_extremals(G, cap, budget=b)
+            assert catalog.entries == tuple(
+                (S, E) for S, E in entries if S.expanded() in prefix), (G, b)
+            assert catalog.exhaustive == (b >= N), (G, b)
+            assert (walks[-1].visited, walks[-1].exhaustive) == (min(b, N), b >= N)
+            # The walk ends between two leaves of one parent.
+            if 0 < b < N and len(walk[b - 1]) == len(walk[b]) == cap \
+                    and walk[b - 1][:-1] == walk[b][:-1]:
+                inside_leaf_batch += 1
+    assert inside_leaf_batch
 
 
 def test_pruned_catalog_matches_unpruned_sweep():
@@ -87,10 +132,10 @@ def test_pruned_catalog_matches_unpruned_sweep():
                 break
             unpack = limb_layout(G, cap).unpack
             expected = []
-            for occ, packed in sweep_counts(G, cap):
+            for occ, packed in sweep_counts(G, cap, every_band(cap)):
                 counts = unpack(packed)
                 if len(occ) >= D - 1 and counts[0] == 1 << (len(occ) - D + 1):
-                    expected.append((occ, counts))
+                    expected.append((tuple(occ), counts))
             catalog = find_extremals(G, cap)
             assert catalog.exhaustive
             got = {S.expanded(): E for S, E in catalog.entries}
