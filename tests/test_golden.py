@@ -87,6 +87,8 @@ COMMANDS = (
     ("verify-one-and-all-c6", ["verify", "one-and-all", "C6", "--max-len", "15"]),
     ("extremal-c3xc3-budget", ["extremal", "C3xC3", "--max-len", "6", "--budget", "50"]),
     ("conjecture-2-c5-budget", ["conjecture", "2", "C5", "--budget", "200"]),
+    ("davenport-c2xc2xc2xc2xc6", ["davenport", "C2xC2xC2xC2xC6", "--method", "exact",
+                                  "--davenport-cap", "96"]),
 )
 
 
