@@ -1,5 +1,6 @@
 import json
 import re
+from datetime import datetime
 
 import pytest
 
@@ -148,6 +149,46 @@ def test_conjecture_commands(capsys):
     assert code == 0 and payload["result"]["details"]["bound_attained"] is True
     code, payload, _ = run_json(capsys, "conjecture", "1", "C2xC2", "--max-len", "6")
     assert code == 0 and payload["result"]["status"] == "skipped"
+
+
+def test_failed_check_exits_1(capsys):
+    # D(C2xC4) = d_star + 1, but the extremal lengths over C2xC4 are
+    # unbounded, so a qualifying sequence outgrows d_star + rank = 6.
+    code, payload, _ = run_json(capsys, "conjecture", "2", "C2xC4")
+    assert code == 1 and payload["status"] == "fail"
+    details = payload["result"]["details"]
+    assert details["counterexample"] == "(0,1)^3 (0,3) (1,0)^3"
+    assert details["bound_attained"] is False
+
+
+def test_conjecture_2_refuses_d_above_d_star_plus_one(capsys):
+    code, _, err = run(capsys, "conjecture", "2", "C2xC2xC2xC2xC6",
+                       "--davenport-cap", "96")
+    assert code == 2
+    assert "hypothesis requires D(G) = d_star + 1; got D = 11, d_star = 9" in err
+
+
+def test_timestamp_is_iso_8601(capsys):
+    code, out, _ = run(capsys, "group", "info", "C2", "--json")
+    assert code == 0
+    datetime.fromisoformat(json.loads(out)["provenance"]["timestamp"])
+
+
+def test_human_output_renders_booleans_and_lists(capsys):
+    code, out, _ = run(capsys, "extremal", "C3", "--max-len", "5", "--no-timestamp")
+    lines = out.splitlines()
+    assert code == 0 and "  exhaustive: true" in lines
+    i = lines.index("  entries:")
+    assert lines[i + 1:i + 5] == [
+        "    -", "      sequence: 1^2", "      length: 2", "      extremal_members:",
+    ]
+    code, out, _ = run(capsys, "extremal", "C3", "--max-len", "1", "--no-timestamp")
+    assert code == 0 and "  entries: []" in out.splitlines()
+
+
+def test_verify_cn_requires_n(capsys):
+    code, _, err = run(capsys, "verify", "cn")
+    assert code == 2 and "verify cn requires --n" in err
 
 
 def test_construct_command(capsys):

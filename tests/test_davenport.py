@@ -1,4 +1,6 @@
 import importlib
+import json
+import pathlib
 import random
 
 import pytest
@@ -192,6 +194,16 @@ def test_root_bound_ends_a_cyclic_search_before_any_table(monkeypatch):
         res = davenport_exact(G, cap=1024)
         assert res.value == n, G
         assert res.witness == sequence(G, {(1,): n - 1}), G
+
+
+def test_exact_search_improves_on_d_star_plus_one():
+    # D(C2^4 x C6) = 11 > d* + 1 = 10, so the search finds a zero-sum-free
+    # sequence longer than d*.  The 4-5 s search runs once, as a golden.
+    golden = pathlib.Path(__file__).parent / "golden" / "davenport-c2xc2xc2xc2xc6.json"
+    G = make_group([2, 2, 2, 2, 6])
+    witness = parse_sequence(G, json.loads(golden.read_text())["result"]["witness"])
+    assert len(witness) == 10
+    assert count_brute_vector(witness).zero_count == 1
 
 
 def test_witness_properties():
