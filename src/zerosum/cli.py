@@ -24,7 +24,6 @@ from datetime import datetime, timezone
 from . import __version__, counting
 from .groups import (
     SUBGROUP_CAP,
-    Group,
     all_subgroups,
     d_star,
     parse_group,
@@ -37,6 +36,7 @@ from .sequences import (
     seq_sum,
 )
 from .counting import (
+    DEFAULT_BUDGET,
     count_all,
     extremal_set,
     sweep_lower_bound,
@@ -45,19 +45,18 @@ from .counting import (
 from .davenport import davenport, DAVENPORT_CAP
 from .structure import (
     check_cyclic_characterization,
+    sweep_corollary,
+    sweep_equivalences,
     sweep_es_chain,
+    sweep_odd_structure,
     sweep_subgroup_es,
 )
 from .search import (
-    DEFAULT_BUDGET,
     conjecture1_harness,
     conjecture2_harness,
     construct_extremal,
     find_extremals,
     random_search,
-    sweep_corollary,
-    sweep_equivalences,
-    sweep_odd_structure,
     sweep_transform,
 )
 from .reports import VerificationReport, sweep_status
@@ -84,7 +83,7 @@ class Report:
     group: str | None
     parameters: dict
     result: object
-    status: str  # "pass" | "fail" | "partial" | "error"
+    status: str  # "pass" | "fail" | "partial"
     provenance: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -111,13 +110,7 @@ def _plain(x):
         return {str(k): _plain(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_plain(v) for v in x]
-    if isinstance(x, (set, frozenset)):
-        return sorted(_plain(v) for v in x)
-    if isinstance(x, Group):
-        return x.spec()
-    if x is None or isinstance(x, (bool, int, str)):
-        return x
-    return str(x)
+    return x
 
 
 def _render(x, indent: int = 0, out=None) -> list[str]:
@@ -162,14 +155,10 @@ def _emit(report: Report, args) -> int:
         print(json.dumps(payload, indent=2))
     else:
         print("\n".join(_render(payload)))
-    if report.status in ("pass", "partial"):
-        return 0
-    if report.status == "fail":
-        return 1
-    return 2
+    return 1 if report.status == "fail" else 0
 
 
-def _provenance(args, **extra) -> dict:
+def _provenance(args) -> dict:
     prov = {"tool": "zerosum", "version": __version__}
     caps = {}
     for name in ("max_len", "budget", "davenport_cap", "trials", "family_k"):
@@ -179,7 +168,6 @@ def _provenance(args, **extra) -> dict:
         prov["caps"] = caps
     if hasattr(args, "seed") and args.seed is not None:
         prov["seed"] = args.seed
-    prov.update(extra)
     if not args.no_timestamp:
         prov["timestamp"] = datetime.now(timezone.utc).isoformat()
     return prov

@@ -437,6 +437,10 @@ def pushforward_counts(S: Sequence, H: Subgroup) -> VerificationReport:
     return VerificationReport("pushforward-counts", status, details, witnesses)
 
 
+# The most multisets a catalog walk visits unless given another budget.
+DEFAULT_BUDGET = 2_000_000
+
+
 @dataclass
 class SweepStats:
     """The accounting of one ``sweep_counts`` walk, a fresh record each:

@@ -19,7 +19,6 @@ from .reports import VerificationReport, sweep_status
 from .sequences import (
     Sequence,
     _seq_from_sorted,
-    format_element,
     format_sequence,
     seq_key,
     seq_mul,
@@ -28,6 +27,7 @@ from .sequences import (
     subsequences_with_sum,
 )
 from .counting import (
+    DEFAULT_BUDGET,
     ExtremalSet,
     SweepStats,
     count_all,
@@ -37,15 +37,7 @@ from .counting import (
     zero_count,
 )
 from .davenport import _product_of_generators, davenport, zero_sum_free_sequences
-from .structure import (
-    check_corollary_decomposition,
-    check_odd_group_structure,
-    condition_profile,
-    construct_unbounded_family,
-    minimal_zero_sums,
-)
-
-DEFAULT_BUDGET = 2_000_000
+from .structure import condition_profile, minimal_zero_sums
 
 
 @dataclass(frozen=True)
@@ -187,94 +179,6 @@ def conjecture2_harness(G: Group, length_cap: int,
         return VerificationReport("conjecture-2", sweep_status(False, exhaustive), details)
     details["counterexample"] = format_sequence(violation)
     return VerificationReport("conjecture-2", "fail", details, (violation,))
-
-
-def sweep_odd_structure(G: Group, D: int, max_len: int) -> VerificationReport:
-    """``check_odd_group_structure`` on every catalog entry up to
-    ``max_len``; on groups of even order the behavior is recorded and
-    nothing is asserted."""
-    catalog = find_extremals(G, max_len)
-    failures = []
-    skipped = 0
-    for S, _ in catalog.entries:
-        rep = check_odd_group_structure(S, D)
-        if rep.status == "skipped":
-            skipped += 1
-        elif rep.failed:
-            failures.append(S)
-    details = {
-        "group": G.spec(),
-        "max_len": max_len,
-        "extremal_checked": len(catalog.entries),
-        "skipped": skipped,
-        "stats": {"exhaustive": catalog.exhaustive},
-    }
-    if G.order % 2 == 0:
-        details["note"] = "group order is even; behavior recorded, nothing asserted"
-    if failures:
-        details["counterexample"] = format_sequence(failures[0])
-    return VerificationReport("odd-structure-sweep",
-                              sweep_status(bool(failures), catalog.exhaustive),
-                              details, tuple(failures[:1]))
-
-
-def sweep_corollary(G: Group, D: int, max_len: int) -> VerificationReport:
-    """``check_corollary_decomposition`` on every catalog entry up to
-    ``max_len``; ``decompositions_checked`` counts the entries that the
-    check does not skip (those whose extremal set is exactly {0} on a
-    group of odd order)."""
-    catalog = find_extremals(G, max_len)
-    checked = 0
-    for S, _ in catalog.entries:
-        rep = check_corollary_decomposition(S, D)
-        if rep.status == "skipped":
-            continue
-        checked += 1
-        if rep.failed:
-            return VerificationReport.fail(
-                "corollary-sweep", (S,), group=G.spec(),
-                sequence=format_sequence(S),
-            )
-    return VerificationReport(
-        "corollary-sweep", sweep_status(False, catalog.exhaustive),
-        {"group": G.spec(), "max_len": max_len, "decompositions_checked": checked,
-         "stats": {"exhaustive": catalog.exhaustive}},
-    )
-
-
-def sweep_equivalences(G: Group, max_len: int, family_k: int) -> VerificationReport:
-    """The quotient condition decides between bounded and unbounded
-    extremal lengths: when it holds, no catalog entry up to
-    min(max_len, t) is longer than t; when it fails, the first
-    ``family_k`` members of the unbounded family are exhibited."""
-    profile = condition_profile(G)
-    details = {
-        "group": G.spec(),
-        "cond_iii": profile.cond_iii,
-        "t_bound": profile.t,
-    }
-    if not profile.cond_iii:
-        H = profile.offending_H
-        details["offending_subgroup"] = sorted(
-            format_element(G, x) for x in H.elements
-        )
-        family = [
-            construct_unbounded_family(G, H, k) for k in range(1, family_k + 1)
-        ]
-        details["family"] = [format_sequence(S) for S in family]
-        details["family_verified"] = True  # construct re-verifies each member
-        details["note"] = "extremal lengths unbounded; family exhibited"
-        return VerificationReport("equivalences", "pass", details)
-    cap = min(max_len, profile.t)
-    catalog = find_extremals(G, cap)
-    lengths = sorted({len(S) for S, _ in catalog.entries})
-    details["sweep_cap"] = cap
-    details["extremal_lengths"] = lengths
-    details["max_extremal_length"] = catalog.max_length_found
-    details["ceiling_within_t_bound"] = catalog.max_length_found <= profile.t
-    details["stats"] = {"exhaustive": catalog.exhaustive}
-    status = sweep_status(not details["ceiling_within_t_bound"], catalog.exhaustive)
-    return VerificationReport("equivalences", status, details)
 
 
 _M64 = (1 << 64) - 1

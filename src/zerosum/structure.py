@@ -10,7 +10,8 @@ the count bound 2^(|S|-D+1): the disjoint-decomposition property on
 odd-order groups, the growth of the extremal set under term removal, the
 shape of subgroups inside extremal sets, and the quotient condition that
 separates groups with bounded extremal length from those carrying an
-unbounded extremal family.
+unbounded extremal family.  Each sweep sits beside the checks it drives
+and streams ``extremal_sweep`` on its own D.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .groups import (
     quotient_group,
     _validate_subgroup,
 )
-from .reports import VerificationReport
+from .reports import VerificationReport, sweep_status
 from .sequences import (
     Sequence,
     _seq_from_sorted,
@@ -45,7 +46,9 @@ from .sequences import (
     subsequences_with_sum,
 )
 from .counting import (
+    DEFAULT_BUDGET,
     ExtremalSet,
+    SweepStats,
     count_all,
     extremal_set,
     extremal_sweep,
@@ -128,6 +131,37 @@ def check_odd_group_structure(S: Sequence, D: int) -> VerificationReport:
     )
 
 
+def sweep_odd_structure(G: Group, D: int, max_len: int) -> VerificationReport:
+    """``check_odd_group_structure`` on every extremal S up to ``max_len``,
+    in walk order, to the first that fails.  On a group of even order the
+    check skips every S: the behavior is recorded and nothing is asserted.
+    The walk stops after ``DEFAULT_BUDGET`` visited multisets."""
+    stats = SweepStats(DEFAULT_BUDGET)
+    checked = skipped = 0
+    for occ, _ in extremal_sweep(G, D, max_len, prune=True, stats=stats):
+        S = _seq_from_sorted(G, occ)
+        rep = check_odd_group_structure(S, D)
+        if rep.failed:
+            return VerificationReport.fail(
+                "odd-structure-sweep", (S,), group=G.spec(), max_len=max_len,
+                counterexample=format_sequence(S),
+            )
+        checked += 1
+        if rep.status == "skipped":
+            skipped += 1
+    details = {
+        "group": G.spec(),
+        "max_len": max_len,
+        "extremal_checked": checked,
+        "skipped": skipped,
+        "stats": {"exhaustive": stats.exhaustive},
+    }
+    if G.order % 2 == 0:
+        details["note"] = "group order is even; behavior recorded, nothing asserted"
+    return VerificationReport("odd-structure-sweep",
+                              sweep_status(False, stats.exhaustive), details)
+
+
 def check_corollary_decomposition(S: Sequence, D: int) -> VerificationReport:
     """When additionally only zero attains the bound, the minimal zero-sum
     subsequences use up S exactly: S = T_1 T_2 ... T_r."""
@@ -158,6 +192,32 @@ def check_corollary_decomposition(S: Sequence, D: int) -> VerificationReport:
     return VerificationReport(
         "corollary-decomposition", "pass" if ok else "fail", details,
         () if ok else (S,),
+    )
+
+
+def sweep_corollary(G: Group, D: int, max_len: int) -> VerificationReport:
+    """``check_corollary_decomposition`` on every extremal S up to
+    ``max_len``, in walk order, to the first that fails;
+    ``decompositions_checked`` counts the S that the check does not skip
+    (those whose extremal set is exactly {0} on a group of odd order).
+    The walk stops after ``DEFAULT_BUDGET`` visited multisets."""
+    stats = SweepStats(DEFAULT_BUDGET)
+    checked = 0
+    for occ, _ in extremal_sweep(G, D, max_len, prune=True, stats=stats):
+        S = _seq_from_sorted(G, occ)
+        rep = check_corollary_decomposition(S, D)
+        if rep.status == "skipped":
+            continue
+        checked += 1
+        if rep.failed:
+            return VerificationReport.fail(
+                "corollary-sweep", (S,), group=G.spec(),
+                sequence=format_sequence(S),
+            )
+    return VerificationReport(
+        "corollary-sweep", sweep_status(False, stats.exhaustive),
+        {"group": G.spec(), "max_len": max_len, "decompositions_checked": checked,
+         "stats": {"exhaustive": stats.exhaustive}},
     )
 
 
@@ -347,6 +407,44 @@ def _family_base(G: Group, H: Subgroup) -> Sequence:
         f"no qualifying base of length {DQ} over {G}; "
         "this contradicts the construction and indicates a defect"
     )
+
+
+def sweep_equivalences(G: Group, max_len: int, family_k: int) -> VerificationReport:
+    """The quotient condition decides between bounded and unbounded
+    extremal lengths: when it holds, no extremal S up to min(max_len, t)
+    for D = D(G) is longer than t, and the walk stops after
+    ``DEFAULT_BUDGET`` visited multisets; when it fails, the first
+    ``family_k`` members of the unbounded family are exhibited."""
+    profile = condition_profile(G)
+    details = {
+        "group": G.spec(),
+        "cond_iii": profile.cond_iii,
+        "t_bound": profile.t,
+    }
+    if not profile.cond_iii:
+        H = profile.offending_H
+        details["offending_subgroup"] = sorted(
+            format_element(G, x) for x in H.elements
+        )
+        family = [
+            construct_unbounded_family(G, H, k) for k in range(1, family_k + 1)
+        ]
+        details["family"] = [format_sequence(S) for S in family]
+        details["family_verified"] = True  # construct re-verifies each member
+        details["note"] = "extremal lengths unbounded; family exhibited"
+        return VerificationReport("equivalences", "pass", details)
+    cap = min(max_len, profile.t)
+    stats = SweepStats(DEFAULT_BUDGET)
+    walk = extremal_sweep(G, davenport(G).value, cap, prune=True, stats=stats)
+    lengths = sorted({len(occ) for occ, _ in walk})
+    longest = max(lengths, default=0)
+    details["sweep_cap"] = cap
+    details["extremal_lengths"] = lengths
+    details["max_extremal_length"] = longest
+    details["ceiling_within_t_bound"] = longest <= profile.t
+    details["stats"] = {"exhaustive": stats.exhaustive}
+    status = sweep_status(not details["ceiling_within_t_bound"], stats.exhaustive)
+    return VerificationReport("equivalences", status, details)
 
 
 def check_cyclic_characterization(n: int, max_len: int) -> VerificationReport:

@@ -4,7 +4,7 @@ from datetime import datetime
 
 import pytest
 
-from zerosum import counting, search
+from zerosum import counting, structure
 from zerosum.cli import main
 
 
@@ -214,9 +214,7 @@ def test_extremal_budget_truncation_reports_partial(capsys):
     ("verify", "equivalences", "C12", "--max-len", "14"),
 ])
 def test_verify_on_truncated_catalog_reports_partial(capsys, monkeypatch, argv):
-    real = search.find_extremals
-    monkeypatch.setattr(search, "find_extremals",
-                        lambda G, cap, budget=None: real(G, cap, budget=20))
+    monkeypatch.setattr(structure, "DEFAULT_BUDGET", 20)
     code, payload, _ = run_json(capsys, *argv)
     assert code == 0
     assert payload["status"] == "partial"

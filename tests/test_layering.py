@@ -12,7 +12,8 @@ library module uses it.  The library holds no `assert` statement, since
 Every public function is reached from the library itself, so a statement
 has one home, its verify sweep, and no second copy that only tests run,
 and every private module-level name is read somewhere in the library, so
-no helper outlives its last caller.
+no helper outlives its last caller.  A sweep lives in the module of the
+checks it drives.
 """
 
 import ast
@@ -118,3 +119,19 @@ def test_every_private_name_is_used():
               for name in _private_definitions(statement)
               if not any(name in names for j, names in enumerate(reads) if j != i)}
     assert not unused
+
+
+def _functions(path: pathlib.Path, prefix: str) -> list[ast.FunctionDef]:
+    return [node for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith(prefix)]
+
+
+def test_every_sweep_lives_beside_the_checks_it_calls():
+    home = {check.name: path.stem for path in sorted(SRC.glob("*.py"))
+            for check in _functions(path, "check_")}
+    strays = [f"{path.stem}.{sweep.name} calls {home[name]}.{name}"
+              for path in sorted(SRC.glob("*.py"))
+              for sweep in _functions(path, "sweep_")
+              for name in _names_in(sweep) & set(home)
+              if home[name] != path.stem]
+    assert not strays

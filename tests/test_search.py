@@ -18,7 +18,7 @@ from zerosum import (
     parse_sequence,
     random_search,
 )
-from zerosum import search
+from zerosum import search, structure
 from zerosum.reports import VerificationReport, sweep_status
 from zerosum.search import splitmix64
 
@@ -270,12 +270,10 @@ def test_truncated_harnesses_and_sweeps_report_partial(monkeypatch):
                 conjecture2_harness(C5, 7, budget=10)):
         assert rep.status == "partial", rep.check
         assert rep.details["exhaustive"] is False
-    real = search.find_extremals
-    monkeypatch.setattr(search, "find_extremals",
-                        lambda G, cap, budget=None: real(G, cap, budget=20))
-    for rep in (search.sweep_odd_structure(C33, 5, 10),
-                search.sweep_corollary(C33, 5, 8),
-                search.sweep_equivalences(make_group([12]), 14, 10)):
+    monkeypatch.setattr(structure, "DEFAULT_BUDGET", 20)
+    for rep in (structure.sweep_odd_structure(C33, 5, 10),
+                structure.sweep_corollary(C33, 5, 8),
+                structure.sweep_equivalences(make_group([12]), 14, 10)):
         assert rep.status == "partial", rep.check
         assert rep.details["stats"] == {"exhaustive": False}
 

@@ -33,7 +33,9 @@ from zerosum.reports import VerificationReport
 from zerosum.structure import (
     _family_base,
     is_minimal_zero_sum,
+    sweep_corollary,
     sweep_es_chain,
+    sweep_odd_structure,
     sweep_subgroup_es,
 )
 
@@ -242,6 +244,22 @@ def test_odd_structure_sweep_order_9():
         cap = min(D + 4, 9) if G.rank == 2 else D + 4
         for S, _ in find_extremals(G, cap).entries:
             assert check_odd_group_structure(S, D).passed, format_sequence(S)
+
+
+def test_catalog_sweeps_walk_the_d_they_are_given():
+    # Below D(G) the walk differs from the catalog of D(G): over C5 it has
+    # 12 extremal entries for D = 4 and 8 for D = 5, and over C3xC3 the
+    # D = 4 walk breaks the odd-order statement at its first entry.
+    C5 = make_group([5])
+    rep = sweep_odd_structure(C5, 4, 7)
+    assert rep.details["extremal_checked"] == 12
+    assert sum(1 for _ in extremal_sweep(C5, 4, 7, prune=True)) == 12
+    rep = sweep_odd_structure(C33, 4, 7)
+    assert rep.failed
+    assert rep.details["counterexample"] == "(0,1)^4 (1,0) (1,1) (2,0)"
+    assert rep.witnesses == (parse_sequence(C33, "(0,1)^4 (1,0) (1,1) (2,0)"),)
+    rep = sweep_corollary(C33, 4, 7)
+    assert rep.details["decompositions_checked"] == 24
 
 
 def test_theorem_consistency_order_16():
