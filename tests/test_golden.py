@@ -89,6 +89,11 @@ COMMANDS = (
     ("conjecture-2-c5-budget", ["conjecture", "2", "C5", "--budget", "200"]),
     ("davenport-c2xc2xc2xc2xc6", ["davenport", "C2xC2xC2xC2xC6", "--method", "exact",
                                   "--davenport-cap", "96"]),
+    ("verify-lower-bound-c9", ["verify", "lower-bound", "C9", "--max-len", "12"]),
+    ("verify-one-and-all-c4xc4-len10", ["verify", "one-and-all", "C4xC4",
+                                        "--max-len", "10"]),
+    ("verify-one-and-all-c2xc2xc2xc2xc2", ["verify", "one-and-all", "C2xC2xC2xC2xC2",
+                                           "--max-len", "8"]),
 )
 
 
