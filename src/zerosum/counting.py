@@ -35,12 +35,30 @@ one home of that addend and ``Limbs.at_least`` applies it.  "Nonzero" is
 b = 1, and "equal to b" is ">= b and not >= b+1".  ``sweep_counts``, the
 library's one walk over zero-free multisets, takes one band [b_lo, b_hi)
 of counts per length and tests each multiset inside the walk, ``(x + lo)
-& ~(x + hi) & TOP``: two additions and a few ands.  It yields only the
-multisets that flag, builds no vector for a leaf whose length has no
-band, and reports its visits in a ``SweepStats``.  The sweeps are views
-of it, with e = |S| - D + 1: ``sweep_lower_bound`` seeks a count in [1,
-2^e), breaking the bound; ``sweep_one_and_all`` and ``extremal_sweep``
-one in [2^e, 2^e + 1), attaining it; ``zero_sum_free_sequences`` any.
+& ~(x + hi) & TOP``: two additions and a few ands.  A band may carry a
+floor, and a multiset in it is then yielded only if some count is below
+the floor.  The walk yields only the multisets that flag, builds no
+vector where no band is left at that length or any greater one, and
+reports in a ``SweepStats`` the multisets it visited and the ones that
+flagged.  The sweeps are views of it, with e = |S| - D + 1:
+``sweep_lower_bound`` seeks a count in [1, 2^e), breaking the bound;
+``extremal_sweep`` one in [2^e, 2^e + 1), attaining it;
+``sweep_one_and_all`` the same band with the floor 2^e, so that it is
+yielded only its failures and reads the attaining multisets from the
+tally; ``zero_sum_free_sequences`` any.
+
+Memo.  Without a zero ceiling, what the walk yields and tallies below a
+multiset depends only on its vector (which fixes its length, the counts
+summing to 2^length) and on the next term position.  ``sweep_counts``
+stores each subtree that it walked in full without yielding under that
+key, with its (visited, flagged) totals, and adds them for a later child
+with the same key.  Only subtrees of at least ``MEMO_MIN`` multisets are
+stored, and at most ``MEMO_CAP`` per walk, which bounds the memory.  The
+census sweeps gain, and so do the unpruned ``extremal_sweep`` walks of
+``subgroup-es`` and ``conjecture 2``.  The pruned catalog walks keep no
+memo: they yield along most of their subtrees, and storing the rest made
+``extremal C5xC5 --max-len 10`` slower (6.3 to 7.3 s) and larger (58 to
+64 MiB).
 
 Everything here is exact integer arithmetic: the statements being checked
 are equalities against powers of two, so a single rounding error would be
@@ -53,6 +71,7 @@ import struct
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 from .groups import (
     Group,
@@ -393,24 +412,19 @@ def sweep_one_and_all(G: Group, D: int, max_len: int) -> VerificationReport:
     """One-and-all on every zero-free multiset S up to ``max_len``: if
     some count equals 2^(|S|-D+1), every count is at least that.  Stops at
     the first violation."""
-    bands = _attained_bands(D, max_len)
-    limbs = limb_layout(G, max_len)
-    top = limbs.top
-    # By length, the offset that flags the counts >= 2^e.
-    floors = [band and limbs.offset(band[0]) for band in bands]
+    # The attaining band with the floor 2^e: the walk yields only the
+    # multisets that attain the bound and have a count below it.
+    bands = [band and band + (band[0],) for band in _attained_bands(D, max_len)]
     stats = SweepStats()
-    attained = 0
-    for occ, packed in sweep_counts(G, max_len, bands, stats=stats):
-        attained += 1
-        if (packed + floors[len(occ)]) & top != top:
-            S = _seq_from_sorted(G, occ)
-            return VerificationReport.fail(
-                "one-and-all-sweep", (S,), group=G.spec(),
-                sequence=format_sequence(S), max_len=max_len,
-            )
+    for occ, _ in sweep_counts(G, max_len, bands, stats=stats):
+        S = _seq_from_sorted(G, occ)
+        return VerificationReport.fail(
+            "one-and-all-sweep", (S,), group=G.spec(),
+            sequence=format_sequence(S), max_len=max_len,
+        )
     return VerificationReport.ok(
         "one-and-all-sweep", group=G.spec(), max_len=max_len,
-        sequences_checked=stats.visited, bound_attained=attained,
+        sequences_checked=stats.visited, bound_attained=stats.flagged,
     )
 
 
@@ -440,6 +454,16 @@ def pushforward_counts(S: Sequence, H: Subgroup) -> VerificationReport:
 # The most multisets a catalog walk visits unless given another budget.
 DEFAULT_BUDGET = 2_000_000
 
+# The memo of a walk without a zero ceiling (see ``sweep_counts``): only
+# subtrees of at least MEMO_MIN multisets are stored, and at most MEMO_CAP
+# of them per walk.
+MEMO_MIN = 16
+MEMO_CAP = 1 << 18
+# A memo value packs a subtree's totals as flagged << _TALLY | visited, a
+# small int where nothing flagged.
+_TALLY = 64
+_TALLY_MASK = (1 << _TALLY) - 1
+
 
 @dataclass
 class SweepStats:
@@ -447,22 +471,29 @@ class SweepStats:
     ``budget`` in, the most multisets it may visit (None: no limit);
     ``visited`` out, the multisets of the pruned tree it visited, the
     empty one included; ``exhaustive`` out, False when the budget left
-    one unvisited."""
+    one unvisited; ``flagged`` out, the visited multisets with a count in
+    the band of their length; ``entries`` and ``hits`` out, the subtrees
+    the memo stored and the ones it answered."""
 
     budget: int | None = None
     visited: int = 0
     exhaustive: bool = True
+    flagged: int = 0
+    entries: int = 0
+    hits: int = 0
 
 
 def sweep_counts(G: Group, max_length: int, bands: list, *,
                  zero_ceiling: int | None = None, stats: SweepStats | None = None):
     """Walk the zero-free multisets up to ``max_length``, sharing the
     counting DP along the enumeration tree, and yield (occurrences, packed
-    count vector) for each with a count in the band of its length.
+    count vector) for each with a count in the band of its length and,
+    where the band has a floor, a count below the floor.
 
     ``bands[n]``, for each length n from 0 to ``max_length``, is None
-    (yield nothing of length n) or count bounds (b_lo, b_hi): some count
-    must lie in [b_lo, b_hi), tested on all limbs at once through their
+    (yield nothing of length n), count bounds (b_lo, b_hi) or (b_lo, b_hi,
+    floor): some count must lie in [b_lo, b_hi), and some count must be
+    below the floor, tested on all limbs at once through their
     ``Limbs.offset``.  (0, 2^n + 1) takes every multiset.  The
     occurrences are the walk's own list: copy it to keep it.
 
@@ -470,14 +501,31 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
     translation and one addition per multiset.  Multisets come in
     lexicographic order of their occurrence tuples (a pre-order walk;
     lengths interleaved).  The leaves (length ``max_length``) are visited
-    in one loop without frames, and built only when their band is not None.
+    in one loop without frames.  No vector is built for a multiset with
+    no band at its length or any greater one, unless a ceiling reads it.
 
     With ``zero_ceiling``, a multiset whose zero count exceeds it is
     neither visited nor extended.  Appending a can only raise the zero
     count (N_0(S a) = N_0(S) + N_{-a}(S)), so the pruned walk is the
     unpruned one restricted to multisets whose zero count is at most the
     ceiling.  ``stats`` (see ``SweepStats``) carries a budget in and the
-    visited count and ``exhaustive`` out.
+    visited and flagged counts, ``exhaustive`` and the memo's entries and
+    hits out.
+
+    Memo (without a ceiling only; see the module docstring).  The
+    subtree below a multiset, its extensions by terms from position p on,
+    is keyed by (vector, p), or by (length, p) where there is no vector.
+    A subtree walked in full that yielded nothing is stored with its
+    (visited, flagged) totals, and a later child with the same key adds
+    them instead of being walked if they fit in the budget; otherwise it
+    is walked.  So the stream, its order, ``visited``, ``flagged`` and
+    ``exhaustive`` are those of the walk without the memo.  A subtree is
+    stored only if it holds at least ``MEMO_MIN`` multisets (below
+    position p at length d, C(|G| - 1 - p + m, m) of them, m =
+    max_length - d) and the walk has stored fewer than ``MEMO_CAP``.
+    The children of the root are never stored: no later child is
+    appended at their position, so that position's table is dropped
+    with them.
     """
     stats = stats or SweepStats()
     budget = sys.maxsize if stats.budget is None else stats.budget
@@ -491,7 +539,9 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
         return
     limbs = limb_layout(G, max_length)
     mask, top = limbs.mask, limbs.top
-    offsets = [band and (limbs.offset(band[0]), limbs.offset(band[1])) for band in bands]
+    offsets = [band and (limbs.offset(band[0]), limbs.offset(band[1]),
+                         limbs.offset(band[2]) if len(band) > 2 else None)
+               for band in bands]
     idx = element_index(G)
     terms = all_elements(G)[1:]
     term_ops = _limb_adders(G, limbs.width)[1:]
@@ -499,15 +549,41 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
     # limb 0 plus its limb of -a.
     neg_shift = [idx[elem_neg(G, a)] * limbs.width for a in terms]
     count = len(terms)
+    # Children of length >= bare get no vector.  memo_until[d]: the
+    # children of length d at positions below it root subtrees of at
+    # least MEMO_MIN multisets; memo[p] holds the subtrees rooted at a
+    # child appended at position p.
+    bare = max_length + 1
+    memo_until = [0] * (max_length + 1)
+    if zero_ceiling is None:
+        while bare > 1 and offsets[bare - 1] is None:
+            bare -= 1
+        for d in range(1, max_length):
+            m = max_length - d
+            n = 1  # the term positions from p on
+            while n <= count and comb(n + m, m) < MEMO_MIN:
+                n += 1
+            memo_until[d] = count + 1 - n
+        memo = [{} for _ in range(count)]
     occurrences: list[GroupElement] = []
-    if offsets[0] is not None and (1 + offsets[0][0]) & ~(1 + offsets[0][1]) & top:
-        yield occurrences, 1
     nodes = 1
+    # flagged - held is the number of multisets yielded so far.
+    flagged = held = entries = hits = 0
+    band = offsets[0]
+    if band is not None and (1 + band[0]) & ~(1 + band[1]) & top:
+        flagged = 1
+        if band[2] is not None and (1 + band[2]) & top == top:
+            held = 1
+        else:
+            yield occurrences, 1
     # One frame per multiset on the current path shorter than max_length:
-    # its packed counts and the next term position to try.  Terms are
-    # appended in nondecreasing position, so each multiset is reached once.
+    # its packed counts (None from bare on) and the next term position to
+    # try.  Terms are appended in nondecreasing position, so each multiset
+    # is reached once.  marks: for each frame whose subtree the memo may
+    # store, (frame height, key, position, nodes, flagged, held) on entry.
     path_counts = [1]
     next_pos = [0] if max_length else []
+    marks = []
     while next_pos:
         pos = next_pos[-1]
         x = path_counts[-1]
@@ -520,22 +596,30 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
                 leaves = [p for p in leaves
                           if low + ((x >> neg_shift[p]) & mask) <= zero_ceiling]
             nodes += len(leaves)
-            if nodes > budget:
-                # Cut to the budget; the next visit it would make ends the walk.
+            truncated = nodes > budget
+            if truncated:
+                # Cut to the budget; the walk ends after this batch.
                 leaves = leaves[:len(leaves) + budget - nodes]
                 nodes = budget
                 stats.exhaustive = False
-            if offsets[depth] is not None:
-                lo_offset, hi_offset = offsets[depth]
+            band = offsets[depth]
+            if band is not None:
+                lo_offset, hi_offset, floor_offset = band
                 for p in leaves:
                     y = x
                     for lo, ls, hi, rs in term_ops[p]:
                         y = ((y << ls) & lo) | ((y >> rs) & hi)
                     y += x
                     if (y + lo_offset) & ~(y + hi_offset) & top:
+                        flagged += 1
+                        if floor_offset is not None and (y + floor_offset) & top == top:
+                            held += 1
+                            continue
                         occurrences.append(terms[p])
                         yield occurrences, y
                         occurrences.pop()
+            if truncated:
+                break
         elif pos < count:
             next_pos[-1] = pos + 1
             if (zero_ceiling is not None
@@ -544,24 +628,54 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
             if nodes >= budget:
                 stats.exhaustive = False
                 break
-            # translate() inlined: this is the per-node step.
-            y = x
-            for lo, ls, hi, rs in term_ops[pos]:
-                y = ((y << ls) & lo) | ((y >> rs) & hi)
-            child = x + y
+            if depth < bare:
+                # translate() inlined: this is the per-node step.
+                y = x
+                for lo, ls, hi, rs in term_ops[pos]:
+                    y = ((y << ls) & lo) | ((y >> rs) & hi)
+                child = x + y
+            else:
+                child = None
+            if pos < memo_until[depth]:
+                key = -depth if child is None else child
+                total = memo[pos].get(key)
+                if total is not None and nodes + (total & _TALLY_MASK) <= budget:
+                    nodes += total & _TALLY_MASK
+                    total >>= _TALLY
+                    flagged += total
+                    held += total
+                    hits += 1
+                    continue
+                marks.append((depth + 1, key, pos, nodes, flagged, held))
             nodes += 1
             occurrences.append(terms[pos])
             band = offsets[depth]
             if band is not None and (child + band[0]) & ~(child + band[1]) & top:
-                yield occurrences, child
+                flagged += 1
+                if band[2] is not None and (child + band[2]) & top == top:
+                    held += 1
+                else:
+                    yield occurrences, child
             path_counts.append(child)
             next_pos.append(pos)
             continue
         next_pos.pop()
         path_counts.pop()
+        if marks and marks[-1][0] == depth:
+            _, key, p, visited0, flagged0, held0 = marks.pop()
+            if depth == 2:
+                # A child of the root: no later child is appended at p.
+                memo[p] = None
+            elif entries < MEMO_CAP and flagged - flagged0 == held - held0:
+                # Store a subtree walked in full that yielded nothing.
+                memo[p][key] = (flagged - flagged0) << _TALLY | (nodes - visited0)
+                entries += 1
         if occurrences:
             occurrences.pop()
     stats.visited = nodes
+    stats.flagged = flagged
+    stats.entries = entries
+    stats.hits = hits
 
 
 def extremal_sweep(G: Group, D: int, max_length: int, *, prune: bool = False,

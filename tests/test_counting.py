@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from math import comb
 
@@ -374,6 +375,81 @@ def test_pruned_sweep_is_unpruned_sweep_restricted(shape, max_length, zero_ceili
     assert stats.exhaustive == (len(visited) == len(tree))
 
 
+def _walk(G, max_length, bands, budget):
+    stats = SweepStats(budget)
+    unpack = limb_layout(G, max_length).unpack
+    stream = [(tuple(occ), unpack(packed))
+              for occ, packed in sweep_counts(G, max_length, bands, stats=stats)]
+    return stream, stats
+
+
+_COUNT_BOUND = st.integers(0, 130)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.sampled_from([(1,), (2,), (3,), (4,), (2, 2), (5,), (6,), (2, 4), (7,),
+                           (8,), (2, 2, 2), (3, 3), (9,)]),
+    max_length=st.integers(-1, 7),
+    bands=st.lists(st.none() | st.none() | st.none()
+                   | st.tuples(_COUNT_BOUND, _COUNT_BOUND)
+                   | st.tuples(_COUNT_BOUND, _COUNT_BOUND, _COUNT_BOUND),
+                   min_size=8, max_size=8),
+    budget=st.none() | st.integers(0, 400),
+)
+def test_memo_changes_no_result(shape, max_length, bands, budget):
+    # With MEMO_MIN at 1 the memo stores every yield-free subtree below the
+    # root's children and above the leaves; with MEMO_CAP at 0 it stores
+    # none.  Both walks give the same
+    # stream, visited, exhaustive and flagged, and both agree with the
+    # every-band stream cut to the budget: flagged counts the visited
+    # multisets with a count in their band, and the stream holds those
+    # that also have a count below the floor, if any.
+    G = make_group(list(shape))
+    bands = bands[:max_length + 1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "MEMO_MIN", 1)
+        memo_stream, memo = _walk(G, max_length, bands, budget)
+        mp.setattr(counting, "MEMO_CAP", 0)
+        plain_stream, plain = _walk(G, max_length, bands, budget)
+    assert memo_stream == plain_stream
+    assert (memo.visited, memo.exhaustive, memo.flagged) == (
+        plain.visited, plain.exhaustive, plain.flagged)
+    assert plain.entries == plain.hits == 0
+    tree, _ = _walk(G, max_length, every_band(max_length), None)
+    visited = tree if budget is None else tree[:budget]
+    flagged = [(occ, counts) for occ, counts in visited if _in_band(occ, counts, bands)]
+    assert memo.visited == len(visited) and memo.flagged == len(flagged)
+    assert memo_stream == [(occ, counts) for occ, counts in flagged
+                           if len(bands[len(occ)]) == 2
+                           or min(counts) < bands[len(occ)][2]]
+
+
+def test_memo_is_bounded_and_on(monkeypatch):
+    # The census job one-and-all C2^4 up to length 8 reports the answer
+    # recorded in perfbench/golden.json with the memo capped at 8 entries,
+    # and with the default constants the memo answers some subtrees.
+    walks = []
+
+    @dataclasses.dataclass
+    class Recorded(SweepStats):
+        def __post_init__(self):
+            walks.append(self)
+
+    monkeypatch.setattr(counting, "SweepStats", Recorded)
+    G = make_group([2, 2, 2, 2])
+    expected = {"group": "C2xC2xC2xC2", "max_len": 8,
+                "sequences_checked": 490_314, "bound_attained": 404_323}
+    with monkeypatch.context() as mp:
+        mp.setattr(counting, "MEMO_CAP", 8)
+        report = counting.sweep_one_and_all(G, 5, 8)
+    assert (report.status, report.details) == ("pass", expected)
+    assert 0 < walks[-1].entries <= 8
+    report = counting.sweep_one_and_all(G, 5, 8)
+    assert (report.status, report.details) == ("pass", expected)
+    assert walks[-1].hits > 0
+
+
 @pytest.mark.parametrize("shape", [(3,), (4,), (5,), (6,), (2, 2), (2, 4), (3, 3)])
 def test_extremal_sweep_matches_extremal_set(shape):
     # Oracle: extremal_set and zero_count on each multiset of the unpruned
@@ -395,11 +471,14 @@ def test_extremal_sweep_matches_extremal_set(shape):
         stats = SweepStats()
         pruned = list(extremal_sweep(G, D, max_length, prune=True, stats=stats))
         assert pruned == [(occ, E) for occ, E in expected if G.zero() in E]
+        # The pruned walk visits the zero-count-ceiling tree and flags the
+        # multisets of that tree with a nonempty extremal set.
         tree = SweepStats()
-        for _ in sweep_counts(G, max_length, every_band(max_length),
-                              zero_ceiling=ceiling, stats=tree):
-            pass
-        assert stats == tree
+        tree_occs = [tuple(occ) for occ, _ in sweep_counts(
+            G, max_length, every_band(max_length), zero_ceiling=ceiling, stats=tree)]
+        attained = {occ for occ, _ in expected}
+        assert (stats.visited, stats.exhaustive) == (tree.visited, tree.exhaustive)
+        assert stats.flagged == sum(occ in attained for occ in tree_occs)
 
 
 def test_sweep_counts_yields_immutable_vectors():
