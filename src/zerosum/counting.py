@@ -53,12 +53,12 @@ summing to 2^length) and on the next term position.  ``sweep_counts``
 stores each subtree that it walked in full without yielding under that
 key, with its (visited, flagged) totals, and adds them for a later child
 with the same key.  Only subtrees of at least ``MEMO_MIN`` multisets are
-stored, and at most ``MEMO_CAP`` per walk, which bounds the memory.  The
-census sweeps gain, and so do the unpruned ``extremal_sweep`` walks of
-``subgroup-es`` and ``conjecture 2``.  The pruned catalog walks keep no
-memo: they yield along most of their subtrees, and storing the rest made
-``extremal C5xC5 --max-len 10`` slower (6.3 to 7.3 s) and larger (58 to
-64 MiB).
+stored, or keyed by a length, and at most ``MEMO_CAP`` per walk, which
+bounds the memory.  The totals may pass 2^64.  The census sweeps gain,
+and so do the unpruned ``extremal_sweep`` walks of ``subgroup-es`` and
+``conjecture 2``.  The pruned catalog walks keep no memo: they yield
+along most of their subtrees, and storing the rest made ``extremal C5xC5
+--max-len 10`` slower (6.3 to 7.3 s) and larger (58 to 64 MiB).
 
 Everything here is exact integer arithmetic: the statements being checked
 are equalities against powers of two, so a single rounding error would be
@@ -68,7 +68,6 @@ fatal.
 from __future__ import annotations
 
 import struct
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -455,14 +454,10 @@ def pushforward_counts(S: Sequence, H: Subgroup) -> VerificationReport:
 DEFAULT_BUDGET = 2_000_000
 
 # The memo of a walk without a zero ceiling (see ``sweep_counts``): only
-# subtrees of at least MEMO_MIN multisets are stored, and at most MEMO_CAP
-# of them per walk.
+# subtrees of at least MEMO_MIN multisets (or keyed by a length) are
+# stored, and at most MEMO_CAP of them per walk.
 MEMO_MIN = 16
 MEMO_CAP = 1 << 18
-# A memo value packs a subtree's totals as flagged << _TALLY | visited, a
-# small int where nothing flagged.
-_TALLY = 64
-_TALLY_MASK = (1 << _TALLY) - 1
 
 
 @dataclass
@@ -522,21 +517,30 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
     ``exhaustive`` are those of the walk without the memo.  A subtree is
     stored only if it holds at least ``MEMO_MIN`` multisets (below
     position p at length d, C(|G| - 1 - p + m, m) of them, m =
-    max_length - d) and the walk has stored fewer than ``MEMO_CAP``.
+    max_length - d) or is keyed by its length, and the walk has stored
+    fewer than ``MEMO_CAP``.
     The children of the root are never stored: no later child is
     appended at their position, so that position's table is dropped
     with them.
     """
     stats = stats or SweepStats()
-    budget = sys.maxsize if stats.budget is None else stats.budget
-    if budget < 0:
+    budget = stats.budget
+    if budget is not None and budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     # Nothing to visit, or a ceiling below the empty multiset's N_0 = 1.
     if max_length < 0 or (zero_ceiling is not None and zero_ceiling < 1):
         return
-    if budget < 1:
+    if budget is not None and budget < 1:
         stats.exhaustive = False
         return
+    count = G.order - 1  # the nonzero terms
+    # The size of the unpruned tree bounds every total.
+    size = comb(count + max_length, max_length)
+    if budget is None:
+        budget = size
+    # A memo value packs a subtree's totals as flagged << tally | visited.
+    tally = size.bit_length()
+    tally_mask = (1 << tally) - 1
     limbs = limb_layout(G, max_length)
     mask, top = limbs.mask, limbs.top
     offsets = [band and (limbs.offset(band[0]), limbs.offset(band[1]),
@@ -548,11 +552,11 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
     # Bit offset of the limb of -a: the child's zero count is the parent's
     # limb 0 plus its limb of -a.
     neg_shift = [idx[elem_neg(G, a)] * limbs.width for a in terms]
-    count = len(terms)
     # Children of length >= bare get no vector.  memo_until[d]: the
-    # children of length d at positions below it root subtrees of at
-    # least MEMO_MIN multisets; memo[p] holds the subtrees rooted at a
-    # child appended at position p.
+    # children of length d at positions below it take the memo's path:
+    # below bare those rooting subtrees of at least MEMO_MIN multisets,
+    # from bare on all.  memo[p] holds the subtrees rooted at a child
+    # appended at position p.
     bare = max_length + 1
     memo_until = [0] * (max_length + 1)
     if zero_ceiling is None:
@@ -561,7 +565,7 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
         for d in range(1, max_length):
             m = max_length - d
             n = 1  # the term positions from p on
-            while n <= count and comb(n + m, m) < MEMO_MIN:
+            while d < bare and n <= count and comb(n + m, m) < MEMO_MIN:
                 n += 1
             memo_until[d] = count + 1 - n
         memo = [{} for _ in range(count)]
@@ -628,20 +632,24 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
             if nodes >= budget:
                 stats.exhaustive = False
                 break
-            if depth < bare:
+            if pos >= memo_until[depth]:
                 # translate() inlined: this is the per-node step.
                 y = x
                 for lo, ls, hi, rs in term_ops[pos]:
                     y = ((y << ls) & lo) | ((y >> rs) & hi)
                 child = x + y
             else:
-                child = None
-            if pos < memo_until[depth]:
-                key = -depth if child is None else child
+                if depth < bare:
+                    y = x
+                    for lo, ls, hi, rs in term_ops[pos]:
+                        y = ((y << ls) & lo) | ((y >> rs) & hi)
+                    child = key = x + y
+                else:
+                    child, key = None, -depth
                 total = memo[pos].get(key)
-                if total is not None and nodes + (total & _TALLY_MASK) <= budget:
-                    nodes += total & _TALLY_MASK
-                    total >>= _TALLY
+                if total is not None and nodes + (total & tally_mask) <= budget:
+                    nodes += total & tally_mask
+                    total >>= tally
                     flagged += total
                     held += total
                     hits += 1
@@ -668,7 +676,7 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
                 memo[p] = None
             elif entries < MEMO_CAP and flagged - flagged0 == held - held0:
                 # Store a subtree walked in full that yielded nothing.
-                memo[p][key] = (flagged - flagged0) << _TALLY | (nodes - visited0)
+                memo[p][key] = (flagged - flagged0) << tally | (nodes - visited0)
                 entries += 1
         if occurrences:
             occurrences.pop()

@@ -450,6 +450,40 @@ def test_memo_is_bounded_and_on(monkeypatch):
     assert walks[-1].hits > 0
 
 
+def _spanning_multisets(r: int, n: int) -> int:
+    # The multisets of n nonzero vectors of F_2^r whose support spans it,
+    # by Moebius inversion over the subspace lattice: a subspace of
+    # dimension k holds C(2^k - 2 + n, n) multisets of its nonzero vectors.
+    def subspaces(k):
+        num = den = 1
+        for i in range(k):
+            num *= 2 ** (r - i) - 1
+            den *= 2 ** (i + 1) - 1
+        return num // den
+    return sum((-1) ** (r - k) * 2 ** comb(r - k, 2) * subspaces(k)
+               * (comb(2 ** k - 2 + n, n) if k else int(n == 0))
+               for k in range(r + 1))
+
+
+def test_memo_totals_past_64_bits():
+    # Memo hits add whole subtrees, so a walk may total more than 2^64
+    # multisets.  Without bands every key is a length: C100 up to 40 visits
+    # all C(139, 40) ~ 2^116 multisets and flags none.
+    stats = SweepStats()
+    assert list(sweep_counts(make_group([100]), 40, [None] * 41, stats=stats)) == []
+    assert (stats.visited, stats.exhaustive, stats.flagged) == (comb(139, 40), True, 0)
+    report = counting.sweep_lower_bound(make_group([100]), 100, 40)
+    assert report.details["sequences_checked"] == comb(139, 40)
+    # On C2^r every count is 0 or 2^(n - rank), so a multiset attains the
+    # bound 2^(n - r) exactly where it spans; up to 37, 2^64.2 multisets.
+    # The same formula gives the golden 404,323 of C2^4 up to 8.
+    assert sum(_spanning_multisets(4, n) for n in range(9)) == 404_323
+    report = counting.sweep_one_and_all(make_group([2] * 5), 6, 37)
+    assert report.details["sequences_checked"] == comb(31 + 37, 37) > 2 ** 64
+    assert report.details["bound_attained"] == sum(
+        _spanning_multisets(5, n) for n in range(38))
+
+
 @pytest.mark.parametrize("shape", [(3,), (4,), (5,), (6,), (2, 2), (2, 4), (3, 3)])
 def test_extremal_sweep_matches_extremal_set(shape):
     # Oracle: extremal_set and zero_count on each multiset of the unpruned
