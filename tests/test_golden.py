@@ -94,6 +94,10 @@ COMMANDS = (
                                         "--max-len", "10"]),
     ("verify-one-and-all-c2xc2xc2xc2xc2", ["verify", "one-and-all", "C2xC2xC2xC2xC2",
                                            "--max-len", "8"]),
+    ("extremal-random-c3xc3", ["extremal", "C3xC3", "--max-len", "5", "--random",
+                               "--trials", "300", "--seed", "1"]),
+    ("extremal-random-c4xc4-20000", ["extremal", "C4xC4", "--max-len", "8", "--random",
+                                     "--trials", "20000", "--seed", "3"]),
 )
 
 
