@@ -9,7 +9,10 @@ group element) by applying the append recurrence
 once per term occurrence a.  It is the library's one subset-sum counter:
 ``count_all``, ``zero_count`` and ``subsums`` (the nonzero counts) read
 it, ``davenport.is_zero_sum_free`` is ``zero_count(S) == 1``, and
-``sweep_counts`` takes the same step once per node.  ``count_brute_vector``
+``sweep_counts`` takes the same step once per node.  ``_append`` is the
+step's home: ``count_packed`` reads it, and so does ``_extremal_probe``,
+which counts a random draw of ``search.random_search`` from its index
+tuple and returns only its extremal members.  ``count_brute_vector``
 recomputes the same histogram by literally walking all 2^m subsets in
 Gray-code order (one toggle per step) and is kept as an independent
 oracle; the two must agree everywhere.
@@ -256,21 +259,25 @@ def translate(x: int, ops) -> int:
     return x
 
 
+def _append(x: int, term_ops) -> int:
+    """The packed vector x with one term appended per entry of ``term_ops``
+    (its ``_limb_adders`` operations): the append step x + translate(x, a),
+    with translate() inlined."""
+    for ops in term_ops:
+        y = x
+        for lo, ls, hi, rs in ops:
+            y = ((y << ls) & lo) | ((y >> rs) & hi)
+        x += y
+    return x
+
+
 def count_packed(S: Sequence) -> tuple[int, Limbs]:
     """The packed count vector of S and its layout ``limb_layout(G, |S|)``."""
     G = S.group
     limbs = limb_layout(G, len(S))
     adders = _limb_adders(G, limbs.width)
     idx = element_index(G)
-    x = 1
-    for g, mult in S.terms:
-        ops = adders[idx[g]]
-        if not ops:  # zero doubles every count
-            x <<= mult
-            continue
-        for _ in range(mult):
-            x += translate(x, ops)
-    return x, limbs
+    return _append(1, [adders[idx[g]] for g in S.expanded()]), limbs
 
 
 def count_all(S: Sequence) -> CountVector:
@@ -366,6 +373,25 @@ def extremal_set(S: Sequence, D: int) -> ExtremalSet:
     packed, limbs = count_packed(S)
     members = _extremal_members(S.group, limbs, packed, exponent)
     return ExtremalSet(S.group, members, exponent)
+
+
+def _extremal_probe(G: Group, length: int, exponent: int):
+    """For multisets of ``length`` nonzero elements of G, the function that
+    maps the sorted tuple of their positions in ``all_elements(G)[1:]`` to
+    their extremal members (the elements whose count is 2^exponent) when
+    their zero count is 2^exponent, and to None otherwise.  Raises
+    ValueError for a length above ``MAX_LENGTH``."""
+    limbs = limb_layout(G, length)
+    term_ops = _limb_adders(G, limbs.width)[1:]
+    mask, bound = limbs.mask, 1 << exponent
+
+    def probe(positions):
+        packed = _append(1, [term_ops[p] for p in positions])
+        if packed & mask != bound:
+            return None
+        return _extremal_members(G, limbs, packed, exponent)
+
+    return probe
 
 
 def _extremal_members(G: Group, limbs: Limbs, packed: int,

@@ -30,11 +30,11 @@ from .counting import (
     DEFAULT_BUDGET,
     ExtremalSet,
     SweepStats,
+    _extremal_probe,
     count_all,
     extremal_set,
     extremal_sweep,
     transform,
-    zero_count,
 )
 from .davenport import _product_of_generators, davenport, zero_sum_free_sequences
 from .structure import condition_profile, minimal_zero_sums
@@ -207,12 +207,15 @@ def sweep_transform(G: Group, max_len: int, trials: int, seed: int) -> Verificat
         for _ in range(length):
             state, v = splitmix64(state)
             occ.append(elems[v % len(elems)])
-        S = sequence(G, occ)
-        keep = {}
+        occ.sort()
+        S = _seq_from_sorted(G, occ)
+        kept = []
         for g, m in S.terms:
             state, v = splitmix64(state)
-            keep[g] = v % (m + 1)
-        T = sequence(G, keep)
+            k = v % (m + 1)
+            if k:
+                kept.append((g, k))
+        T = Sequence(G, tuple(kept))
         lhs = count_all(S)[seq_sum(T)]
         rhs = count_all(transform(S, T)).zero_count
         checked += 1
@@ -236,27 +239,31 @@ def random_search(G: Group, length: int, trials: int, seed: int) -> ExtremalCata
         raise ValueError("length and trials must be >= 0")
     D = davenport(G).value
     allowed = all_elements(G)[1:]
+    count = len(allowed)
     exponent = length - D + 1
-    state = seed & _M64
-    seen = set()
     hits = []
-    for _ in range(trials):
-        if not allowed:
-            break
-        occ = []
-        for _ in range(length):
-            state, value = splitmix64(state)
-            occ.append(allowed[value % len(allowed)])
-        occ.sort()
-        key = tuple(occ)
-        if key in seen:
-            continue
-        seen.add(key)
-        if exponent < 0:
-            continue
-        S = _seq_from_sorted(G, key)
-        if zero_count(S) == 1 << exponent:
-            hits.append((S, extremal_set(S, D)))
+    # Below length D - 1 nothing attains the bound, and the trivial group
+    # has nothing to draw.
+    if trials and count and exponent >= 0:
+        probe = _extremal_probe(G, length, exponent)
+        state = seed & _M64
+        seen = set()
+        for _ in range(trials):
+            # A draw is the sorted tuple of its positions in ``allowed``:
+            # the same order as its occurrences, so the same multiset.
+            positions = []
+            for _ in range(length):
+                state, value = splitmix64(state)
+                positions.append(value % count)
+            positions.sort()
+            key = tuple(positions)
+            if key in seen:
+                continue
+            seen.add(key)
+            members = probe(key)
+            if members is not None:
+                S = _seq_from_sorted(G, [allowed[p] for p in key])
+                hits.append((S, ExtremalSet(G, members, exponent)))
     hits.sort(key=lambda pair: seq_key(pair[0]))
     max_length = max((len(S) for S, _ in hits), default=0)
     return ExtremalCatalog(G, D, tuple(hits), max_length, length, False)

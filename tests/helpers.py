@@ -5,9 +5,12 @@ from itertools import combinations, product
 from math import comb, gcd
 
 from zerosum import (
+    ExtremalCatalog,
+    ExtremalSet,
     Group,
     all_elements,
     count_brute_vector,
+    davenport,
     elem_add,
     elem_neg,
     elem_order,
@@ -20,6 +23,7 @@ from zerosum import (
     subsums,
 )
 from zerosum.groups import element_index
+from zerosum.search import splitmix64
 
 
 def groups_up_to_order(n):
@@ -214,6 +218,42 @@ def cyclic_zero_free_counts(n, max_len):
         occ = tuple((a,) for a, m in enumerate(mults, 1) for _ in range(m))
         rows.append((occ, tuple(counts)))
     return tuple(sorted(rows))
+
+
+def reference_random_search(G, length, trials, seed):
+    """The catalog that ``random_search(G, length, trials, seed)`` must
+    return, as the README states the sampler: each trial draws ``length``
+    SplitMix64 outputs, each indexing the nonzero elements in
+    lexicographic order modulo their number; a multiset seen before is
+    skipped; a new one is a hit when its zero count is 2^(length - D + 1),
+    and its extremal members are the elements with that count.  The
+    counts come from ``count_brute_vector``, the multisets from
+    ``sequence``.
+    """
+    D = davenport(G).value
+    nonzero = all_elements(G)[1:]
+    exponent = length - D + 1
+    state = seed & ((1 << 64) - 1)
+    seen = set()
+    hits = []
+    for _ in range(trials if nonzero else 0):
+        draw = []
+        for _ in range(length):
+            state, value = splitmix64(state)
+            draw.append(nonzero[value % len(nonzero)])
+        S = sequence(G, draw)
+        if S in seen:
+            continue
+        seen.add(S)
+        if exponent < 0:
+            continue
+        counts = count_brute_vector(S).counts
+        if counts[0] == 1 << exponent:
+            members = frozenset(g for g, c in zip(all_elements(G), counts)
+                                if c == 1 << exponent)
+            hits.append((S, ExtremalSet(G, members, exponent)))
+    hits.sort(key=lambda pair: pair[0].expanded())
+    return ExtremalCatalog(G, D, tuple(hits), length if hits else 0, length, False)
 
 
 def every_band(max_length):

@@ -18,11 +18,11 @@ from zerosum import (
     parse_sequence,
     random_search,
 )
-from zerosum import search, structure
+from zerosum import counting, search, structure
 from zerosum.reports import VerificationReport, sweep_status
 from zerosum.search import splitmix64
 
-from helpers import every_band, groups_up_to_order
+from helpers import every_band, groups_up_to_order, reference_random_search
 
 C2 = make_group([2])
 C3 = make_group([3])
@@ -293,6 +293,37 @@ def test_random_search_hits_verify():
     for S, _ in catalog.entries:
         assert S.multiplicity((0, 0)) == 0
         assert count_all(S).zero_count == 1 << (10 - catalog.D + 1)
+
+
+@pytest.mark.parametrize("shape,length,trials,seed", [
+    ((), 3, 20, 1),  # the trivial group: nothing to draw
+    ((2,), 4, 50, 1),  # one nonzero element: every draw after the first repeats
+    ((3, 3), 0, 10, 1),
+    ((3, 3), 3, 200, 1),  # D - 2: the exponent is negative
+    ((3, 3), 4, 200, 1),  # D - 1
+    ((3, 3), 5, 300, 1),  # D
+    ((3, 3), 5, 300, 7),
+    ((3, 3), 7, 300, 2),  # D + 2
+    ((2, 2, 2, 2), 7, 300, 3),  # D + 2, most draws hit
+    ((3, 3), 5, 0, 1),
+    ((5,), 6, 200, 3),
+    ((2, 4), 6, 300, 5),
+    ((2, 2, 2, 2), 6, 300, 1),
+    ((2, 2, 2, 2), 6, 300, 2),
+    ((4, 4), 8, 3000, 3),  # one hit
+])
+def test_random_search_matches_reference(shape, length, trials, seed):
+    G = make_group(list(shape))
+    assert random_search(G, length, trials, seed) == \
+        reference_random_search(G, length, trials, seed)
+
+
+def test_random_search_refuses_a_length_above_the_cap_only_to_count(monkeypatch):
+    monkeypatch.setattr(counting, "MAX_LENGTH", 8)
+    with pytest.raises(ValueError, match="length 9 exceeds the cap 8"):
+        random_search(C5, 9, 1, seed=1)
+    assert random_search(C5, 9, 0, seed=1).entries == ()
+    assert random_search(make_group([]), 9, 5, seed=1).entries == ()
 
 
 def test_splitmix64_known_stream():
