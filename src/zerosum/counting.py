@@ -377,7 +377,7 @@ def extremal_set(S: Sequence, D: int) -> ExtremalSet:
 
 def _extremal_probe(G: Group, length: int, exponent: int):
     """For multisets of ``length`` nonzero elements of G, the function that
-    maps the sorted tuple of their positions in ``all_elements(G)[1:]`` to
+    maps the tuple of their positions in ``all_elements(G)[1:]`` to
     their extremal members (the elements whose count is 2^exponent) when
     their zero count is 2^exponent, and to None otherwise.  Raises
     ValueError for a length above ``MAX_LENGTH``."""
