@@ -98,6 +98,10 @@ COMMANDS = (
                                "--trials", "300", "--seed", "1"]),
     ("extremal-random-c4xc4-20000", ["extremal", "C4xC4", "--max-len", "8", "--random",
                                      "--trials", "20000", "--seed", "3"]),
+    ("verify-transform-c256", ["verify", "transform", "C256", "--max-len", "70",
+                               "--trials", "40", "--seed", "1"]),
+    ("verify-transform-c2xc2xc4", ["verify", "transform", "C2xC2xC4", "--max-len", "100",
+                                   "--trials", "60", "--seed", "7"]),
 )
 
 
