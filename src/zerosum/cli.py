@@ -164,6 +164,9 @@ def _provenance(args) -> dict:
     for name in ("max_len", "budget", "davenport_cap", "trials", "family_k"):
         if hasattr(args, name) and getattr(args, name) is not None:
             caps[name.replace("_", "-")] = getattr(args, name)
+    if getattr(args, "random", False):
+        # A random catalog draws a fixed number of trials: no budget applies.
+        del caps["budget"]
     if caps:
         prov["caps"] = caps
     if hasattr(args, "seed") and args.seed is not None:

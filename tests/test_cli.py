@@ -101,6 +101,14 @@ def test_extremal_random_mode_deterministic(capsys):
     assert payload1 == payload2
 
 
+def test_only_the_exhaustive_catalog_reports_a_budget(capsys):
+    _, exhaustive, _ = run_json(capsys, "extremal", "C3", "--max-len", "5")
+    _, random, _ = run_json(capsys, "extremal", "C3", "--max-len", "5", "--random",
+                            "--trials", "10", "--seed", "1")
+    assert exhaustive["provenance"]["caps"]["budget"] == 2_000_000
+    assert "budget" not in random["provenance"]["caps"]
+
+
 def test_verify_cn(capsys):
     code, payload, _ = run_json(capsys, "verify", "cn", "--n", "4", "--max-len", "8")
     assert code == 0
