@@ -10,9 +10,13 @@ once per term occurrence a.  It is the library's one subset-sum counter:
 ``count_all``, ``zero_count`` and ``subsums`` (the nonzero counts) read
 it, ``davenport.is_zero_sum_free`` is ``zero_count(S) == 1``, and
 ``sweep_counts`` takes the same step once per node.  ``_append`` is the
-step's home: ``count_packed`` reads it, and so does ``_extremal_probe``,
-which counts a random draw of ``search.random_search`` from its index
-tuple and returns only its extremal members.  ``count_brute_vector``
+step's home: ``count_packed`` reads it, and so do two probes that work
+on element positions and build no ``Sequence``.  ``_extremal_probe``
+counts a random draw of ``search.random_search`` from its index tuple
+and returns only its extremal members; ``_transform_probe`` decides a
+trial T | S of ``search.sweep_transform`` by two packed counts,
+N_{sum T}(S) and N_0(W) for the rewrite W = ``transform(S, T)``, which
+stays the Sequence-level oracle.  ``count_brute_vector``
 recomputes the same histogram by literally walking all 2^m subsets in
 Gray-code order (one toggle per step) and is kept as an independent
 oracle; the two must agree everywhere.
@@ -71,6 +75,7 @@ fatal.
 from __future__ import annotations
 
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -390,6 +395,40 @@ def _extremal_probe(G: Group, length: int, exponent: int):
         if packed & mask != bound:
             return None
         return _extremal_members(G, limbs, packed, exponent)
+
+    return probe
+
+
+def _transform_probe(G: Group):
+    """For a sequence S over G and a subsequence T | S, the function that
+    maps the sorted positions of S's occurrences in ``all_elements(G)``
+    and T's multiplicity at each distinct position, in order, to
+    (N_{sum T}(S), N_0(W)) with W = ``transform(S, T)``: each term of S
+    kept k times as itself and m - k times negated.  Both counts are read
+    from packed vectors in ``limb_layout(G, |S|)``, so a length above
+    ``MAX_LENGTH`` raises ValueError, and a vector whose counts do not sum
+    to 2^|S| raises RuntimeError, as in ``count_all``."""
+    elems = all_elements(G)
+    idx = element_index(G)
+    neg = [idx[elem_neg(G, e)] for e in elems]
+
+    def probe(positions, kept):
+        limbs = limb_layout(G, len(positions))
+        adders = _limb_adders(G, limbs.width)
+        w_terms = []
+        t_sum = [0] * G.rank  # the coordinates of sum T, unreduced
+        for (p, m), k in zip(Counter(positions).items(), kept):
+            w_terms += [adders[p]] * k + [adders[neg[p]]] * (m - k)
+            for i, c in enumerate(elems[p]):
+                t_sum[i] += k * c
+        s = _append(1, [adders[p] for p in positions])
+        w = _append(1, w_terms)
+        # The limbs sum to the vector mod 2^W - 1, and 2^|S| < 2^W - 1.
+        total_count = 1 << len(positions)
+        if s % limbs.mask != total_count or w % limbs.mask != total_count:
+            raise RuntimeError("count vector does not sum to 2^|S|")
+        g = idx[tuple(c % n for c, n in zip(t_sum, G.invariants))]
+        return (s >> g * limbs.width) & limbs.mask, w & limbs.mask
 
     return probe
 

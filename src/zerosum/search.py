@@ -12,6 +12,7 @@ Harness passes always mean "no counterexample up to the stated cap".
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .groups import Group, GroupElement, all_elements, all_subgroups, d_star, elem_reduce
@@ -22,7 +23,6 @@ from .sequences import (
     format_sequence,
     seq_key,
     seq_mul,
-    seq_sum,
     sequence,
     subsequences_with_sum,
 )
@@ -31,6 +31,7 @@ from .counting import (
     ExtremalSet,
     SweepStats,
     _extremal_probe,
+    _transform_probe,
     count_all,
     extremal_set,
     extremal_sweep,
@@ -196,30 +197,33 @@ def splitmix64(state: int) -> tuple[int, int]:
 def sweep_transform(G: Group, max_len: int, trials: int, seed: int) -> VerificationReport:
     """The rewrite identity N_{sum T}(S) = N_0(transform(S, T)) on random
     pairs T | S: each trial draws a length up to ``max_len``, S's
-    occurrences and T's multiplicities from one SplitMix64 stream."""
-    elems = all_elements(G)
+    occurrences and T's multiplicities from one SplitMix64 stream.  A
+    trial is decided on the positions of the terms in ``all_elements(G)``;
+    S and T are built only for a failure."""
+    probe = _transform_probe(G)
+    order = G.order
     state = seed & _M64
     checked = 0
     for _ in range(trials):
         state, v = splitmix64(state)
         length = v % (max_len + 1)
-        occ = []
+        positions = []
         for _ in range(length):
             state, v = splitmix64(state)
-            occ.append(elems[v % len(elems)])
-        occ.sort()
-        S = _seq_from_sorted(G, occ)
+            positions.append(v % order)
+        # Element order is position order, so S's terms come in this order.
+        positions.sort()
+        runs = Counter(positions)
         kept = []
-        for g, m in S.terms:
+        for m in runs.values():
             state, v = splitmix64(state)
-            k = v % (m + 1)
-            if k:
-                kept.append((g, k))
-        T = Sequence(G, tuple(kept))
-        lhs = count_all(S)[seq_sum(T)]
-        rhs = count_all(transform(S, T)).zero_count
+            kept.append(v % (m + 1))
+        lhs, rhs = probe(positions, kept)
         checked += 1
         if lhs != rhs:
+            elems = all_elements(G)
+            S = _seq_from_sorted(G, [elems[p] for p in positions])
+            T = Sequence(G, tuple((elems[p], k) for p, k in zip(runs, kept) if k))
             return VerificationReport.fail(
                 "transform-sweep", (S,), group=G.spec(),
                 sequence=format_sequence(S), subsequence=format_sequence(T),

@@ -256,6 +256,33 @@ def reference_random_search(G, length, trials, seed):
     return ExtremalCatalog(G, D, tuple(hits), length if hits else 0, length, False)
 
 
+def reference_transform_sweep(G, max_len, trials, seed):
+    """The (S, T) pairs that ``sweep_transform(G, max_len, trials, seed)``
+    must check, in order, as the README states the stream: per trial a
+    SplitMix64 output modulo max_len + 1 gives the length; that many
+    outputs, each indexing all elements of G in lexicographic order
+    modulo |G|, give S's occurrences; then one output per distinct term
+    of S, in element order, modulo its multiplicity m plus 1, gives T's
+    multiplicity of that term.  S and T come from ``sequence``.
+    """
+    elems = all_elements(G)
+    state = seed & ((1 << 64) - 1)
+    pairs = []
+    for _ in range(trials):
+        state, value = splitmix64(state)
+        draw = []
+        for _ in range(value % (max_len + 1)):
+            state, value = splitmix64(state)
+            draw.append(elems[value % len(elems)])
+        S = sequence(G, draw)
+        kept = {}
+        for g, m in S.terms:
+            state, value = splitmix64(state)
+            kept[g] = value % (m + 1)
+        pairs.append((S, sequence(G, kept)))
+    return pairs
+
+
 def every_band(max_length):
     """The band table under which ``sweep_counts`` yields every multiset
     it visits: at length n the band (0, 2^n + 1) holds every count."""

@@ -197,6 +197,64 @@ def test_transform_identity_random():
         assert count_all(S)[seq_sum(T)] == count_all(W).zero_count
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_transform_probe_matches_brute_force(data):
+    # (N_{sum T}(S), N_0(transform(S, T))) from the Gray-code oracle, with
+    # S and T built from elements, not positions.
+    G = data.draw(st.sampled_from([make_group([])] + groups_up_to_order(16)), label="G")
+    elems = all_elements(G)
+    positions = sorted(data.draw(st.lists(st.integers(0, G.order - 1), max_size=12)))
+    S = sequence(G, [elems[p] for p in positions])
+    kept = [data.draw(st.integers(0, m)) for _, m in S.terms]
+    T = sequence(G, {g: k for (g, _), k in zip(S.terms, kept)})
+    expected = (count_brute_vector(S)[seq_sum(T)],
+                count_brute_vector(transform(S, T)).zero_count)
+    assert counting._transform_probe(G)(positions, kept) == expected
+
+
+def test_transform_probe_on_wide_limbs():
+    # Lengths past 30 and 62 take 64- and 128-bit limbs, beyond the brute
+    # force oracle: compare with count_all on the Sequence-level rewrite.
+    rng = random.Random(20)
+    for shape in [(2,), (6,), (2, 2, 4), (256,)]:
+        G = make_group(list(shape))
+        elems = all_elements(G)
+        probe = counting._transform_probe(G)
+        for length in (31, 62, 63, 70):
+            positions = sorted(rng.randrange(G.order) for _ in range(length))
+            S = sequence(G, [elems[p] for p in positions])
+            kept = [rng.randint(0, m) for _, m in S.terms]
+            T = sequence(G, {g: k for (g, _), k in zip(S.terms, kept)})
+            assert probe(positions, kept) == (count_all(S)[seq_sum(T)],
+                                              count_all(transform(S, T)).zero_count)
+
+
+@pytest.mark.parametrize("wrong", [0, 1], ids=["S", "W"])
+def test_transform_probe_refuses_a_vector_of_the_wrong_total(monkeypatch, wrong):
+    # Each of the two vectors is checked, by a raise that ``python -O``
+    # keeps.
+    real = counting._append
+    calls = []
+
+    def one_off(x, term_ops):
+        calls.append(None)
+        return real(x, term_ops) + (len(calls) - 1 == wrong)
+
+    monkeypatch.setattr(counting, "_append", one_off)
+    probe = counting._transform_probe(C3)
+    with pytest.raises(RuntimeError, match="does not sum"):
+        probe([1, 1, 2], [1, 0])
+
+
+def test_transform_probe_refuses_lengths_above_the_cap(monkeypatch):
+    monkeypatch.setattr(counting, "MAX_LENGTH", 8)
+    probe = counting._transform_probe(C2)
+    assert probe([1] * 8, [3]) == (1 << 7, 1 << 7)
+    with pytest.raises(ValueError, match="length 9 exceeds the cap 8"):
+        probe([1] * 9, [3])
+
+
 def test_extremal_set_examples():
     E = extremal_set(parse_sequence(C3, "1^3"), 3)
     assert E.members == {(0,)} and E.bound_exponent == 1

@@ -3,6 +3,8 @@ from itertools import product
 
 import pytest
 
+import json
+
 from zerosum import (
     all_elements,
     conjecture1_harness,
@@ -17,12 +19,20 @@ from zerosum import (
     make_group,
     parse_sequence,
     random_search,
+    seq_sum,
+    sequence,
 )
-from zerosum import counting, search, structure
+from zerosum import cli, counting, search, structure
 from zerosum.reports import VerificationReport, sweep_status
 from zerosum.search import splitmix64
+from zerosum.sequences import Sequence
 
-from helpers import every_band, groups_up_to_order, reference_random_search
+from helpers import (
+    every_band,
+    groups_up_to_order,
+    reference_random_search,
+    reference_transform_sweep,
+)
 
 C2 = make_group([2])
 C3 = make_group([3])
@@ -324,6 +334,88 @@ def test_random_search_refuses_a_length_above_the_cap_only_to_count(monkeypatch)
         random_search(C5, 9, 1, seed=1)
     assert random_search(C5, 9, 0, seed=1).entries == ()
     assert random_search(make_group([]), 9, 5, seed=1).entries == ()
+
+
+def _record_probe(monkeypatch, G, disagree_on=None):
+    """Record the trials ``sweep_transform`` hands to its probe over G:
+    the returned list gains the (S, T) pair of each, rebuilt from the
+    probe's arguments.  With ``disagree_on``, the probe's N_0(W) is off by
+    one on the trial with that (1-based) index in the list."""
+    real = search._transform_probe
+    elems = all_elements(G)
+    pairs = []
+
+    def recording(H):
+        probe = real(H)
+
+        def record(positions, kept):
+            assert list(positions) == sorted(positions)
+            S = sequence(G, [elems[p] for p in positions])
+            assert len(kept) == len(S.terms)
+            pairs.append((S, sequence(G, {g: k for (g, _), k in zip(S.terms, kept)})))
+            lhs, rhs = probe(positions, kept)
+            return lhs, rhs + (len(pairs) == disagree_on)
+
+        return record
+
+    monkeypatch.setattr(search, "_transform_probe", recording)
+    return pairs
+
+
+@pytest.mark.parametrize("shape,max_len,trials,seed", [
+    ((), 5, 20, 1),  # the trivial group: every term is zero
+    ((2,), 6, 40, 1),
+    ((2,), 0, 10, 3),  # --max-len 0: every S is empty
+    ((3, 3), 8, 0, 1),  # no trials
+    ((5,), 12, 50, 11),
+    ((6,), 14, 60, 3),
+    ((2, 4), 10, 80, 2),
+    ((8, 8), 30, 60, 3),
+    ((2, 2, 4), 20, 60, 7),
+    ((2, 2, 4), 100, 10, 7),  # 128-bit limbs
+])
+def test_transform_sweep_draws_the_reference_stream(monkeypatch, shape, max_len,
+                                                    trials, seed):
+    G = make_group(list(shape))
+    pairs = _record_probe(monkeypatch, G)
+    report = search.sweep_transform(G, max_len, trials, seed)
+    assert report == VerificationReport.ok("transform-sweep", group=G.spec(),
+                                           trials=trials, max_len=max_len)
+    assert pairs == reference_transform_sweep(G, max_len, trials, seed)
+
+
+def test_transform_sweep_builds_no_sequence_on_a_passing_trial(monkeypatch):
+    G = make_group([8, 8])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a passing trial built a Sequence or counted one")
+
+    monkeypatch.setattr(Sequence, "__post_init__", refuse)
+    monkeypatch.setattr(search, "count_all", refuse)
+    monkeypatch.setattr(search, "transform", refuse)
+    report = search.sweep_transform(G, 30, 60, 3)
+    monkeypatch.undo()
+    assert report.passed and report.details["trials"] == 60
+
+
+def test_transform_sweep_reports_the_failing_trial(monkeypatch, capsys):
+    G = make_group([2, 2, 4])
+    pairs = _record_probe(monkeypatch, G, disagree_on=3)
+    report = search.sweep_transform(G, 20, 10, 7)
+    S, T = reference_transform_sweep(G, 20, 10, 7)[2]
+    assert len(pairs) == 3 and len(S) and len(T) < len(S)
+    lhs = count_all(S)[seq_sum(T)]
+    assert report == VerificationReport.fail(
+        "transform-sweep", (S,), group="C2xC2xC4", sequence=format_sequence(S),
+        subsequence=format_sequence(T), lhs=lhs, rhs=lhs + 1)
+    # The same failure through the CLI exits 1.
+    pairs.clear()
+    code = cli.main(["verify", "transform", "C2xC2xC4", "--max-len", "20",
+                     "--trials", "10", "--seed", "7", "--json", "--no-timestamp"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert payload["status"] == "fail"
+    assert payload["result"]["details"] == report.details
 
 
 def test_splitmix64_known_stream():
