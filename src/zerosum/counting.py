@@ -10,13 +10,11 @@ once per term occurrence a.  It is the library's one subset-sum counter:
 ``count_all``, ``zero_count`` and ``subsums`` (the nonzero counts) read
 it, ``davenport.is_zero_sum_free`` is ``zero_count(S) == 1``, and
 ``sweep_counts`` takes the same step once per node.  ``_append`` is the
-step's home: ``count_packed`` reads it, and so do two probes that work
-on element positions and build no ``Sequence``.  ``_extremal_probe``
-counts a random draw of ``search.random_search`` from its index tuple
-and returns only its extremal members; ``_transform_probe`` decides a
-trial T | S of ``search.sweep_transform`` by two packed counts,
-N_{sum T}(S) and N_0(W) for the rewrite W = ``transform(S, T)``, which
-stays the Sequence-level oracle.  ``count_brute_vector``
+step's home: ``count_packed`` reads it, and so do ``_extremal_probe``,
+which counts a draw of ``search.random_search`` from its index tuple,
+and ``_transform_probe``, which decides a trial of
+``search.sweep_transform`` from its positions with two packed counts;
+neither builds a ``Sequence``.  ``count_brute_vector``
 recomputes the same histogram by literally walking all 2^m subsets in
 Gray-code order (one toggle per step) and is kept as an independent
 oracle; the two must agree everywhere.
@@ -404,10 +402,10 @@ def _transform_probe(G: Group):
     maps the sorted positions of S's occurrences in ``all_elements(G)``
     and T's multiplicity at each distinct position, in order, to
     (N_{sum T}(S), N_0(W)) with W = ``transform(S, T)``: each term of S
-    kept k times as itself and m - k times negated.  Both counts are read
-    from packed vectors in ``limb_layout(G, |S|)``, so a length above
-    ``MAX_LENGTH`` raises ValueError, and a vector whose counts do not sum
-    to 2^|S| raises RuntimeError, as in ``count_all``."""
+    kept k times as itself and m - k times negated.  S = T R and W = T
+    (-R) are counted from the vector of T, each in ``limb_layout(G, |S|)``,
+    so a length above ``MAX_LENGTH`` raises ValueError, and a vector whose
+    counts do not sum to 2^|S| raises RuntimeError, as in ``count_all``."""
     elems = all_elements(G)
     idx = element_index(G)
     neg = [idx[elem_neg(G, e)] for e in elems]
@@ -415,14 +413,17 @@ def _transform_probe(G: Group):
     def probe(positions, kept):
         limbs = limb_layout(G, len(positions))
         adders = _limb_adders(G, limbs.width)
-        w_terms = []
+        t_terms, r_terms, neg_r_terms = [], [], []
         t_sum = [0] * G.rank  # the coordinates of sum T, unreduced
         for (p, m), k in zip(Counter(positions).items(), kept):
-            w_terms += [adders[p]] * k + [adders[neg[p]]] * (m - k)
+            t_terms += [adders[p]] * k
+            r_terms += [adders[p]] * (m - k)
+            neg_r_terms += [adders[neg[p]]] * (m - k)
             for i, c in enumerate(elems[p]):
                 t_sum[i] += k * c
-        s = _append(1, [adders[p] for p in positions])
-        w = _append(1, w_terms)
+        t = _append(1, t_terms)
+        s = _append(t, r_terms)
+        w = _append(t, neg_r_terms)
         # The limbs sum to the vector mod 2^W - 1, and 2^|S| < 2^W - 1.
         total_count = 1 << len(positions)
         if s % limbs.mask != total_count or w % limbs.mask != total_count:
