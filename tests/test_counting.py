@@ -230,10 +230,10 @@ def test_transform_probe_on_wide_limbs():
                                               count_all(transform(S, T)).zero_count)
 
 
-@pytest.mark.parametrize("wrong", [0, 1], ids=["S", "W"])
+@pytest.mark.parametrize("wrong", [1, 2], ids=["S", "W"])
 def test_transform_probe_refuses_a_vector_of_the_wrong_total(monkeypatch, wrong):
-    # Each of the two vectors is checked, by a raise that ``python -O``
-    # keeps.
+    # The probe appends T, then S = T R and W = T (-R) from T's vector.
+    # Each of S and W is checked, by a raise that ``python -O`` keeps.
     real = counting._append
     calls = []
 
