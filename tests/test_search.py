@@ -1,9 +1,8 @@
 import dataclasses
+import json
 from itertools import product
 
 import pytest
-
-import json
 
 from zerosum import (
     all_elements,
