@@ -18,7 +18,6 @@ from .groups import (
     quotient_group,
     smith_normal_form,
     subgroup_closure,
-    subgroup_invariants,
 )
 from .sequences import (
     Sequence,
@@ -38,13 +37,11 @@ from .counting import (
     count_all,
     count_brute_vector,
     extremal_set,
-    pushforward_counts,
     subsums,
     transform,
 )
 from .davenport import (
     DavenportResult,
-    check_davenport_inequalities,
     davenport,
     davenport_exact,
     davenport_formula,
@@ -80,15 +77,14 @@ __all__ = [
     "ExtremalSet", "DavenportResult", "MinZeroSumReport", "ConditionProfile",
     "ExtremalCatalog", "VerificationReport",
     "make_group", "parse_group", "all_elements", "all_subgroups",
-    "order_two_subgroups", "subgroup_closure", "subgroup_invariants",
-    "quotient_group", "smith_normal_form", "d_star",
+    "order_two_subgroups", "subgroup_closure", "quotient_group",
+    "smith_normal_form", "d_star",
     "elem_add", "elem_neg", "elem_scale", "elem_order",
     "sequence", "parse_sequence", "format_sequence", "seq_sum", "divides",
     "seq_mul", "seq_div", "seq_neg", "iterate_multisets",
     "count_all", "count_brute_vector", "subsums", "transform",
-    "extremal_set", "pushforward_counts",
-    "is_zero_sum_free", "davenport", "davenport_exact", "davenport_formula",
-    "check_davenport_inequalities", "t_bound",
+    "extremal_set", "is_zero_sum_free", "davenport", "davenport_exact",
+    "davenport_formula", "t_bound",
     "minimal_zero_sums", "check_odd_group_structure",
     "check_corollary_decomposition", "check_es_chain",
     "max_subgroups_in_extremal_set", "condition_profile",

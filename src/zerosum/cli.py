@@ -213,14 +213,17 @@ def cmd_count(args) -> Report:
         result["count"] = cv[g]
     else:
         result["counts"] = {format_element(G, g): c for g, c in cv.as_dict().items()}
-    dav = davenport(G, cap=args.davenport_cap)
-    if len(S) >= dav.value - 1:
-        members = extremal_set(S, dav.value).members
-        result["extremal_set"] = {
-            "davenport": dav.value,
-            "exponent": len(S) - dav.value + 1,
-            "members": sorted(format_element(G, g) for g in members),
-        }
+    # The extremal set needs |S| >= D - 1, and D >= d* + 1: a shorter S
+    # never needs the search.
+    if len(S) >= d_star(G):
+        D = davenport(G, cap=args.davenport_cap).value
+        if len(S) >= D - 1:
+            members = extremal_set(S, D).members
+            result["extremal_set"] = {
+                "davenport": D,
+                "exponent": len(S) - D + 1,
+                "members": sorted(format_element(G, g) for g in members),
+            }
     params = {"group": args.group, "seq": args.seq}
     if args.g is not None:
         params["g"] = args.g

@@ -87,9 +87,6 @@ from .groups import (
     elem_neg,
     elem_reduce,
     elem_sub,
-    quotient_group,
-    _validate_subgroup,
-    Subgroup,
 )
 from .reports import VerificationReport
 from .sequences import (
@@ -99,7 +96,6 @@ from .sequences import (
     seq_div,
     seq_mul,
     seq_neg,
-    sequence,
 )
 
 BRUTE_CAP = 25
@@ -491,29 +487,6 @@ def sweep_one_and_all(G: Group, D: int, max_len: int) -> VerificationReport:
         "one-and-all-sweep", group=G.spec(), max_len=max_len,
         sequences_checked=stats.visited, bound_attained=stats.flagged,
     )
-
-
-def pushforward_counts(S: Sequence, H: Subgroup) -> VerificationReport:
-    """Summing counts over a subgroup equals the zero count of the projected
-    sequence over the quotient."""
-    G = S.group
-    _validate_subgroup(G, H)
-    quotient, project = quotient_group(G, H)
-    cv = count_all(S)
-    lhs = sum(cv[h] for h in H.elements)
-    projected = sequence(quotient, map(project, S.expanded()))
-    rhs = count_all(projected)[quotient.zero()]
-    details = {
-        "sequence": format_sequence(S),
-        "subgroup_order": H.order,
-        "quotient": quotient.spec(),
-        "projected": format_sequence(projected),
-        "sum_over_subgroup": lhs,
-        "zero_count_of_projection": rhs,
-    }
-    status = "pass" if lhs == rhs else "fail"
-    witnesses = () if lhs == rhs else (S,)
-    return VerificationReport("pushforward-counts", status, details, witnesses)
 
 
 # The most multisets a catalog walk visits unless given another budget.

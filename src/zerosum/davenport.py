@@ -1,4 +1,4 @@
-"""Davenport constants: exact search, known closed forms, and inequalities.
+"""Davenport constants: exact search and known closed forms.
 
 The Davenport constant of a finite abelian group is the least length that
 forces a nonempty zero-sum subsequence; equivalently one more than the
@@ -47,19 +47,15 @@ from dataclasses import dataclass
 
 from .groups import (
     Group,
-    Subgroup,
     all_elements,
     element_index,
     d_star,
     elem_neg,
     elem_order,
-    quotient_group,
-    subgroup_invariants,
     _automorphism_group,
     _fix_point,
     _prime_factors,
 )
-from .reports import VerificationReport
 from .sequences import Sequence, _seq_from_sorted, sequence
 from .counting import _limb_adders, sweep_counts, translate, zero_count
 
@@ -217,27 +213,6 @@ def _davenport(G: Group, method: str, cap: int) -> DavenportResult:
             f"search found {exact.value} but the closed form gives {formula} for {G}"
         )
     return DavenportResult(G, exact.value, "both", exact.witness)
-
-
-def check_davenport_inequalities(G: Group, H: Subgroup) -> VerificationReport:
-    """D(G) >= D(H) + D(G/H) - 1 and D(G) >= d_star(G) + 1."""
-    DG = davenport(G).value
-    DH = davenport(subgroup_invariants(G, H)).value
-    quotient, _ = quotient_group(G, H)
-    DQ = davenport(quotient).value
-    floor = d_star(G) + 1
-    details = {
-        "group": G.spec(),
-        "quotient": quotient.spec(),
-        "D_group": DG,
-        "D_subgroup": DH,
-        "D_quotient": DQ,
-        "d_star_plus_one": floor,
-        "chain_ok": DG >= DH + DQ - 1,
-        "floor_ok": DG >= floor,
-    }
-    status = "pass" if details["chain_ok"] and details["floor_ok"] else "fail"
-    return VerificationReport("davenport-inequalities", status, details)
 
 
 def t_bound(G: Group) -> int:

@@ -559,13 +559,17 @@ def smith_normal_form(matrix, transforms: bool = False):
     return (diag, U, V) if transforms else diag
 
 
-def _relation_form(G: Group, H: Subgroup):
-    """The Smith form ``(diag, U)`` of the relation matrix of H in G.
+@lru_cache(maxsize=None)
+def quotient_group(G: Group, H: Subgroup):
+    """Quotient G/H in canonical form, with the projection homomorphism.
 
-    The matrix has the columns diag(n_1..n_r) followed by the elements of
-    H; its column lattice L is the preimage of H in Z^r, so G/H = Z^r / L
-    and H = L / N with N = diag(n) Z^r.  ``U @ M @ V = diag`` with U
-    unimodular; L has full rank, so every d_i is positive.
+    The relation matrix M of H in G has the columns diag(n_1..n_r)
+    followed by the elements of H; its column lattice L is the preimage of
+    H in Z^r, so G/H = Z^r / L.  With the Smith form ``U @ M @ V = diag``,
+    U unimodular (L has full rank, so every d_i is positive), G/H is the
+    sum of the C_{d_i} with d_i > 1 and a -> (U a)_i mod d_i projects onto
+    it.  Memoized per (G, H): sweeps ask for the same few quotients many
+    times.  An invalid H raises on every call (exceptions are not cached).
     """
     _validate_subgroup(G, H)
     r = G.rank
@@ -577,18 +581,6 @@ def _relation_form(G: Group, H: Subgroup):
         for i in range(r):
             M[i][r + j] = h[i]
     diag, U, _ = smith_normal_form(M, transforms=True)
-    return diag, U
-
-
-@lru_cache(maxsize=None)
-def quotient_group(G: Group, H: Subgroup):
-    """Quotient G/H in canonical form, with the projection homomorphism:
-    the diagonal entries d_i > 1 of ``_relation_form`` and a -> (U a)_i mod
-    d_i.  Memoized per (G, H): sweeps ask for the same few quotients many
-    times.  An invalid H raises on every call (exceptions are not cached).
-    """
-    diag, U = _relation_form(G, H)
-    r = G.rank
     quotient = Group(tuple(d for d in diag if d > 1))
     keep = [(i, d) for i, d in enumerate(diag) if d > 1]
 
@@ -597,21 +589,6 @@ def quotient_group(G: Group, H: Subgroup):
         return tuple(sum(U[i][k] * a[k] for k in range(r)) % d for i, d in keep)
 
     return quotient, project
-
-
-def subgroup_invariants(G: Group, H: Subgroup) -> Group:
-    """Abstract isomorphism type of a subgroup, from the relation form.
-
-    H = L / N, where L = U^-1 diag(d) Z^r is the relation lattice and
-    N = diag(n) Z^r.  In the basis U^-1 diag(d) of L, N is spanned by the
-    columns of C = diag(d)^-1 U diag(n), that is C[i][k] = U[i][k] n_k / d_i
-    (an integer, since N lies in L), so the invariant factors of H are
-    those of the Smith form of C above 1.
-    """
-    diag, U = _relation_form(G, H)
-    C = [[U[i][k] * n // d for k, n in enumerate(G.invariants)]
-         for i, d in enumerate(diag)]
-    return Group(tuple(d for d in smith_normal_form(C) if d > 1))
 
 
 def _prime_factors(n: int) -> list[int]:

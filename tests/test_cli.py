@@ -53,6 +53,16 @@ def test_count_empty_and_single_g(capsys):
     assert code == 0 and payload["result"]["count"] == 8
 
 
+def test_count_searches_davenport_only_when_the_extremal_set_may_exist(capsys):
+    # |G| = 96 is above the search cap, and d* = 9: a shorter sequence
+    # is answered without D, a 9-term one still needs the search.
+    code, payload, _ = run_json(capsys, "count", "C2xC2xC2xC2xC6", "(0,0,0,0,1)")
+    assert code == 0 and "extremal_set" not in payload["result"]
+    assert payload["result"]["counts"]["(0,0,0,0,1)"] == 1
+    code, _, err = run(capsys, "count", "C2xC2xC2xC2xC6", "(0,0,0,0,1)^9")
+    assert code == 2 and "exceeds cap 36" in err
+
+
 def test_count_parse_error(capsys):
     code, _, err = run(capsys, "count", "C3", "(1,2)")
     assert code == 2 and "arity" in err
@@ -313,7 +323,7 @@ NEEDS_DAVENPORT = {
     "construct": ("construct", "C2xC2xC6", "--g", "(1,1,5)", "--m", "8"),
     "conjecture-1": ("conjecture", "1", "C2xC2xC6", "--max-len", "3"),
     "conjecture-2": ("conjecture", "2", "C2xC2xC6", "--budget", "100"),
-    "count": ("count", "C2xC2xC6", "(0,0,1)"),
+    "count": ("count", "C2xC2xC6", "(0,0,1)^7"),  # |S| = d*: the extremal set may exist
 }
 
 

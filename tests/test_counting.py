@@ -16,10 +16,8 @@ from zerosum import (
     iterate_multisets,
     make_group,
     parse_sequence,
-    pushforward_counts,
     seq_sum,
     sequence,
-    subgroup_closure,
     subsums,
     transform,
 )
@@ -329,32 +327,6 @@ def test_census_sweeps_on_wide_limbs_match_the_binomial_oracle(max_len):
             _check_census_sweeps(G, D2, max_len, statuses, rows)
     assert statuses == {"lower-bound": {"pass", "fail"},
                         "one-and-all": {"pass", "fail"}}
-
-
-def test_pushforward_examples():
-    S = parse_sequence(C22, "(1,0) (0,1)")
-    H = subgroup_closure(C22, [(1, 1)])
-    rep = pushforward_counts(S, H)
-    assert rep.passed
-    assert rep.details["sum_over_subgroup"] == 2
-    assert rep.details["zero_count_of_projection"] == 2
-    # trivial subgroup: identity
-    assert pushforward_counts(S, subgroup_closure(C22, [])).passed
-    # full subgroup: collapses to 2^|S| over the trivial group
-    rep = pushforward_counts(S, subgroup_closure(C22, [(1, 0), (0, 1)]))
-    assert rep.passed and rep.details["sum_over_subgroup"] == 4
-
-
-def test_pushforward_random():
-    from zerosum import all_subgroups
-
-    rng = random.Random(10)
-    for G in (C22, make_group([4]), make_group([2, 4]), make_group([9])):
-        subgroups = all_subgroups(G)
-        elems = all_elements(G)
-        for _ in range(20):
-            S = sequence(G, [rng.choice(elems) for _ in range(rng.randint(0, 8))])
-            assert pushforward_counts(S, rng.choice(subgroups)).passed
 
 
 def _in_band(occ, counts, thresholds):

@@ -8,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from zerosum import (
     all_elements,
-    all_subgroups,
-    check_davenport_inequalities,
     cli,
     count_all,
     count_brute_vector,
@@ -21,7 +19,6 @@ from zerosum import (
     make_group,
     parse_sequence,
     sequence,
-    subgroup_closure,
     subsums,
     t_bound,
 )
@@ -259,20 +256,6 @@ def test_davenport_methods():
     assert davenport(G, method="auto").value == 5
     with pytest.raises(ValueError):
         davenport(G, method="frobnicate")
-
-
-def test_inequalities_examples():
-    G = make_group([2, 4])
-    assert check_davenport_inequalities(G, subgroup_closure(G, [(0, 2)])).passed
-    assert check_davenport_inequalities(G, subgroup_closure(G, [])).passed
-    H33 = make_group([3, 3])
-    assert check_davenport_inequalities(H33, subgroup_closure(H33, [(1, 0)])).passed
-
-
-def test_inequalities_all_small_subgroups():
-    for G in groups_up_to_order(16):
-        for H in all_subgroups(G):
-            assert check_davenport_inequalities(G, H).passed
 
 
 def test_t_bound():

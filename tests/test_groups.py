@@ -21,7 +21,6 @@ from zerosum import (
     quotient_group,
     smith_normal_form,
     subgroup_closure,
-    subgroup_invariants,
 )
 from zerosum.groups import (
     _automorphism_group,
@@ -317,16 +316,6 @@ def test_order_cap_rejects_before_building_tables(monkeypatch):
     assert make_group([2, 4]).order == 8  # at the cap is accepted
 
 
-def test_subgroup_invariants_matches_order_multisets():
-    for G in [make_group([])] + groups_up_to_order(32):
-        for H in all_subgroups(G):
-            K = subgroup_invariants(G, H)
-            assert K.order == H.order
-            inside = sorted(elem_order(G, x) for x in H.elements)
-            abstract = sorted(elem_order(K, e) for e in all_elements(K))
-            assert inside == abstract
-
-
 def test_d_star():
     assert d_star(make_group([7])) == 6
     assert d_star(make_group([3, 3])) == 4
@@ -363,7 +352,11 @@ def test_automorphism_chain_order_matches_the_closed_form():
 
 
 def test_elementary_automorphisms_are_bijective_homomorphisms():
-    for G in groups_up_to_order(36):
+    # Past order 36, the groups whose exact Davenport search runs the
+    # symmetry cut in the goldens: the cut is sound only for automorphisms.
+    past_36 = [make_group([2, 2, 10]), make_group([2, 2, 2, 6]),
+               make_group([2, 2, 2, 2, 6])]
+    for G in groups_up_to_order(36) + past_36:
         elems = all_elements(G)
         idx = element_index(G)
         for perm in _elementary_automorphisms(G):

@@ -83,8 +83,6 @@ UNREACHED = {
     "count_brute_vector": "the Gray-code oracle of every counter",
     "iterate_multisets": "the itertools oracle of every enumerator",
     "is_zero_sum_free": "a per-layer target of the benchmark's tracer",
-    "pushforward_counts": "waits for a verify sweep over the subgroup lattice",
-    "check_davenport_inequalities": "waits for a verify sweep over the subgroup lattice",
 }
 
 

@@ -24,7 +24,7 @@ from zerosum import (
 from zerosum import cli, counting, search, structure
 from zerosum.reports import VerificationReport, sweep_status
 from zerosum.search import splitmix64
-from zerosum.sequences import Sequence
+from zerosum.sequences import Sequence, seq_key
 
 from helpers import (
     every_band,
@@ -226,6 +226,29 @@ def test_conjecture1():
     assert conjecture1_harness(C5, 8).passed
     rep = conjecture1_harness(C22, 6)
     assert rep.status == "skipped" and rep.details["qualifies"] is False
+
+
+def test_conjecture1_reports_the_first_failing_entry(monkeypatch, capsys):
+    # Every entry fails: the counterexample is the first one in seq_key
+    # order, shortest first, and the whole catalog was counted.
+    def never_disjoint(S):
+        return structure.MinZeroSumReport(S, (), False)
+
+    monkeypatch.setattr(search, "minimal_zero_sums", never_disjoint)
+    catalog = find_extremals(C33, 7)
+    assert len(catalog.entries) > 1
+    first = min((S for S, _ in catalog.entries), key=seq_key)
+    rep = conjecture1_harness(C33, 7)
+    assert rep.status == "fail"
+    assert rep.details["counterexample"] == format_sequence(first)
+    assert rep.witnesses == (first,)
+    assert len(first) == min(len(S) for S, _ in catalog.entries)
+    assert rep.details["extremal_checked"] == len(catalog.entries)
+    assert "result" not in rep.details
+    assert cli.main(["conjecture", "1", "C3xC3", "--max-len", "7", "--json",
+                     "--no-timestamp"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "fail"
 
 
 def test_conjecture2_c3xc3():
