@@ -102,6 +102,8 @@ COMMANDS = (
                                "--trials", "40", "--seed", "1"]),
     ("verify-transform-c2xc2xc4", ["verify", "transform", "C2xC2xC4", "--max-len", "100",
                                    "--trials", "60", "--seed", "7"]),
+    ("verify-lower-bound-c1000", ["verify", "lower-bound", "C1000", "--max-len", "100"]),
+    ("verify-subgroup-es-c1000", ["verify", "subgroup-es", "C1000", "--max-len", "60"]),
 )
 
 
