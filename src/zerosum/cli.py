@@ -309,6 +309,8 @@ def cmd_verify(args) -> Report:
     if args.theorem == "cn":
         if args.n is None:
             raise ValueError("verify cn requires --n")
+        if args.group is not None:
+            raise ValueError(f"verify cn takes its group from --n, not {args.group}")
         max_len = args.max_len if args.max_len is not None else args.n + 2
         rep = check_cyclic_characterization(args.n, max_len)
         return Report("verify cn", f"C{args.n}",
@@ -316,6 +318,8 @@ def cmd_verify(args) -> Report:
                       rep, _status_of(rep), _provenance(args))
     if args.group is None:
         raise ValueError(f"verify {args.theorem} requires a group")
+    if args.n is not None:
+        raise ValueError(f"--n is read only by verify cn, not verify {args.theorem}")
     G = parse_group(args.group)
     # The transform sweep never reads D; only its default length does.
     D = None

@@ -42,10 +42,11 @@ library's one walk over zero-free multisets, takes one band [b_lo, b_hi)
 of counts per length and tests each multiset inside the walk, ``(x + lo)
 & ~(x + hi) & TOP``: two additions and a few ands.  A band may carry a
 floor, and a multiset in it is then yielded only if some count is below
-the floor.  The walk yields only the multisets that flag, builds no
-vector where no band is left at that length or any greater one, and
-reports in a ``SweepStats`` the multisets it visited and the ones that
-flagged.  The sweeps are views of it, with e = |S| - D + 1:
+the floor.  The walk yields only the multisets that flag and reports in
+a ``SweepStats`` the multisets it visited and the ones that flagged; a
+walk with no band at any length flags nothing, and its total is the size
+of the tree, C(|G| - 1 + L, L) up to length L, counted without walking.
+The sweeps are views of it, with e = |S| - D + 1:
 ``sweep_lower_bound`` seeks a count in [1, 2^e), breaking the bound;
 ``extremal_sweep`` one in [2^e, 2^e + 1), attaining it;
 ``sweep_one_and_all`` the same band with the floor 2^e, so that it is
@@ -58,12 +59,12 @@ summing to 2^length) and on the next term position.  ``sweep_counts``
 stores each subtree that it walked in full without yielding under that
 key, with its (visited, flagged) totals, and adds them for a later child
 with the same key.  Only subtrees of at least ``MEMO_MIN`` multisets are
-stored, or keyed by a length, and at most ``MEMO_CAP`` per walk, which
-bounds the memory.  The totals may pass 2^64.  The census sweeps gain,
-and so do the unpruned ``extremal_sweep`` walks of ``subgroup-es`` and
-``conjecture 2``.  The pruned catalog walks keep no memo: they yield
-along most of their subtrees, and storing the rest made ``extremal C5xC5
---max-len 10`` slower (6.3 to 7.3 s) and larger (58 to 64 MiB).
+stored, and at most ``MEMO_CAP`` per walk, which bounds the memory.  The
+totals may pass 2^64.  The census sweeps gain, and so do the unpruned
+``extremal_sweep`` walks of ``subgroup-es`` and ``conjecture 2``.  The
+pruned catalog walks keep no memo: they yield along most of their
+subtrees, and storing the rest made ``extremal C5xC5 --max-len 10``
+slower (6.3 to 7.3 s) and larger (58 to 64 MiB).
 
 Everything here is exact integer arithmetic: the statements being checked
 are equalities against powers of two, so a single rounding error would be
@@ -493,8 +494,8 @@ def sweep_one_and_all(G: Group, D: int, max_len: int) -> VerificationReport:
 DEFAULT_BUDGET = 2_000_000
 
 # The memo of a walk without a zero ceiling (see ``sweep_counts``): only
-# subtrees of at least MEMO_MIN multisets (or keyed by a length) are
-# stored, and at most MEMO_CAP of them per walk.
+# subtrees of at least MEMO_MIN multisets are stored, and at most
+# MEMO_CAP of them per walk.
 MEMO_MIN = 16
 MEMO_CAP = 1 << 18
 
@@ -535,8 +536,10 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
     translation and one addition per multiset.  Multisets come in
     lexicographic order of their occurrence tuples (a pre-order walk;
     lengths interleaved).  The leaves (length ``max_length``) are visited
-    in one loop without frames.  No vector is built for a multiset with
-    no band at its length or any greater one, unless a ceiling reads it.
+    in one loop without frames.  Without a ceiling and with no band at
+    any length nothing is yielded or flagged, and ``visited`` is the size
+    of the tree, C(|G| - 1 + max_length, max_length), cut to the budget:
+    no table is built and no multiset walked.
 
     With ``zero_ceiling``, a multiset whose zero count exceeds it is
     neither visited nor extended.  Appending a can only raise the zero
@@ -548,16 +551,14 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
 
     Memo (without a ceiling only; see the module docstring).  The
     subtree below a multiset, its extensions by terms from position p on,
-    is keyed by (vector, p), or by (length, p) where there is no vector.
-    A subtree walked in full that yielded nothing is stored with its
-    (visited, flagged) totals, and a later child with the same key adds
-    them instead of being walked if they fit in the budget; otherwise it
-    is walked.  So the stream, its order, ``visited``, ``flagged`` and
+    is keyed by (vector, p).  A subtree walked in full that yielded
+    nothing is stored with its (visited, flagged) totals, and a later
+    child with the same key adds them instead of being walked if they fit
+    in the budget; otherwise it is walked.  So the stream, its order, ``visited``, ``flagged`` and
     ``exhaustive`` are those of the walk without the memo.  A subtree is
     stored only if it holds at least ``MEMO_MIN`` multisets (below
     position p at length d, C(|G| - 1 - p + m, m) of them, m =
-    max_length - d) or is keyed by its length, and the walk has stored
-    fewer than ``MEMO_CAP``.
+    max_length - d) and the walk has stored fewer than ``MEMO_CAP``.
     The children of the root are never stored: no later child is
     appended at their position, so that position's table is dropped
     with them.
@@ -577,6 +578,12 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
     size = comb(count + max_length, max_length)
     if budget is None:
         budget = size
+    if zero_ceiling is None and not any(bands):
+        # Nothing can flag, so the walk would only count the tree.
+        limb_width(max_length)  # refuses a length above the cap
+        stats.visited = min(size, budget)
+        stats.exhaustive = size <= budget
+        return
     # A memo value packs a subtree's totals as flagged << tally | visited.
     tally = size.bit_length()
     tally_mask = (1 << tally) - 1
@@ -591,20 +598,16 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
     # Bit offset of the limb of -a: the child's zero count is the parent's
     # limb 0 plus its limb of -a.
     neg_shift = [idx[elem_neg(G, a)] * limbs.width for a in terms]
-    # Children of length >= bare get no vector.  memo_until[d]: the
-    # children of length d at positions below it take the memo's path:
-    # below bare those rooting subtrees of at least MEMO_MIN multisets,
-    # from bare on all.  memo[p] holds the subtrees rooted at a child
-    # appended at position p.
-    bare = max_length + 1
+    # memo_until[d]: the children of length d at positions below it,
+    # those rooting subtrees of at least MEMO_MIN multisets, take the
+    # memo's path.  memo[p] holds the subtrees rooted at a child appended
+    # at position p.
     memo_until = [0] * (max_length + 1)
     if zero_ceiling is None:
-        while bare > 1 and offsets[bare - 1] is None:
-            bare -= 1
         for d in range(1, max_length):
             m = max_length - d
             n = 1  # the term positions from p on
-            while d < bare and n <= count and comb(n + m, m) < MEMO_MIN:
+            while n <= count and comb(n + m, m) < MEMO_MIN:
                 n += 1
             memo_until[d] = count + 1 - n
         memo = [{} for _ in range(count)]
@@ -620,8 +623,7 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
         else:
             yield occurrences, 1
     # One frame per multiset on the current path shorter than max_length:
-    # its packed counts (None from bare on) and the next term position to
-    # try.  Terms are appended in nondecreasing position, so each multiset
+    # its packed counts and the next term position to try.  Terms are appended in nondecreasing position, so each multiset
     # is reached once.  marks: for each frame whose subtree the memo may
     # store, (frame height, key, position, nodes, flagged, held) on entry.
     path_counts = [1]
@@ -671,21 +673,13 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
             if nodes >= budget:
                 stats.exhaustive = False
                 break
-            if pos >= memo_until[depth]:
-                # translate() inlined: this is the per-node step.
-                y = x
-                for lo, ls, hi, rs in term_ops[pos]:
-                    y = ((y << ls) & lo) | ((y >> rs) & hi)
-                child = x + y
-            else:
-                if depth < bare:
-                    y = x
-                    for lo, ls, hi, rs in term_ops[pos]:
-                        y = ((y << ls) & lo) | ((y >> rs) & hi)
-                    child = key = x + y
-                else:
-                    child, key = None, -depth
-                total = memo[pos].get(key)
+            # translate() inlined: this is the per-node step.
+            y = x
+            for lo, ls, hi, rs in term_ops[pos]:
+                y = ((y << ls) & lo) | ((y >> rs) & hi)
+            child = x + y
+            if pos < memo_until[depth]:
+                total = memo[pos].get(child)
                 if total is not None and nodes + (total & tally_mask) <= budget:
                     nodes += total & tally_mask
                     total >>= tally
@@ -693,7 +687,7 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
                     held += total
                     hits += 1
                     continue
-                marks.append((depth + 1, key, pos, nodes, flagged, held))
+                marks.append((depth + 1, child, pos, nodes, flagged, held))
             nodes += 1
             occurrences.append(terms[pos])
             band = offsets[depth]

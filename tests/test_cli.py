@@ -131,6 +131,15 @@ def test_verify_requires_group(capsys):
     assert code == 2 and "group" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("verify", "cn", "C5", "--n", "7"), "verify cn takes its group from --n, not C5"),
+    (("verify", "lower-bound", "C5", "--n", "7"), "--n is read only by verify cn"),
+])
+def test_verify_refuses_an_argument_it_does_not_read(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and message in err
+
+
 def test_verify_lower_bound(capsys):
     code, payload, _ = run_json(capsys, "verify", "lower-bound", "C5", "--max-len", "7")
     assert code == 0 and payload["result"]["status"] == "pass"

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 from math import comb
 
@@ -22,6 +23,7 @@ from zerosum import (
     transform,
 )
 from zerosum import counting
+from zerosum.cli import main
 from zerosum.counting import (
     MAX_LENGTH,
     Limbs,
@@ -497,8 +499,8 @@ def _spanning_multisets(r: int, n: int) -> int:
 
 def test_memo_totals_past_64_bits():
     # Memo hits add whole subtrees, so a walk may total more than 2^64
-    # multisets.  Without bands every key is a length: C100 up to 40 visits
-    # all C(139, 40) ~ 2^116 multisets and flags none.
+    # multisets.  A walk without bands is counted, not walked: C100 up to
+    # 40 reports all C(139, 40) ~ 2^116 multisets and flags none.
     stats = SweepStats()
     assert list(sweep_counts(make_group([100]), 40, [None] * 41, stats=stats)) == []
     assert (stats.visited, stats.exhaustive, stats.flagged) == (comb(139, 40), True, 0)
@@ -512,6 +514,30 @@ def test_memo_totals_past_64_bits():
     assert report.details["sequences_checked"] == comb(31 + 37, 37) > 2 ** 64
     assert report.details["bound_attained"] == sum(
         _spanning_multisets(5, n) for n in range(38))
+
+
+def test_a_walk_no_band_reaches_builds_no_table(monkeypatch, capsys):
+    # Below length D - 1 the bound is at most 1, so a lower-bound sweep
+    # capped there has no band: it reports the size of the tree, C(|G| - 1
+    # + L, L), cut to the budget, and builds no limb table.
+    def refuse(*args):
+        raise AssertionError("a limb table was built")
+
+    monkeypatch.setattr(counting, "_limbs", refuse)
+    monkeypatch.setattr(counting, "_limb_adders", refuse)
+    argv = ["verify", "lower-bound", "C1000", "--max-len", "900", "--json"]
+    assert main(argv) == 0
+    details = json.loads(capsys.readouterr().out)["result"]["details"]
+    assert details["sequences_checked"] == comb(1899, 900)
+    C1000 = make_group([1000])
+    size = comb(1899, 900)
+    for budget, visited, exhaustive in ((10**6, 10**6, False), (size - 1, size - 1, False),
+                                        (size, size, True), (size + 1, size, True)):
+        stats = SweepStats(budget)
+        assert list(sweep_counts(C1000, 900, [None] * 901, stats=stats)) == []
+        assert (stats.visited, stats.exhaustive, stats.flagged) == (visited, exhaustive, 0)
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        list(sweep_counts(C1000, MAX_LENGTH + 1, [None] * (MAX_LENGTH + 2)))
 
 
 @pytest.mark.parametrize("shape", [(3,), (4,), (5,), (6,), (2, 2), (2, 4), (3, 3)])
