@@ -554,11 +554,12 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
     is keyed by (vector, p).  A subtree walked in full that yielded
     nothing is stored with its (visited, flagged) totals, and a later
     child with the same key adds them instead of being walked if they fit
-    in the budget; otherwise it is walked.  So the stream, its order, ``visited``, ``flagged`` and
-    ``exhaustive`` are those of the walk without the memo.  A subtree is
-    stored only if it holds at least ``MEMO_MIN`` multisets (below
-    position p at length d, C(|G| - 1 - p + m, m) of them, m =
-    max_length - d) and the walk has stored fewer than ``MEMO_CAP``.
+    in the budget; otherwise it is walked.  So the stream, its order,
+    ``visited``, ``flagged`` and ``exhaustive`` are those of the walk
+    without the memo.  A subtree is stored only if it holds at least
+    ``MEMO_MIN`` multisets (below position p at length d, C(|G| - 1 - p +
+    m, m) of them, m = max_length - d) and the walk has stored fewer than
+    ``MEMO_CAP``.
     The children of the root are never stored: no later child is
     appended at their position, so that position's table is dropped
     with them.
@@ -623,9 +624,10 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
         else:
             yield occurrences, 1
     # One frame per multiset on the current path shorter than max_length:
-    # its packed counts and the next term position to try.  Terms are appended in nondecreasing position, so each multiset
-    # is reached once.  marks: for each frame whose subtree the memo may
-    # store, (frame height, key, position, nodes, flagged, held) on entry.
+    # its packed counts and the next term position to try.  Terms are
+    # appended in nondecreasing position, so each multiset is reached
+    # once.  marks: for each frame whose subtree the memo may store,
+    # (frame height, key, position, nodes, flagged, held) on entry.
     path_counts = [1]
     next_pos = [0] if max_length else []
     marks = []

@@ -526,11 +526,11 @@ def test_a_walk_no_band_reaches_builds_no_table(monkeypatch, capsys):
     monkeypatch.setattr(counting, "_limbs", refuse)
     monkeypatch.setattr(counting, "_limb_adders", refuse)
     argv = ["verify", "lower-bound", "C1000", "--max-len", "900", "--json"]
+    size = comb(1899, 900)
     assert main(argv) == 0
     details = json.loads(capsys.readouterr().out)["result"]["details"]
-    assert details["sequences_checked"] == comb(1899, 900)
+    assert details["sequences_checked"] == size
     C1000 = make_group([1000])
-    size = comb(1899, 900)
     for budget, visited, exhaustive in ((10**6, 10**6, False), (size - 1, size - 1, False),
                                         (size, size, True), (size + 1, size, True)):
         stats = SweepStats(budget)
