@@ -9,6 +9,12 @@ the one nondeterministic field.  The checks and sweeps live in the
 library; this module parses flags, runs a command's Davenport search
 first under --davenport-cap (the library reuses it) and renders reports.
 
+Each command, and each `verify` theorem, has its own parser holding only
+the flags it reads, so argparse refuses any other; `group info` and
+`verify cn` search no D and take no --davenport-cap.  provenance.caps
+lists the parsed flags, all of them read, except that `extremal` drops
+--budget from a random draw and --trials and --seed from its catalog.
+
 Exit codes: 0 for pass/partial, 1 for a failed check, 2 for usage or
 input errors.
 """
@@ -74,7 +80,6 @@ SWEEPS = {
     "equivalences": lambda G, D, max_len, args: sweep_equivalences(
         G, max_len, args.family_k),
 }
-THEOREMS = (*SWEEPS, "cn")
 
 
 @dataclass
@@ -159,17 +164,20 @@ def _emit(report: Report, args) -> int:
 
 
 def _provenance(args) -> dict:
+    """Each command's parser declares only the flags it reads; the one
+    exception is `extremal`, whose catalog reads --budget and whose random
+    draw reads --trials and --seed."""
     prov = {"tool": "zerosum", "version": __version__}
+    unread = ()
+    if hasattr(args, "random"):
+        unread = ("budget",) if args.random else ("trials", "seed")
     caps = {}
     for name in ("max_len", "budget", "davenport_cap", "trials", "family_k"):
-        if hasattr(args, name) and getattr(args, name) is not None:
+        if name not in unread and getattr(args, name, None) is not None:
             caps[name.replace("_", "-")] = getattr(args, name)
-    if getattr(args, "random", False):
-        # A random catalog draws a fixed number of trials: no budget applies.
-        del caps["budget"]
     if caps:
         prov["caps"] = caps
-    if hasattr(args, "seed") and args.seed is not None:
+    if "seed" not in unread and getattr(args, "seed", None) is not None:
         prov["seed"] = args.seed
     if not args.no_timestamp:
         prov["timestamp"] = datetime.now(timezone.utc).isoformat()
@@ -306,20 +314,6 @@ def cmd_conjecture(args) -> Report:
 
 
 def cmd_verify(args) -> Report:
-    if args.theorem == "cn":
-        if args.n is None:
-            raise ValueError("verify cn requires --n")
-        if args.group is not None:
-            raise ValueError(f"verify cn takes its group from --n, not {args.group}")
-        max_len = args.max_len if args.max_len is not None else args.n + 2
-        rep = check_cyclic_characterization(args.n, max_len)
-        return Report("verify cn", f"C{args.n}",
-                      {"theorem": "cn", "n": args.n, "max_len": max_len},
-                      rep, _status_of(rep), _provenance(args))
-    if args.group is None:
-        raise ValueError(f"verify {args.theorem} requires a group")
-    if args.n is not None:
-        raise ValueError(f"--n is read only by verify cn, not verify {args.theorem}")
     G = parse_group(args.group)
     # The transform sweep never reads D; only its default length does.
     D = None
@@ -332,6 +326,14 @@ def cmd_verify(args) -> Report:
     return Report(f"verify {args.theorem}", G.spec(),
                   {"theorem": args.theorem, "group": args.group,
                    "max_len": max_len},
+                  rep, _status_of(rep), _provenance(args))
+
+
+def cmd_verify_cn(args) -> Report:
+    max_len = args.max_len if args.max_len is not None else args.n + 2
+    rep = check_cyclic_characterization(args.n, max_len)
+    return Report("verify cn", f"C{args.n}",
+                  {"theorem": "cn", "n": args.n, "max_len": max_len},
                   rep, _status_of(rep), _provenance(args))
 
 
@@ -354,10 +356,11 @@ def _length(text: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit the report as JSON")
-    common.add_argument("--no-timestamp", action="store_true",
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--json", action="store_true", help="emit the report as JSON")
+    output.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp from provenance")
+    common = argparse.ArgumentParser(add_help=False, parents=[output])
     common.add_argument("--davenport-cap", type=int, default=DAVENPORT_CAP,
                         help="order cap for exact Davenport search")
 
@@ -371,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_group = sub.add_parser("group", help="group utilities")
     gsub = p_group.add_subparsers(dest="group_command", required=True)
-    p_info = gsub.add_parser("info", parents=[common], help="canonical form and basic data")
+    p_info = gsub.add_parser("info", parents=[output], help="canonical form and basic data")
     p_info.add_argument("spec")
     p_info.set_defaults(run=cmd_group_info)
 
@@ -399,15 +402,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument("--seed", type=int, default=0)
     p_ext.set_defaults(run=cmd_extremal)
 
-    p_ver = sub.add_parser("verify", parents=[common], help="replay a structural statement")
-    p_ver.add_argument("theorem", choices=THEOREMS)
-    p_ver.add_argument("group", nargs="?")
-    p_ver.add_argument("--n", type=int, help="cyclic order for `verify cn`")
-    p_ver.add_argument("--max-len", type=_length)
-    p_ver.add_argument("--trials", type=_nonnegative, default=1000)
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--family-k", type=_nonnegative, default=10)
-    p_ver.set_defaults(run=cmd_verify)
+    p_ver = sub.add_parser("verify", help="replay a structural statement")
+    vsub = p_ver.add_subparsers(dest="theorem", required=True)
+    for theorem in SWEEPS:
+        p_thm = vsub.add_parser(theorem, parents=[common])
+        p_thm.add_argument("group")
+        p_thm.add_argument("--max-len", type=_length)
+        if theorem == "transform":
+            p_thm.add_argument("--trials", type=_nonnegative, default=1000)
+            p_thm.add_argument("--seed", type=int, default=0)
+        if theorem == "equivalences":
+            p_thm.add_argument("--family-k", type=_nonnegative, default=10)
+        p_thm.set_defaults(run=cmd_verify)
+    p_cn = vsub.add_parser("cn", parents=[output])
+    p_cn.add_argument("--n", type=int, required=True, help="the cyclic order")
+    p_cn.add_argument("--max-len", type=_length)
+    p_cn.set_defaults(run=cmd_verify_cn)
 
     p_conj = sub.add_parser("conjecture", parents=[common],
                             help="run a conjecture-falsification harness")

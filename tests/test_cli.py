@@ -112,11 +112,16 @@ def test_extremal_random_mode_deterministic(capsys):
 
 
 def test_only_the_exhaustive_catalog_reports_a_budget(capsys):
+    # The catalog reads --budget, a random draw --trials and --seed.
     _, exhaustive, _ = run_json(capsys, "extremal", "C3", "--max-len", "5")
     _, random, _ = run_json(capsys, "extremal", "C3", "--max-len", "5", "--random",
                             "--trials", "10", "--seed", "1")
-    assert exhaustive["provenance"]["caps"]["budget"] == 2_000_000
-    assert "budget" not in random["provenance"]["caps"]
+    assert exhaustive["provenance"]["caps"] == {
+        "max-len": 5, "budget": 2_000_000, "davenport-cap": 36}
+    assert "seed" not in exhaustive["provenance"]
+    assert random["provenance"]["caps"] == {
+        "max-len": 5, "davenport-cap": 36, "trials": 10}
+    assert random["provenance"]["seed"] == 1
 
 
 def test_verify_cn(capsys):
@@ -126,18 +131,39 @@ def test_verify_cn(capsys):
     assert payload["result"]["details"]["extremal_count"] == 4
 
 
+def exits_2(capsys, *argv):
+    """Runs a command line that argparse refuses; returns its stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    return captured.err
+
+
 def test_verify_requires_group(capsys):
-    code, _, err = run(capsys, "verify", "lower-bound")
-    assert code == 2 and "group" in err
+    err = exits_2(capsys, "verify", "lower-bound")
+    assert "the following arguments are required: group" in err
 
 
 @pytest.mark.parametrize("argv,message", [
-    (("verify", "cn", "C5", "--n", "7"), "verify cn takes its group from --n, not C5"),
-    (("verify", "lower-bound", "C5", "--n", "7"), "--n is read only by verify cn"),
+    (("verify", "cn", "C5", "--n", "7"), "unrecognized arguments: C5"),
+    # Outside cn, argparse takes --n as short for --no-timestamp: 7 is left over.
+    (("verify", "lower-bound", "C5", "--n", "7"), "unrecognized arguments: 7"),
 ])
 def test_verify_refuses_an_argument_it_does_not_read(capsys, argv, message):
-    code, out, err = run(capsys, *argv)
-    assert code == 2 and out == "" and message in err
+    assert message in exits_2(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("verify", "lower-bound", "C5", "--trials", "3"), "--trials"),
+    (("verify", "odd-structure", "C3xC3", "--family-k", "2"), "--family-k"),
+    (("verify", "transform", "C5", "--family-k", "2"), "--family-k"),
+    (("verify", "equivalences", "C5", "--seed", "1"), "--seed"),
+    (("verify", "cn", "--n", "7", "--davenport-cap", "40"), "--davenport-cap"),
+    (("group", "info", "C6", "--davenport-cap", "40"), "--davenport-cap"),
+])
+def test_a_flag_its_command_does_not_read_exits_2(capsys, argv, flag):
+    assert f"unrecognized arguments: {flag}" in exits_2(capsys, *argv)
 
 
 def test_verify_lower_bound(capsys):
@@ -214,8 +240,8 @@ def test_human_output_renders_booleans_and_lists(capsys):
 
 
 def test_verify_cn_requires_n(capsys):
-    code, _, err = run(capsys, "verify", "cn")
-    assert code == 2 and "verify cn requires --n" in err
+    err = exits_2(capsys, "verify", "cn")
+    assert "the following arguments are required: --n" in err
 
 
 def test_construct_command(capsys):
@@ -288,10 +314,7 @@ def test_human_output_mentions_status(capsys):
     ("construct", "C5", "--g", "2", "--m", "-1"),
 ])
 def test_negative_counts_exit_2(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
-    assert exc.value.code == 2
-    assert "must be >= 0" in capsys.readouterr().err
+    assert "must be >= 0" in exits_2(capsys, *argv)
 
 
 @pytest.mark.parametrize("argv", [
