@@ -67,7 +67,8 @@ from .search import (
 )
 from .reports import VerificationReport, sweep_status
 
-# Theorem id -> the sweep replaying it, called as (G, D, max_len, args).
+# Theorem id -> the sweep replaying it, called as (G, D, max_len, args);
+# each is a `verify` subcommand, as is cn.
 SWEEPS = {
     "lower-bound": lambda G, D, max_len, args: sweep_lower_bound(G, D, max_len),
     "transform": lambda G, D, max_len, args: sweep_transform(
@@ -164,10 +165,9 @@ def _emit(report: Report, args) -> int:
 
 
 def _provenance(args) -> dict:
-    """Each command's parser declares only the flags it reads; the one
-    exception is `extremal`, whose catalog reads --budget and whose random
-    draw reads --trials and --seed."""
     prov = {"tool": "zerosum", "version": __version__}
+    # Every parsed flag is read, except in extremal: its catalog reads
+    # --budget, and its random draw --trials and --seed.
     unread = ()
     if hasattr(args, "random"):
         unread = ("budget",) if args.random else ("trials", "seed")
@@ -404,10 +404,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="replay a structural statement")
     vsub = p_ver.add_subparsers(dest="theorem", required=True)
+    swept = argparse.ArgumentParser(add_help=False, parents=[common])
+    swept.add_argument("group")
+    swept.add_argument("--max-len", type=_length)
     for theorem in SWEEPS:
-        p_thm = vsub.add_parser(theorem, parents=[common])
-        p_thm.add_argument("group")
-        p_thm.add_argument("--max-len", type=_length)
+        p_thm = vsub.add_parser(theorem, parents=[swept])
         if theorem == "transform":
             p_thm.add_argument("--trials", type=_nonnegative, default=1000)
             p_thm.add_argument("--seed", type=int, default=0)
