@@ -10,10 +10,12 @@ library; this module parses flags, runs a command's Davenport search
 first under --davenport-cap (the library reuses it) and renders reports.
 
 Each command, and each `verify` theorem, has its own parser holding only
-the flags it reads, so argparse refuses any other; `group info` and
-`verify cn` search no D and take no --davenport-cap.  provenance.caps
-lists the parsed flags, all of them read, except that `extremal` drops
---budget from a random draw and --trials and --seed from its catalog.
+the flags it reads, so argparse refuses any other; a theorem's flags follow
+its id, and it takes no abbreviated flag.  `group info` and `verify cn`
+search no D and take no --davenport-cap.  provenance.caps lists only the
+flags the command read: `extremal` drops --budget from a random draw and
+--trials and --seed from its catalog, and `verify transform` given
+--max-len, which searches no D, drops --davenport-cap.
 
 Exit codes: 0 for pass/partial, 1 for a failed check, 2 for usage or
 input errors.
@@ -164,13 +166,10 @@ def _emit(report: Report, args) -> int:
     return 1 if report.status == "fail" else 0
 
 
-def _provenance(args) -> dict:
+def _provenance(args, unread: tuple[str, ...] = ()) -> dict:
+    """Lists the parsed flags, less those the command did not read this time
+    (``unread``, by attribute name)."""
     prov = {"tool": "zerosum", "version": __version__}
-    # Every parsed flag is read, except in extremal: its catalog reads
-    # --budget, and its random draw --trials and --seed.
-    unread = ()
-    if hasattr(args, "random"):
-        unread = ("budget",) if args.random else ("trials", "seed")
     caps = {}
     for name in ("max_len", "budget", "davenport_cap", "trials", "family_k"):
         if name not in unread and getattr(args, name, None) is not None:
@@ -278,7 +277,7 @@ def cmd_extremal(args) -> Report:
                   {"group": args.group, "max_len": args.max_len,
                    "random": args.random},
                   result, sweep_status(False, catalog.exhaustive or args.random),
-                  _provenance(args))
+                  _provenance(args, ("budget",) if args.random else ("trials", "seed")))
 
 
 def cmd_construct(args) -> Report:
@@ -326,7 +325,8 @@ def cmd_verify(args) -> Report:
     return Report(f"verify {args.theorem}", G.spec(),
                   {"theorem": args.theorem, "group": args.group,
                    "max_len": max_len},
-                  rep, _status_of(rep), _provenance(args))
+                  rep, _status_of(rep),
+                  _provenance(args, ("davenport_cap",) if D is None else ()))
 
 
 def cmd_verify_cn(args) -> Report:
@@ -355,7 +355,20 @@ def _length(text: str) -> int:
     return value
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused after it:
+    parse_args leaves a parser unchanged, so a process that runs `main`
+    many times pays for the build once."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _new_parser()
+    return _PARSER
+
+
+def _new_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--json", action="store_true", help="emit the report as JSON")
     output.add_argument("--no-timestamp", action="store_true",
@@ -402,20 +415,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument("--seed", type=int, default=0)
     p_ext.set_defaults(run=cmd_extremal)
 
+    # A theorem takes no abbreviated flag: else cn's --n would stand for
+    # --no-timestamp in every other theorem.
     p_ver = sub.add_parser("verify", help="replay a structural statement")
     vsub = p_ver.add_subparsers(dest="theorem", required=True)
     swept = argparse.ArgumentParser(add_help=False, parents=[common])
     swept.add_argument("group")
     swept.add_argument("--max-len", type=_length)
     for theorem in SWEEPS:
-        p_thm = vsub.add_parser(theorem, parents=[swept])
+        p_thm = vsub.add_parser(theorem, parents=[swept], allow_abbrev=False)
         if theorem == "transform":
             p_thm.add_argument("--trials", type=_nonnegative, default=1000)
             p_thm.add_argument("--seed", type=int, default=0)
         if theorem == "equivalences":
             p_thm.add_argument("--family-k", type=_nonnegative, default=10)
         p_thm.set_defaults(run=cmd_verify)
-    p_cn = vsub.add_parser("cn", parents=[output])
+    p_cn = vsub.add_parser("cn", parents=[output], allow_abbrev=False)
     p_cn.add_argument("--n", type=int, required=True, help="the cyclic order")
     p_cn.add_argument("--max-len", type=_length)
     p_cn.set_defaults(run=cmd_verify_cn)

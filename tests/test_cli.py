@@ -124,6 +124,15 @@ def test_only_the_exhaustive_catalog_reports_a_budget(capsys):
     assert random["provenance"]["seed"] == 1
 
 
+def test_transform_reports_a_davenport_cap_only_when_it_searches(capsys):
+    # Given --max-len, the transform sweep needs no D and runs no search.
+    _, capped, _ = run_json(capsys, "verify", "transform", "C5", "--max-len", "6",
+                            "--trials", "3")
+    _, searched, _ = run_json(capsys, "verify", "transform", "C5", "--trials", "3")
+    assert capped["provenance"]["caps"] == {"max-len": 6, "trials": 3}
+    assert searched["provenance"]["caps"] == {"davenport-cap": 36, "trials": 3}
+
+
 def test_verify_cn(capsys):
     code, payload, _ = run_json(capsys, "verify", "cn", "--n", "4", "--max-len", "8")
     assert code == 0
@@ -147,8 +156,11 @@ def test_verify_requires_group(capsys):
 
 @pytest.mark.parametrize("argv,message", [
     (("verify", "cn", "C5", "--n", "7"), "unrecognized arguments: C5"),
-    # Outside cn, argparse takes --n as short for --no-timestamp: 7 is left over.
-    (("verify", "lower-bound", "C5", "--n", "7"), "unrecognized arguments: 7"),
+    # --n is not taken as short for --no-timestamp.
+    (("verify", "lower-bound", "C5", "--n", "7"), "unrecognized arguments: --n 7"),
+    (("verify", "lower-bound", "C5", "--n"), "unrecognized arguments: --n"),
+    # A theorem's flags follow its id; verify itself takes none.
+    (("verify", "--json", "lower-bound", "C5"), "unrecognized arguments: --json"),
 ])
 def test_verify_refuses_an_argument_it_does_not_read(capsys, argv, message):
     assert message in exits_2(capsys, *argv)
