@@ -157,7 +157,7 @@ def test_verify_requires_group(capsys):
 @pytest.mark.parametrize("argv,message", [
     (("verify", "cn", "C5", "--n", "7"), "unrecognized arguments: C5"),
     # --n is not taken as short for --no-timestamp.
-    (("verify", "lower-bound", "C5", "--n", "7"), "unrecognized arguments: --n 7"),
+    (("verify", "lower-bound", "C5", "--n", "7"), "unrecognized arguments: --n"),
     (("verify", "lower-bound", "C5", "--n"), "unrecognized arguments: --n"),
     # A theorem's flags follow its id; verify itself takes none.
     (("verify", "--json", "lower-bound", "C5"), "unrecognized arguments: --json"),
