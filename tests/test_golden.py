@@ -104,6 +104,7 @@ COMMANDS = (
                                    "--trials", "60", "--seed", "7"]),
     ("verify-lower-bound-c1000", ["verify", "lower-bound", "C1000", "--max-len", "100"]),
     ("verify-subgroup-es-c1000", ["verify", "subgroup-es", "C1000", "--max-len", "60"]),
+    ("conjecture-1-c4xc4", ["conjecture", "1", "C4xC4", "--max-len", "9"]),
 )
 
 
