@@ -58,10 +58,13 @@ def find_extremals(G: Group, length_cap: int,
 
     An extremal S of length L <= cap has N_0(S) = 2^(L-D+1) <= 2^(cap-D+1),
     and the zero count never drops as terms are appended, so the sweep
-    prunes every multiset whose zero count exceeds 2^(cap-D+1).  The walk
-    stops after ``budget`` multisets of the pruned tree, the empty one
-    included, and the catalog is exhaustive unless one was left unvisited.
-    Below cap D-1 no extremal sequence exists and nothing is swept."""
+    prunes every multiset whose zero count exceeds 2^(cap-D+1); it also
+    cuts by symmetry and expands the orbits it reaches (see
+    ``extremal_sweep``).  The walk stops after ``budget`` multisets, those
+    it visits, the empty one included, and the orbit members it expands.
+    The catalog is exhaustive unless one was left unvisited, and it holds
+    exactly the entries up to the last multiset visited otherwise.  Below
+    cap D-1 no extremal sequence exists and nothing is swept."""
     D = davenport(G).value
     stats = SweepStats(budget)
     entries = [

@@ -135,7 +135,8 @@ def sweep_odd_structure(G: Group, D: int, max_len: int) -> VerificationReport:
     """``check_odd_group_structure`` on every extremal S up to ``max_len``,
     in walk order, to the first that fails.  On a group of even order the
     check skips every S: the behavior is recorded and nothing is asserted.
-    The walk stops after ``DEFAULT_BUDGET`` visited multisets."""
+    The walk stops after ``DEFAULT_BUDGET`` multisets (see
+    ``extremal_sweep``)."""
     stats = SweepStats(DEFAULT_BUDGET)
     checked = skipped = 0
     for occ, _ in extremal_sweep(G, D, max_len, prune=True, stats=stats):
@@ -200,7 +201,8 @@ def sweep_corollary(G: Group, D: int, max_len: int) -> VerificationReport:
     ``max_len``, in walk order, to the first that fails;
     ``decompositions_checked`` counts the S that the check does not skip
     (those whose extremal set is exactly {0} on a group of odd order).
-    The walk stops after ``DEFAULT_BUDGET`` visited multisets."""
+    The walk stops after ``DEFAULT_BUDGET`` multisets (see
+    ``extremal_sweep``)."""
     stats = SweepStats(DEFAULT_BUDGET)
     checked = 0
     for occ, _ in extremal_sweep(G, D, max_len, prune=True, stats=stats):
@@ -413,7 +415,7 @@ def sweep_equivalences(G: Group, max_len: int, family_k: int) -> VerificationRep
     """The quotient condition decides between bounded and unbounded
     extremal lengths: when it holds, no extremal S up to min(max_len, t)
     for D = D(G) is longer than t, and the walk stops after
-    ``DEFAULT_BUDGET`` visited multisets; when it fails, the first
+    ``DEFAULT_BUDGET`` multisets; when it fails, the first
     ``family_k`` members of the unbounded family are exhibited."""
     profile = condition_profile(G)
     details = {

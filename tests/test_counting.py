@@ -37,7 +37,10 @@ from zerosum.counting import (
 )
 from zerosum.sequences import empty_sequence
 
+from zerosum.groups import _automorphism_group, _Stabilizer, element_index
+
 from helpers import (
+    automorphisms,
     cyclic_zero_free_counts,
     every_band,
     groups_up_to_order,
@@ -545,9 +548,19 @@ def test_extremal_sweep_matches_extremal_set(shape):
     # Oracle: extremal_set and zero_count on each multiset of the unpruned
     # sweep.  Unpruned, the stream is every multiset with a nonempty
     # extremal set, with that set; pruned, it is those where zero attains
-    # the bound, and the pruned walk visits the zero-count-ceiling tree.
+    # the bound.  The pruned walk cuts the zero-count-ceiling tree by
+    # Aut(G): the cut tree keeps the lex-least member of every orbit (from
+    # the listed automorphisms), and the walk materializes it plus the
+    # rest of each orbit in the stream.
     G = make_group(list(shape))
     D = davenport(G).value
+    auts = automorphisms(G)
+    idx = element_index(G)
+
+    def orbit_min(occ):
+        return min(tuple(sorted(elems[perm[idx[g]]] for g in occ)) for perm in auts)
+
+    elems = all_elements(G)
     for max_length in (D - 2, D - 1, D + 2):
         ceiling = 1 << (max_length - D + 1) if max_length >= D - 1 else 0
         expected = []
@@ -561,14 +574,49 @@ def test_extremal_sweep_matches_extremal_set(shape):
         stats = SweepStats()
         pruned = list(extremal_sweep(G, D, max_length, prune=True, stats=stats))
         assert pruned == [(occ, E) for occ, E in expected if G.zero() in E]
-        # The pruned walk visits the zero-count-ceiling tree and flags the
-        # multisets of that tree with a nonempty extremal set.
-        tree = SweepStats()
+        # The cut tree lies in the zero-count-ceiling tree and holds the
+        # lex-least member of each orbit of it.  The pruned walk visits the
+        # cut tree, flags its multisets with a nonempty extremal set, and
+        # materializes all but one member of each orbit in the stream.
         tree_occs = [tuple(occ) for occ, _ in sweep_counts(
-            G, max_length, every_band(max_length), zero_ceiling=ceiling, stats=tree)]
+            G, max_length, every_band(max_length), zero_ceiling=ceiling)]
+        cut = SweepStats()
+        cut_occs = [tuple(occ) for occ, _ in sweep_counts(
+            G, max_length, every_band(max_length), zero_ceiling=ceiling,
+            automorphisms=_automorphism_group(G), stats=cut)]
+        assert set(cut_occs) <= set(tree_occs)
+        assert {occ for occ in tree_occs if orbit_min(occ) == occ} <= set(cut_occs)
+        orbits = {orbit_min(occ) for occ, _ in pruned}
         attained = {occ for occ, _ in expected}
-        assert (stats.visited, stats.exhaustive) == (tree.visited, tree.exhaustive)
-        assert stats.flagged == sum(occ in attained for occ in tree_occs)
+        assert (stats.visited, stats.exhaustive) == (
+            cut.visited + len(pruned) - len(orbits), cut.exhaustive)
+        assert stats.flagged == sum(occ in attained for occ in cut_occs)
+        if max_length == D + 2:
+            assert len(cut_occs) < len(tree_occs), G
+
+
+def test_symmetry_cut_keeps_the_pruned_stream(monkeypatch):
+    # Oracle: the walk with the trivial group, which cuts nothing and
+    # expands no orbit.  The stream of the pruned extremal sweep is the
+    # same, in order and with the same members, on every group of order at
+    # most 16 at every cap from D - 1 to D + 2.
+    real = {}
+    for G in groups_up_to_order(16):
+        D = davenport(G).value
+        for cap in range(D - 1, D + 3):
+            stats = SweepStats()
+            real[G, D, cap] = list(extremal_sweep(G, D, cap, prune=True, stats=stats)), stats
+    monkeypatch.setattr(counting, "_automorphism_group",
+                        lambda G: _Stabilizer((), 1, tuple(range(G.order))))
+    for (G, D, cap), (stream, cut) in real.items():
+        stats = SweepStats()
+        assert list(extremal_sweep(G, D, cap, prune=True, stats=stats)) == stream, (G, cap)
+        assert cut.exhaustive and stats.exhaustive
+    # C4xC4 at cap 9: 1,488 entries in 18 orbits; the walk cut by Aut(G),
+    # of order 96, and the orbits take 14,935 multisets instead of 146,783.
+    stream, cut = real[make_group([4, 4]), 7, 9]
+    assert (cut.visited, len(stream)) == (14_935, 1_488)
+    assert len(real) == 4 * 24
 
 
 def test_sweep_counts_yields_immutable_vectors():

@@ -352,19 +352,23 @@ def test_automorphism_chain_order_matches_the_closed_form():
 
 
 def test_elementary_automorphisms_are_bijective_homomorphisms():
-    # Past order 36, the groups whose exact Davenport search runs the
-    # symmetry cut in the goldens: the cut is sound only for automorphisms.
-    past_36 = [make_group([2, 2, 10]), make_group([2, 2, 2, 6]),
-               make_group([2, 2, 2, 2, 6])]
-    for G in groups_up_to_order(36) + past_36:
+    # The symmetry cut is sound only for automorphisms.  It runs in the
+    # catalog walks up to order 64, and past it in the exact Davenport
+    # search of C2^4 x C6 (a golden).  A map additive on the basis e_i,
+    # f(e_i + b) = f(e_i) + f(b) for every b, is additive everywhere, since
+    # the e_i generate G.
+    groups = groups_up_to_order(64) + [make_group([2, 2, 2, 2, 6])]
+    for G in groups:
         elems = all_elements(G)
         idx = element_index(G)
+        basis = [tuple(int(i == j) for j in range(G.rank)) for i in range(G.rank)]
         for perm in _elementary_automorphisms(G):
             assert sorted(perm) == list(range(G.order)), G
-            for a in elems:
+            for e in basis:
                 for b in elems:
-                    image = elem_add(G, elems[perm[idx[a]]], elems[perm[idx[b]]])
-                    assert elems[perm[idx[elem_add(G, a, b)]]] == image, (G, perm)
+                    image = elem_add(G, elems[perm[idx[e]]], elems[perm[idx[b]]])
+                    assert elems[perm[idx[elem_add(G, e, b)]]] == image, (G, perm)
+    assert len(groups) == 117
 
 
 def test_element_orbits_match_the_full_automorphism_group():

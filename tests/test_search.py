@@ -27,6 +27,7 @@ from zerosum.search import splitmix64
 from zerosum.sequences import Sequence, seq_key
 
 from helpers import (
+    automorphisms,
     every_band,
     groups_up_to_order,
     reference_random_search,
@@ -84,12 +85,17 @@ def test_catalog_sorted_and_budget():
 
 
 def test_budget_keeps_the_entries_of_a_prefix_of_the_walk(monkeypatch):
-    # With N the multisets the pruned walk visits at cap D + 2, a budget b
-    # keeps exactly the entries among the first b of them, visits min(b, N)
-    # and is exhaustive exactly when b >= N.  Every b below 64 and from
-    # N - 2 to N + 1 is tried, and every 17th between: trying every b
-    # makes the test quadratic in N (about 1,500 on the groups of order 8).
-    from zerosum.counting import SweepStats, sweep_counts
+    # A catalog's budget counts the multisets that its walk materializes:
+    # the nodes of the walk cut by Aut(G), and at the first member of each
+    # orbit that attains the bound, the rest of the orbit (here from the
+    # listed automorphisms).  With N that count at cap D + 2, a budget b
+    # ends the walk at the first multiset where the count reaches b, keeps
+    # exactly the entries lex-<= it, materializes min(b, N) and is
+    # exhaustive exactly when b >= N.  Every b below 64 and from N - 2 to
+    # N + 1 is tried, and every 17th between: trying every b makes the
+    # test quadratic in N.
+    from zerosum.counting import SweepStats, limb_layout, sweep_counts
+    from zerosum.groups import _automorphism_group, element_index
 
     walks = []
 
@@ -99,30 +105,51 @@ def test_budget_keeps_the_entries_of_a_prefix_of_the_walk(monkeypatch):
             walks.append(self)
 
     monkeypatch.setattr(search, "SweepStats", Recorded)
-    inside_leaf_batch = 0
+    inside_leaf_batch = orbit_cuts = 0
     for G in groups_up_to_order(8):
         D = davenport(G).value
         cap = D + 2
-        full = SweepStats()
-        walk = [tuple(occ) for occ, _ in sweep_counts(
-            G, cap, every_band(cap), zero_ceiling=1 << (cap - D + 1), stats=full)]
-        N = full.visited
-        assert len(walk) == N and full.exhaustive
+        auts = automorphisms(G)
+        idx = element_index(G)
+        mask = limb_layout(G, cap).mask
+        # The cut walk, and the count materialized up to each multiset.
+        walk, totals, orbits = [], [], set()
+        total = 0
+        for occ, packed in sweep_counts(
+                G, cap, every_band(cap), zero_ceiling=1 << (cap - D + 1),
+                automorphisms=_automorphism_group(G)):
+            occ = tuple(occ)
+            total += 1
+            if len(occ) >= D - 1 and packed & mask == 1 << (len(occ) - D + 1):
+                orbit = {tuple(sorted(perm[idx[g]] for g in occ)) for perm in auts}
+                if min(orbit) not in orbits:
+                    orbits.add(min(orbit))
+                    total += len(orbit) - 1
+            walk.append(occ)
+            totals.append(total)
+        N = total
         entries = find_extremals(G, cap).entries
         for b in range(N + 2):
             if 64 <= b < N - 2 and b % 17:
                 continue
-            prefix = set(walk[:b])
             catalog = find_extremals(G, cap, budget=b)
-            assert catalog.entries == tuple(
-                (S, E) for S, E in entries if S.expanded() in prefix), (G, b)
+            stats = walks[-1]
             assert catalog.exhaustive == (b >= N), (G, b)
-            assert (walks[-1].visited, walks[-1].exhaustive) == (min(b, N), b >= N)
-            # The walk ends between two leaves of one parent.
-            if 0 < b < N and len(walk[b - 1]) == len(walk[b]) == cap \
-                    and walk[b - 1][:-1] == walk[b][:-1]:
-                inside_leaf_batch += 1
-    assert inside_leaf_batch
+            assert (stats.visited, stats.exhaustive) == (min(b, N), b >= N)
+            if b >= N:
+                assert catalog.entries == entries
+                continue
+            k = next((k for k, t in enumerate(totals) if t >= b), None)
+            last = walk[k] if b else None
+            assert stats.last == last, (G, b)
+            assert catalog.entries == tuple(
+                (S, E) for S, E in entries if b and S.expanded() <= last), (G, b)
+            if b and totals[k] > b:
+                orbit_cuts += 1  # the orbit of walk[k] did not fit
+            elif b and len(walk[k]) == len(walk[k + 1]) == cap \
+                    and walk[k][:-1] == walk[k + 1][:-1]:
+                inside_leaf_batch += 1  # the walk ends between two leaves of one parent
+    assert inside_leaf_batch and orbit_cuts
 
 
 def test_pruned_catalog_matches_unpruned_sweep():
@@ -156,6 +183,45 @@ def test_pruned_catalog_matches_unpruned_sweep():
                 }, (G, cap, occ)
             checked += 1
     assert checked == 59  # (group, cap) pairs within the node limit
+
+
+def test_catalogs_past_order_64_build_no_automorphism_group(monkeypatch):
+    # The catalog walk cuts by Aut(G) only up to order 64, where the tests
+    # check its Schreier-Sims chain; past it, it takes the trivial group.
+    def refuse(G):
+        raise RuntimeError(f"Aut({G}) built")
+
+    monkeypatch.setattr(counting, "_automorphism_group", refuse)
+    for G in (make_group([2] * 7), make_group([128]), make_group([2, 64])):
+        catalog = find_extremals(G, davenport(G).value + 1, budget=2_000)
+        assert not catalog.exhaustive, G
+    with pytest.raises(RuntimeError, match="built"):
+        find_extremals(make_group([2] * 6), 7, budget=2_000)
+
+
+def test_an_orbit_past_the_budget_ends_the_catalog(monkeypatch, capsys):
+    # The first extremal multiset of C2^6 at cap 7 is e_1^2 e_2 ... e_6, and
+    # the orbit of the bases alone has |GL(6,2)| / 6! (about 2.8 * 10^7)
+    # members.  The orbit is expanded only as far as the budget allows, and
+    # the catalog ends, partial, at that multiset.
+    calls = []
+    orbit = counting._orbit
+
+    def recorded(gens, key, members, room):
+        found = orbit(gens, key, members, room)
+        calls.append((room, found))
+        return found
+
+    monkeypatch.setattr(counting, "_orbit", recorded)
+    assert cli.main(["extremal", "C2xC2xC2xC2xC2xC2", "--max-len", "7",
+                     "--budget", "1000", "--json", "--no-timestamp"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["exhaustive"], result["count"]) == (False, 1)
+    assert result["entries"][0]["sequence"] == (
+        "(0,0,0,0,0,1)^2 (0,0,0,0,1,0) (0,0,0,1,0,0) (0,0,1,0,0,0) "
+        "(0,1,0,0,0,0) (1,0,0,0,0,0)")
+    [(room, found)] = calls
+    assert 0 < room < 1000 and found is None
 
 
 def test_find_extremals_below_d_minus_one_is_empty_and_exhaustive():
