@@ -28,10 +28,9 @@ length 8 packs 16 bits per element instead of 64.  Adding a to every
 element is a rotation of the limbs, done per coordinate with a constant
 mask and two shifts (``_limb_adders``), so the append step is ``x +
 translate(x, a)``: O(rank) big-int operations instead of O(|G|)
-Python-level additions.  The table at W = 1 serves the subset-sum
-bitset of ``davenport.davenport_exact`` and ``_SpanJoins``, which joins
-the subgroup <P> generated by a prefix with <c>, coset by coset, for
-that search and for the walk cut by symmetry.
+Python-level additions.  The table at W = 1 serves only
+``davenport.davenport_exact``: its subset-sum bitset and its joins of
+the subgroup <P> generated by a prefix with <c>, coset by coset.
 
 SWAR predicates.  With ONES the repunit of W-bit limbs and TOP = ONES <<
 (W-1) the mask of their sentinel bits, ``(x + ONES*(2^(W-1) - b)) & TOP``
@@ -64,16 +63,16 @@ stored, and at most ``MEMO_CAP`` per walk, which bounds the memory.  The
 totals may pass 2^64.  The census sweeps gain, and so do the unpruned
 ``extremal_sweep`` walks of ``subgroup-es`` and ``conjecture 2``.
 
-Symmetry.  With a ceiling, the walk cuts by symmetry instead of
+Symmetry.  With a ceiling, the catalog walk cuts by symmetry instead of
 memoizing: the pruned catalog walks yield along most of their subtrees,
 and storing the rest made ``extremal C5xC5 --max-len 10`` slower (6.3 to
 7.3 s) and larger (58 to 64 MiB).  The zero count and the extremal
-members move with any automorphism, so ``extremal_sweep`` hands
-``sweep_counts`` Aut(G), walks the tree cut as ``davenport_exact`` cuts
-its search, and expands each orbit that it reaches back into its
-members, released in walk order.  On C4xC4 at cap 9 the walk and the
-orbits take 14,935 multisets instead of 146,783 for the same 1,488
-entries, which fall into 18 orbits.
+members move with any automorphism, so the pruned ``extremal_sweep``
+walks the tree cut by Aut(G) as ``davenport_exact`` cuts its search, and
+expands each orbit that it reaches back into its members, released in
+walk order (``symmetry``, loaded on first use).  On C4xC4 at cap 9 the
+walk and the orbits take 14,935 multisets instead of 146,783 for the
+same 1,488 entries, which fall into 18 orbits.
 
 Everything here is exact integer arithmetic: the statements being checked
 are equalities against powers of two, so a single rounding error would be
@@ -86,16 +85,11 @@ import struct
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from heapq import heappop, heappush
 from math import comb
 
 from .groups import (
     Group,
     GroupElement,
-    _automorphism_group,
-    _few_generators,
-    _fix_point,
-    _Stabilizer,
     all_elements,
     element_index,
     elem_add,
@@ -271,40 +265,6 @@ def translate(x: int, ops) -> int:
     for lo, ls, hi, rs in ops:
         x = ((x << ls) & lo) | ((x >> rs) & hi)
     return x
-
-
-class _SpanJoins:
-    """The subgroups <P> generated by the prefixes P of a walk over G, as
-    bitmasks over element indices (bit 0 alone is the trivial subgroup),
-    with the automorphisms that fix each of them pointwise.
-
-    ``join(span, c)`` is <P> + <c>, for an element index c not in <P>:
-    the union of the cosets <P> + kc, each the last one translated by c
-    with the width-1 table, until the coset is <P> again.  Its stabilizer
-    is Stab(<P>) ∩ Stab(c), one ``_fix_point`` step from that of <P>.
-    Joins are kept per (<P>, c) and ``stabilizers`` per bitmask, starting
-    from the given group at the trivial subgroup.  ``davenport_exact``
-    and the symmetric ``sweep_counts`` walk share it."""
-
-    __slots__ = ("stabilizers", "_adders", "_joins")
-
-    def __init__(self, G: Group, automorphisms: _Stabilizer):
-        self.stabilizers = {1: automorphisms}
-        self._adders = _limb_adders(G, 1)
-        self._joins: dict[tuple[int, int], int] = {}
-
-    def join(self, span: int, c: int) -> int:
-        joined = self._joins.get((span, c))
-        if joined is None:
-            adder = self._adders[c]
-            joined, coset = span, translate(span, adder)
-            while coset != span:
-                joined |= coset
-                coset = translate(coset, adder)
-            if joined not in self.stabilizers:
-                self.stabilizers[joined] = _fix_point(self.stabilizers[span], c)
-            self._joins[span, c] = joined
-        return joined
 
 
 def _append(x: int, term_ops) -> int:
@@ -553,13 +513,13 @@ class SweepStats:
     """The accounting of one ``sweep_counts`` walk, a fresh record each:
     ``budget`` in, the most multisets it may materialize (None: no
     limit); ``visited`` out, the multisets of the pruned tree it visited,
-    the empty one included, plus those its consumer materialized (see
-    ``sweep_counts``); ``exhaustive`` out, False when the budget left one
-    unvisited; ``last`` out, for a walk with a zero ceiling, the last
-    multiset visited once the budget is spent (None before);
-    ``flagged`` out, the multisets of the walk with a count in the band
-    of their length; ``entries`` and ``hits`` out, the subtrees the memo
-    stored and the ones it answered."""
+    the empty one included, and in a walk cut by symmetry also those its
+    consumer materialized; ``exhaustive`` out, False when the budget left
+    one unvisited; ``last`` out, in a walk cut by symmetry, the last
+    multiset visited once the budget is spent (None before); ``flagged``
+    out, the multisets of the walk with a count in the band of their
+    length; ``entries`` and ``hits`` out, the subtrees the memo stored and
+    the ones it answered."""
 
     budget: int | None = None
     visited: int = 0
@@ -571,8 +531,7 @@ class SweepStats:
 
 
 def sweep_counts(G: Group, max_length: int, bands: list, *,
-                 zero_ceiling: int | None = None,
-                 automorphisms: _Stabilizer | None = None,
+                 zero_ceiling: int | None = None, automorphisms=None,
                  stats: SweepStats | None = None):
     """Walk the zero-free multisets up to ``max_length``, sharing the
     counting DP along the enumeration tree, and yield (occurrences, packed
@@ -600,25 +559,17 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
     count (N_0(S a) = N_0(S) + N_{-a}(S)), so the pruned walk is the
     unpruned one restricted to multisets whose zero count is at most the
     ceiling.  ``stats`` (see ``SweepStats``) carries a budget in and the
-    visited and flagged counts, ``exhaustive``, ``last`` and the memo's
-    entries and hits out.
+    visited and flagged counts, ``exhaustive`` and the memo's entries and
+    hits out.
 
     Symmetry (with a ceiling only).  ``automorphisms``, a subgroup of
     Aut(G) such as ``groups._automorphism_group(G)``, cuts the pruned walk
-    as ``davenport.davenport_exact`` cuts its search.  The walk carries
-    the bitmask of the subgroup <P> generated by each frame's multiset P
-    (``_SpanJoins``).  It skips a child c when an automorphism that fixes
-    <P> pointwise maps c below itself, or when one maps c below the first
-    term of P.  No cut removes a prefix of the lex-least member of an
-    orbit (see the ``davenport`` module notes), and the zero count is the
-    same on the whole orbit, so the walk visits that member, before any
-    other of its orbit; the consumer expands the orbits (see
-    ``extremal_sweep``).  None, the default, is the trivial group: no
-    cut.  A walk with a group sets ``stats.visited`` at each yield, and
-    its consumer may add the multisets that it materializes for the one
-    yielded; past the budget the walk ends at that multiset.  Without a
-    budget it allows twice the size of the tree: the walk and the orbits
-    each hold at most the tree.
+    as ``davenport_exact`` cuts its search (``symmetry.cut_walk``): the
+    walk skips every child that an automorphism fixing the subgroup
+    spanned by its parent maps below itself, or that one maps below the
+    first term.  It still visits the lex-least member of every orbit,
+    before any other, and its consumer expands the orbits.  None, the
+    default, is the trivial group: no cut.
 
     Memo (without a ceiling only; see the module docstring).  The
     subtree below a multiset, its extensions by terms from position p on,
@@ -639,8 +590,7 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
     budget = stats.budget
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    symmetric = automorphisms is not None
-    if symmetric and zero_ceiling is None:
+    if automorphisms is not None and zero_ceiling is None:
         raise ValueError("the symmetry cut needs a zero ceiling")
     # Nothing to visit, or a ceiling below the empty multiset's N_0 = 1.
     if max_length < 0 or (zero_ceiling is not None and zero_ceiling < 1):
@@ -648,11 +598,16 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
     if budget is not None and budget < 1:
         stats.exhaustive = False
         return
+    if automorphisms is not None:
+        from .symmetry import cut_walk  # see the symmetry module notes
+
+        yield from cut_walk(G, max_length, bands, zero_ceiling, automorphisms, stats)
+        return
     count = G.order - 1  # the nonzero terms
     # The size of the unpruned tree bounds every total.
     size = comb(count + max_length, max_length)
     if budget is None:
-        budget = 2 * size if symmetric else size
+        budget = size
     if zero_ceiling is None and not any(bands):
         # Nothing can flag, so the walk would only count the tree.
         limb_width(max_length)  # refuses a length above the cap
@@ -686,24 +641,8 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
                 n += 1
             memo_until[d] = count + 1 - n
         memo = [{} for _ in range(count)]
-    if symmetric:
-        # Per frame, the bitmask of <P> and the positions the cut keeps:
-        # those of the elements that no automorphism fixing <P> maps below
-        # themselves and none maps below the first term (element index).
-        spans = _SpanJoins(G, automorphisms)
-        aut_low = automorphisms.orbit_min
-        keeps: dict[tuple[int, int], int] = {}
-
-        def kept(span: int, first: int) -> int:
-            low = spans.stabilizers[span].orbit_min
-            return sum(1 << p for p in range(count)
-                       if low[p + 1] == p + 1 and aut_low[p + 1] >= first)
-
-        span_path, keep_path, first = [1], [kept(1, 0)], 0
     occurrences: list[GroupElement] = []
     nodes = 1
-    if nodes == budget and zero_ceiling is not None:
-        stats.last = ()
     # flagged - held is the number of multisets yielded so far.
     flagged = held = entries = hits = 0
     band = offsets[0]
@@ -712,7 +651,6 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
         if band[2] is not None and (1 + band[2]) & top == top:
             held = 1
         else:
-            stats.visited = nodes
             yield occurrences, 1
     # One frame per multiset on the current path shorter than max_length:
     # its packed counts and the next term position to try.  Terms are
@@ -731,22 +669,15 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
             leaves = range(pos, count)
             if zero_ceiling is not None:
                 low = x & mask
-                if symmetric:
-                    keep = keep_path[-1]
-                    leaves = [p for p in leaves if keep >> p & 1
-                              and low + ((x >> neg_shift[p]) & mask) <= zero_ceiling]
-                else:
-                    leaves = [p for p in leaves
-                              if low + ((x >> neg_shift[p]) & mask) <= zero_ceiling]
+                leaves = [p for p in leaves
+                          if low + ((x >> neg_shift[p]) & mask) <= zero_ceiling]
             nodes += len(leaves)
             truncated = nodes > budget
             if truncated:
                 # Cut to the budget; the walk ends after this batch.
                 leaves = leaves[:len(leaves) + budget - nodes]
                 nodes = budget
-            if nodes == budget and leaves and zero_ceiling is not None:
-                stats.last = (*occurrences, terms[leaves[-1]])
-            resume = False
+                stats.exhaustive = False
             band = offsets[depth]
             if band is not None:
                 lo_offset, hi_offset, floor_offset = band
@@ -761,36 +692,14 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
                             held += 1
                             continue
                         occurrences.append(terms[p])
-                        if not symmetric:
-                            yield occurrences, y
-                            occurrences.pop()
-                            continue
-                        # Count the batch up to p, whose consumer may
-                        # materialize more, and resume it after p.
-                        nodes += leaves.index(p) + 1 - len(leaves)
-                        stats.visited = nodes
                         yield occurrences, y
-                        nodes = stats.visited
-                        if nodes >= budget:
-                            stats.last = tuple(occurrences)
                         occurrences.pop()
-                        truncated = nodes > budget
-                        if truncated:
-                            nodes = budget
-                        else:
-                            next_pos[-1] = p + 1
-                            resume = True
-                        break
-            if resume:
-                continue
             if truncated:
-                stats.exhaustive = False
                 break
         elif pos < count:
             next_pos[-1] = pos + 1
-            if zero_ceiling is not None and (
-                    (x & mask) + ((x >> neg_shift[pos]) & mask) > zero_ceiling
-                    or symmetric and not keep_path[-1] >> pos & 1):
+            if (zero_ceiling is not None
+                    and (x & mask) + ((x >> neg_shift[pos]) & mask) > zero_ceiling):
                 continue
             if nodes >= budget:
                 stats.exhaustive = False
@@ -812,44 +721,18 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
                 marks.append((depth + 1, child, pos, nodes, flagged, held))
             nodes += 1
             occurrences.append(terms[pos])
-            if nodes == budget and zero_ceiling is not None:
-                stats.last = tuple(occurrences)
             band = offsets[depth]
             if band is not None and (child + band[0]) & ~(child + band[1]) & top:
                 flagged += 1
                 if band[2] is not None and (child + band[2]) & top == top:
                     held += 1
                 else:
-                    stats.visited = nodes
                     yield occurrences, child
-                    if symmetric and stats.visited > nodes:
-                        # The consumer materialized more for this multiset.
-                        nodes = stats.visited
-                        if nodes >= budget:
-                            stats.last = tuple(occurrences)
-                        if nodes > budget:
-                            nodes = budget
-                            stats.exhaustive = False
-                            break
             path_counts.append(child)
             next_pos.append(pos)
-            if symmetric:
-                span = span_path[-1]
-                if not span >> pos + 1 & 1:
-                    span = spans.join(span, pos + 1)
-                if depth == 1:
-                    first = pos + 1
-                keep = keeps.get((span, first))
-                if keep is None:
-                    keep = keeps[span, first] = kept(span, first)
-                span_path.append(span)
-                keep_path.append(keep)
             continue
         next_pos.pop()
         path_counts.pop()
-        if symmetric:
-            span_path.pop()
-            keep_path.pop()
         if marks and marks[-1][0] == depth:
             _, key, p, visited0, flagged0, held0 = marks.pop()
             if depth == 2:
@@ -867,32 +750,6 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
     stats.hits = hits
 
 
-# Catalog walks cut by Aut(G) only up to this order: the tests check its
-# Schreier–Sims chain against |Aut(G)| in closed form up to order 64,
-# and the chain of C2^10 alone takes tens of seconds and hundreds of MiB.
-SYMMETRY_CAP = 64
-
-
-def _orbit(gens, key: tuple[int, ...], members: list[int], room: int | None):
-    """The orbit of the multiset with the sorted element indices ``key``
-    under the permutations ``gens`` of element indices, found breadth
-    first: the sorted indices of each member with the images of
-    ``members`` along the way, in lex order.  None when the orbit has
-    more than ``room`` members besides ``key`` (None: no limit)."""
-    orbit = {key: members}
-    queue = [key]
-    for terms in queue:
-        images = orbit[terms]
-        for g in gens:
-            image = tuple(sorted(map(g.__getitem__, terms)))
-            if image not in orbit:
-                if room is not None and len(orbit) > room:
-                    return None
-                orbit[image] = list(map(g.__getitem__, images))
-                queue.append(image)
-    return sorted(orbit.items())
-
-
 def extremal_sweep(G: Group, D: int, max_length: int, *, prune: bool = False,
                    stats: SweepStats | None = None):
     """Yield (occurrence tuple, extremal members) for each zero-free
@@ -901,71 +758,19 @@ def extremal_sweep(G: Group, D: int, max_length: int, *, prune: bool = False,
 
     With ``prune`` the sweep is for extremal sequences only: it skips every
     multiset whose zero count exceeds 2^(max_length-D+1) and yields only
-    those where zero itself attains the bound.  It then cuts the walk by
-    symmetry, with Aut(G) for |G| <= ``SYMMETRY_CAP``, instead of walking
-    every member of each orbit.  An automorphism keeps the zero count and
-    maps the extremal members along, so each attaining multiset that the
-    walk visits and that no orbit holds yet is expanded into its orbit:
-    a breadth-first search over the strong generators on sorted index
-    tuples (``_orbit``).  The walk reaches the lex-least member of each
-    orbit first, and a heap releases each pending member before the
-    next attaining multiset above it, so the stream, its order and the
-    members are those of the uncut walk.  The budget counts the walk's
-    multisets and the orbit members expanded; an orbit that does not fit
-    ends the walk at the multiset being expanded.  A truncated sweep
-    yields exactly the entries lex-<= ``stats.last``, a prefix of the
-    full stream.
+    those where zero itself attains the bound.  It cuts the walk by Aut(G)
+    and expands each orbit it reaches, with the same stream
+    (``symmetry.extremal_orbits``): the budget counts the multisets walked
+    and the orbit members expanded, and a truncated sweep yields exactly
+    the entries up to ``stats.last``.
     """
-    limbs = limb_layout(G, max_length)
-    mask = limbs.mask
-    bands = _attained_bands(D, max_length)
-    if not prune:
-        for occ, packed in sweep_counts(G, max_length, bands, stats=stats):
-            exponent = len(occ) - D + 1
-            yield tuple(occ), _extremal_members(G, limbs, packed, exponent)
+    if prune:
+        from .symmetry import extremal_orbits  # see the symmetry module notes
+
+        yield from extremal_orbits(G, D, max_length, stats)
         return
-    top = max_length - D + 1
-    ceiling = 1 << top if top >= 0 else 0
-    aut = _automorphism_group(G) if ceiling and G.order <= SYMMETRY_CAP else None
-    stats = stats or SweepStats()
-    elems, idx = all_elements(G), element_index(G)
-    gens = aut and _few_generators(aut)
-    # The expanded orbits with members not yet yielded: for each, its least
-    # pending member (sorted element indices, member indices) and an
-    # iterator over the ones above it, least orbit first.
-    pending: list = []
-
-    def release():
-        key, members, rest = heappop(pending)
-        image = next(rest, None)
-        if image is not None:
-            heappush(pending, (*image, rest))
-        return tuple(map(elems.__getitem__, key)), frozenset(map(elems.__getitem__, members))
-
-    for occ, packed in sweep_counts(G, max_length, bands, zero_ceiling=ceiling,
-                                    automorphisms=aut, stats=stats):
-        bound = 1 << (len(occ) - D + 1)
-        if packed & mask != bound:
-            continue
-        members = limbs.flagged(limbs.equal(packed, bound))
-        if aut is not None:
-            key = tuple(map(idx.__getitem__, occ))
-            while pending and pending[0][0] < key:
-                yield release()
-            if pending and pending[0][0] == key:
-                release()  # expanded with the least member of its orbit
-            else:
-                room = None if stats.budget is None else stats.budget - stats.visited
-                orbit = _orbit(gens, key, members, room)
-                if orbit is None:
-                    stats.visited += room + 1  # the orbit does not fit: the walk ends
-                elif len(orbit) > 1:
-                    stats.visited += len(orbit) - 1
-                    rest = iter(orbit)
-                    next(rest)  # key, the least member
-                    heappush(pending, (*next(rest), rest))
-        yield tuple(occ), frozenset(map(elems.__getitem__, members))
-    # Past the budget, only the members up to the last multiset visited.
-    last = None if stats.exhaustive else tuple(map(idx.__getitem__, stats.last or ()))
-    while pending and (last is None or pending[0][0] <= last):
-        yield release()
+    limbs = limb_layout(G, max_length)
+    for occ, packed in sweep_counts(G, max_length, _attained_bands(D, max_length),
+                                    stats=stats):
+        exponent = len(occ) - D + 1
+        yield tuple(occ), _extremal_members(G, limbs, packed, exponent)

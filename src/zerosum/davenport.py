@@ -19,11 +19,11 @@ child c is skipped when one of them maps c below itself: one lookup in
 their ``orbit_min`` table.  At the root that is Aut(G)
 (``groups._automorphism_group``, a Schreier–Sims chain, never listed),
 whose table also skips a child below the first term.  The search carries
-<P> as a bitmask over element indices.  When c is not in it,
-``counting._SpanJoins`` joins <P> + <c> coset by coset, and the
-stabilizer of the join is Stab(<P>) ∩ Stab(c), one ``groups._fix_point``
-step from that of <P>.  The catalog walk of ``counting.sweep_counts``
-makes the same cuts with the same joins.
+<P> as a bitmask over element indices.  When c is not in it, <P> + <c> is
+the union of the cosets <P> + kc, each the last one translated by c with
+the width-1 table, until the coset is <P> again; its stabilizer is
+Stab(<P>) ∩ Stab(c), one ``groups._fix_point`` step from that of <P>.
+Joins are kept per (<P>, c) and stabilizers per joined bitmask.
 
 Both cuts are sound for any set of automorphisms: they never cut a
 prefix of a multiset L that is lex-least in its orbit.  If sigma fixes
@@ -34,10 +34,7 @@ first |P| + 1 terms of L, and they sum to less.  If sigma(c) lies below
 the first term of L, so does the least term of sigma(L).  The first
 zero-sum-free multiset of each length in lex order is lex-least in its
 orbit, so the value and the witness are those of the search without the
-cuts.  In the catalog walk, which keeps every multiset of a bounded zero
-count, the prefixes of a lex-least L survive too, since the zero count
-never drops along a prefix: the cut walk visits every multiset that is
-lex-least in its orbit.
+cuts.
 
 The closed form D = 1 + sum(n_i - 1) is applied only where it is settled:
 cyclic groups, rank <= 2, and p-groups.  Everywhere else the constant must
@@ -56,10 +53,11 @@ from .groups import (
     elem_neg,
     elem_order,
     _automorphism_group,
+    _fix_point,
     _prime_factors,
 )
 from .sequences import Sequence, _seq_from_sorted, sequence
-from .counting import _SpanJoins, _limb_adders, sweep_counts, translate, zero_count
+from .counting import _limb_adders, sweep_counts, translate, zero_count
 
 DAVENPORT_CAP = 36
 
@@ -125,10 +123,22 @@ def davenport_exact(G: Group, cap: int = DAVENPORT_CAP) -> DavenportResult:
     adders = _limb_adders(G, 1)
     neg_idx = [idx[elem_neg(G, e)] for e in elems]
     orders = [elem_order(G, e) for e in elems]
-    spans = _SpanJoins(G, _automorphism_group(G))
-    join, stabilizers = spans.join, spans.stabilizers
+    stabilizers = {1: _automorphism_group(G)}  # keyed by the bitmask of <P>
     orbit_min = stabilizers[1].orbit_min
+    joins: dict[tuple[int, int], int] = {}
     stack: list[int] = []
+
+    def join(span: int, c: int) -> int:
+        # <P> + <c>: the cosets of <P> through the multiples of c.
+        if (span, c) not in joins:
+            joined, coset = span, translate(span, adders[c])
+            while coset != span:
+                joined |= coset
+                coset = translate(coset, adders[c])
+            if joined not in stabilizers:
+                stabilizers[joined] = _fix_point(stabilizers[span], c)
+            joins[span, c] = joined
+        return joins[span, c]
 
     def dfs(start: int, mask: int, size: int, first: int, span: int) -> None:
         nonlocal best_len, best_occ

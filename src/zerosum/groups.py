@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import product
 from math import gcd, lcm, prod
 
@@ -400,25 +400,6 @@ def _fix_point(stab: _Stabilizer, point: int) -> _Stabilizer:
     for s in stab.gens:
         chain.add(s, stab.order)
     return _chain_stabilizer(chain, 1)
-
-
-def _few_generators(stab: _Stabilizer) -> tuple[Perm, ...]:
-    """Generators of ``stab``, usually about half of its strong generators
-    (two for Aut(C2^6) instead of ten): the product of the strong
-    generators, then each of them that grows the group generated so far,
-    until it has ``stab.order`` elements.  An orbit walk applies each
-    generator to each point, so fewer generators make it cheaper."""
-    n = len(stab.orbit_min)
-    chain = _Chain(n)
-    chosen = []
-    for g in (reduce(_compose, stab.gens, chain.identity), *stab.gens):
-        if chain.order == stab.order:
-            break
-        order = chain.order
-        chain.add(g, stab.order)
-        if chain.order != order:
-            chosen.append(g)
-    return tuple(chosen)
 
 
 def subgroup_closure(G: Group, gens) -> Subgroup:

@@ -22,7 +22,7 @@ from zerosum import (
     subsums,
     transform,
 )
-from zerosum import counting
+from zerosum import counting, symmetry
 from zerosum.cli import main
 from zerosum.counting import (
     MAX_LENGTH,
@@ -606,7 +606,7 @@ def test_symmetry_cut_keeps_the_pruned_stream(monkeypatch):
         for cap in range(D - 1, D + 3):
             stats = SweepStats()
             real[G, D, cap] = list(extremal_sweep(G, D, cap, prune=True, stats=stats)), stats
-    monkeypatch.setattr(counting, "_automorphism_group",
+    monkeypatch.setattr(symmetry, "_automorphism_group",
                         lambda G: _Stabilizer((), 1, tuple(range(G.order))))
     for (G, D, cap), (stream, cut) in real.items():
         stats = SweepStats()

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from zerosum import (
     all_elements,
     cli,
-    counting,
     count_all,
     count_brute_vector,
     davenport,
@@ -117,15 +116,13 @@ def _identity(n):
 def _search_with_orbit_tables(monkeypatch, G, depth_one, deeper):
     """davenport_exact on G with the Aut(G) orbit table (the depth-1 cut
     and the cut below the first term) and the stabilizer orbit tables (the
-    cut at depth 2 and below, built by the span joins of ``counting``)
-    each replaced by the identity when off."""
+    cut at depth 2 and below) each replaced by the identity when off."""
     dav = importlib.import_module("zerosum.davenport")
     with monkeypatch.context() as m:
         if not depth_one:
             m.setattr(dav, "_automorphism_group", lambda G: _identity(G.order))
         if not deeper:
-            m.setattr(counting, "_fix_point",
-                      lambda stab, point: _identity(len(stab.orbit_min)))
+            m.setattr(dav, "_fix_point", lambda stab, point: _identity(len(stab.orbit_min)))
         return davenport_exact(G)
 
 
@@ -155,9 +152,8 @@ def _dfs_nodes(monkeypatch, search):
     dav = importlib.import_module("zerosum.davenport")
     nodes = []
     with monkeypatch.context() as m:
-        for module in (dav, counting):  # the DFS, and the joins
-            m.setattr(module, "translate",
-                      lambda mask, ops: nodes.append(1) or translate(mask, ops))
+        m.setattr(dav, "translate",
+                  lambda mask, ops: nodes.append(1) or translate(mask, ops))
         search()
     return len(nodes)
 

@@ -1,11 +1,12 @@
 """Module boundaries of the library, checked on the import statements.
 
-`counting` is the only module that reads packed count vectors: no other
-module imports the limb layout or the predicates on it, nor the sweep
-and translation primitives that produce packed vectors.  `davenport` may
-import the primitives: its exact search runs on the width-1 bitset and
-its subgroup joins (`_SpanJoins`), and its zero-sum-free enumeration on
-`sweep_counts`.  The CLI only parses
+`counting` is the only module that reads packed count vectors, with
+`symmetry`, the catalog walk cut by automorphisms that `counting` loads
+on first use: no other module imports the limb layout or the predicates
+on it, nor the sweep and translation primitives that produce packed
+vectors.  `davenport` may
+import the primitives: its exact search runs on the width-1 bitset, and
+its zero-sum-free enumeration on `sweep_counts`.  The CLI only parses
 and renders, so it imports no private name.  `iterate_multisets` is the
 itertools oracle the tests compare the library's enumerators with, so no
 library module uses it.  The library holds no `assert` statement, since
@@ -27,8 +28,8 @@ import zerosum
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "zerosum"
 
 PACKED = {"limb_layout", "count_packed", "Limbs", "_extremal_members"}
-BITSET = {"_limb_adders", "translate", "sweep_counts", "_SpanJoins"}
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "counting.py")
+BITSET = {"_limb_adders", "translate", "sweep_counts"}
+MODULES = sorted(p for p in SRC.glob("*.py") if p.stem not in ("counting", "symmetry"))
 # `sequences` defines the oracle and `__init__` re-exports it.
 LIBRARY = sorted(p for p in SRC.glob("*.py") if p.stem not in ("sequences", "__init__"))
 

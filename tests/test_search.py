@@ -21,7 +21,7 @@ from zerosum import (
     seq_sum,
     sequence,
 )
-from zerosum import cli, counting, search, structure
+from zerosum import cli, counting, search, structure, symmetry
 from zerosum.reports import VerificationReport, sweep_status
 from zerosum.search import splitmix64
 from zerosum.sequences import Sequence, seq_key
@@ -191,7 +191,7 @@ def test_catalogs_past_order_64_build_no_automorphism_group(monkeypatch):
     def refuse(G):
         raise RuntimeError(f"Aut({G}) built")
 
-    monkeypatch.setattr(counting, "_automorphism_group", refuse)
+    monkeypatch.setattr(symmetry, "_automorphism_group", refuse)
     for G in (make_group([2] * 7), make_group([128]), make_group([2, 64])):
         catalog = find_extremals(G, davenport(G).value + 1, budget=2_000)
         assert not catalog.exhaustive, G
@@ -205,14 +205,14 @@ def test_an_orbit_past_the_budget_ends_the_catalog(monkeypatch, capsys):
     # members.  The orbit is expanded only as far as the budget allows, and
     # the catalog ends, partial, at that multiset.
     calls = []
-    orbit = counting._orbit
+    orbit = symmetry._orbit
 
     def recorded(gens, key, members, room):
         found = orbit(gens, key, members, room)
         calls.append((room, found))
         return found
 
-    monkeypatch.setattr(counting, "_orbit", recorded)
+    monkeypatch.setattr(symmetry, "_orbit", recorded)
     assert cli.main(["extremal", "C2xC2xC2xC2xC2xC2", "--max-len", "7",
                      "--budget", "1000", "--json", "--no-timestamp"]) == 0
     result = json.loads(capsys.readouterr().out)["result"]
