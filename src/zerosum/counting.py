@@ -28,9 +28,10 @@ length 8 packs 16 bits per element instead of 64.  Adding a to every
 element is a rotation of the limbs, done per coordinate with a constant
 mask and two shifts (``_limb_adders``), so the append step is ``x +
 translate(x, a)``: O(rank) big-int operations instead of O(|G|)
-Python-level additions.  The table at W = 1 serves only
-``davenport.davenport_exact``: its subset-sum bitset and its joins of
-the subgroup <P> generated by a prefix with <c>, coset by coset.
+Python-level additions.  The table at W = 1 serves the subset-sum
+bitset of ``davenport.davenport_exact`` and the joins of the subgroup <P>
+generated by a prefix with <c>, coset by coset, in that search and in
+the catalog walk cut by symmetry (``symmetry``).
 
 SWAR predicates.  With ONES the repunit of W-bit limbs and TOP = ONES <<
 (W-1) the mask of their sentinel bits, ``(x + ONES*(2^(W-1) - b)) & TOP``

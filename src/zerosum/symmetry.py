@@ -15,11 +15,11 @@ of its orbit.
 ``extremal_orbits`` is the pruned ``counting.extremal_sweep``.  It walks
 the tree cut by Aut(G) (for |G| <= ``SYMMETRY_CAP``) and expands each
 attaining multiset that no orbit holds yet into its orbit, a
-breadth-first search over a few generators of Aut(G) with the extremal
-members mapped along.  A heap of the expanded orbits releases each
-member before the walk's next attaining multiset above it, so the stream
-is that of the uncut walk: the same multisets, in the same order, with
-the same members.
+breadth-first search over the strong generators of Aut(G) with the
+extremal members mapped along.  A heap of the expanded orbits releases
+each member before the walk's next attaining multiset above it, so the
+stream is that of the uncut walk: the same multisets, in the same order,
+with the same members.
 
 Budget.  ``SweepStats.budget`` counts the multisets materialized: those
 the walk visits and the orbit members expanded.  The walk sets
@@ -41,7 +41,6 @@ a third on the ``lattice`` workload, which never runs it (see
 
 from __future__ import annotations
 
-from functools import reduce
 from heapq import heappop, heappush
 from math import comb
 
@@ -56,10 +55,8 @@ from .counting import (
 )
 from .groups import (
     Group,
-    _Chain,
     _Stabilizer,
     _automorphism_group,
-    _compose,
     _fix_point,
     all_elements,
     element_index,
@@ -261,24 +258,6 @@ def cut_walk(G: Group, max_length: int, bands: list, zero_ceiling: int,
     stats.flagged = flagged
 
 
-def _few_generators(stab: _Stabilizer) -> tuple:
-    """Generators of ``stab``, usually about half of its strong generators
-    (two for Aut(C2^6) instead of ten): the product of the strong
-    generators, then each of them that grows the group generated so far,
-    until it has ``stab.order`` elements.  An orbit walk applies each
-    generator to each member, so fewer generators make it cheaper."""
-    chain = _Chain(len(stab.orbit_min))
-    chosen = []
-    for g in (reduce(_compose, stab.gens, chain.identity), *stab.gens):
-        if chain.order == stab.order:
-            break
-        order = chain.order
-        chain.add(g, stab.order)
-        if chain.order != order:
-            chosen.append(g)
-    return tuple(chosen)
-
-
 def _orbit(gens, key: tuple[int, ...], members: list[int], room: int | None):
     """The orbit of the multiset with the sorted element indices ``key``
     under the permutations ``gens`` of element indices, found breadth
@@ -330,7 +309,6 @@ def extremal_orbits(G: Group, D: int, max_length: int, stats: SweepStats | None)
                 yield tuple(occ), _extremal_members(G, limbs, packed, exponent)
         return
     aut = _automorphism_group(G)
-    gens = _few_generators(aut)
     stats = stats or SweepStats()
     elems, idx = all_elements(G), element_index(G)
     pending: list = []  # see _release
@@ -347,7 +325,7 @@ def extremal_orbits(G: Group, D: int, max_length: int, stats: SweepStats | None)
             _release(pending, elems)  # expanded with the least member of its orbit
         else:
             room = None if stats.budget is None else stats.budget - stats.visited
-            orbit = _orbit(gens, key, members, room)
+            orbit = _orbit(aut.gens, key, members, room)
             if orbit is None:
                 stats.visited += room + 1  # the orbit does not fit: the walk ends
             elif len(orbit) > 1:
