@@ -91,6 +91,7 @@ from math import comb
 from .groups import (
     Group,
     GroupElement,
+    _Stabilizer,
     all_elements,
     element_index,
     elem_add,
@@ -532,7 +533,8 @@ class SweepStats:
 
 
 def sweep_counts(G: Group, max_length: int, bands: list, *,
-                 zero_ceiling: int | None = None, automorphisms=None,
+                 zero_ceiling: int | None = None,
+                 automorphisms: _Stabilizer | None = None,
                  stats: SweepStats | None = None):
     """Walk the zero-free multisets up to ``max_length``, sharing the
     counting DP along the enumeration tree, and yield (occurrences, packed

@@ -35,9 +35,8 @@ from zerosum.counting import (
     sweep_counts,
     zero_count,
 )
-from zerosum.sequences import empty_sequence
-
 from zerosum.groups import _automorphism_group, _Stabilizer, element_index
+from zerosum.sequences import empty_sequence
 
 from helpers import (
     automorphisms,
@@ -555,12 +554,12 @@ def test_extremal_sweep_matches_extremal_set(shape):
     G = make_group(list(shape))
     D = davenport(G).value
     auts = automorphisms(G)
+    elems = all_elements(G)
     idx = element_index(G)
 
     def orbit_min(occ):
         return min(tuple(sorted(elems[perm[idx[g]]] for g in occ)) for perm in auts)
 
-    elems = all_elements(G)
     for max_length in (D - 2, D - 1, D + 2):
         ceiling = 1 << (max_length - D + 1) if max_length >= D - 1 else 0
         expected = []
