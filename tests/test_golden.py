@@ -5,6 +5,9 @@ The commands reach every reader of the count vectors (`count`, the
 extremal catalog, the random catalog, every `verify` sweep, both
 conjecture harnesses), the construction, the exact Davenport search and
 `group info` on both sides of the subgroup-lattice cap (orders 64 and 68).
+The catalogs also run past the order where Aut(G) cuts their walk (C65)
+and below D - 1, and the construction enumerates zero-sum-free
+sequences at order 128.
 Re-record with
 
     PYTHONPATH=src python tests/test_golden.py --record
@@ -105,6 +108,11 @@ COMMANDS = (
     ("verify-lower-bound-c1000", ["verify", "lower-bound", "C1000", "--max-len", "100"]),
     ("verify-subgroup-es-c1000", ["verify", "subgroup-es", "C1000", "--max-len", "60"]),
     ("conjecture-1-c4xc4", ["conjecture", "1", "C4xC4", "--max-len", "9"]),
+    ("extremal-c65-budget", ["extremal", "C65", "--max-len", "66", "--budget", "3000"]),
+    ("construct-c2xc2xc2xc2xc2xc2xc2", ["construct", "C2xC2xC2xC2xC2xC2xC2",
+                                        "--g", "(1,0,0,0,0,0,1)", "--m", "9"]),
+    ("extremal-c2xc2xc2xc2xc2xc2-len3", ["extremal", "C2xC2xC2xC2xC2xC2",
+                                         "--max-len", "3"]),
 )
 
 
