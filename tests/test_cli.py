@@ -1,5 +1,9 @@
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 from datetime import datetime
 
 import pytest
@@ -417,3 +421,31 @@ def test_verify_transform_searches_davenport_only_for_its_default_length(
                                 "--trials", "3", "--davenport-cap", "30")
     assert code == 0 and payload["parameters"]["max_len"] == 11
     assert exact_search_caps == [30]
+
+
+def test_commands_that_walk_no_catalog_never_load_symmetry():
+    # `zerosum.symmetry` is loaded on first use: in a fresh interpreter,
+    # the exact Davenport search, a census sweep and a count leave it
+    # unloaded, and a catalog loads it.
+    script = """
+import contextlib, io, sys
+from zerosum.cli import main
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        if main(list(argv) + ["--json", "--no-timestamp"]) != 0:
+            sys.exit(f"{argv} failed")
+
+run("davenport", "C3xC12", "--method", "exact")
+run("verify", "lower-bound", "C4xC4", "--max-len", "8")
+run("count", "C4xC4", "(1,0)^3 (0,1)^2 (1,1)")
+print("zerosum.symmetry" in sys.modules)
+run("extremal", "C3xC3", "--max-len", "5")
+print("zerosum.symmetry" in sys.modules)
+"""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]

@@ -1,6 +1,8 @@
 import dataclasses
+import importlib
 import json
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -21,7 +23,8 @@ from zerosum import (
     seq_sum,
     sequence,
 )
-from zerosum import cli, counting, search, structure, symmetry
+from zerosum import cli, counting, groups, search, structure, symmetry
+from zerosum.davenport import zero_sum_free_sequences
 from zerosum.reports import VerificationReport, sweep_status
 from zerosum.search import splitmix64
 from zerosum.sequences import Sequence, seq_key
@@ -197,6 +200,25 @@ def test_catalogs_past_order_64_build_no_automorphism_group(monkeypatch):
         assert not catalog.exhaustive, G
     with pytest.raises(RuntimeError, match="built"):
         find_extremals(make_group([2] * 6), 7, budget=2_000)
+
+
+def test_the_walk_without_a_group_builds_nothing_the_cut_needs(monkeypatch):
+    # Past order 64, and for the zero-sum-free enumeration, the pruned walk
+    # takes no group: it builds no automorphism group and no stabilizer.
+    # Below cap D - 1 a catalog returns before building either.
+    def refuse(*args):
+        raise RuntimeError("a symmetry table was built")
+
+    for module in (groups, importlib.import_module("zerosum.davenport"), symmetry):
+        for name in ("_automorphism_group", "_fix_point"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    pairs = list(zero_sum_free_sequences(make_group([2] * 7), 2))
+    assert len(pairs) == comb(127, 2)  # two distinct nonzero elements
+    catalog = find_extremals(make_group([65]), 66, budget=3_000)
+    assert (catalog.exhaustive, len(catalog.entries)) == (False, 2)
+    catalog = find_extremals(make_group([2] * 6), 3)
+    assert (catalog.exhaustive, catalog.entries) == (True, ())
 
 
 def test_an_orbit_past_the_budget_ends_the_catalog(monkeypatch, capsys):
