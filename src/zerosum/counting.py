@@ -39,9 +39,9 @@ sets the sentinel of exactly the limbs whose count is >= b, for every
 limb at once and without carries between limbs.  ``Limbs.offset`` is the
 one home of that addend and ``Limbs.at_least`` applies it.  "Nonzero" is
 b = 1, and "equal to b" is ">= b and not >= b+1".  ``sweep_counts``, the
-library's one walk over zero-free multisets, takes one band [b_lo, b_hi)
-of counts per length and tests each multiset inside the walk, ``(x + lo)
-& ~(x + hi) & TOP``: two additions and a few ands.  A band may carry a
+census walk over zero-free multisets, takes one band [b_lo, b_hi) of
+counts per length and tests each multiset inside the walk, ``(x + lo) &
+~(x + hi) & TOP``: two additions and a few ands.  A band may carry a
 floor, and a multiset in it is then yielded only if some count is below
 the floor.  The walk yields only the multisets that flag and reports in
 a ``SweepStats`` the multisets it visited and the ones that flagged; a
@@ -52,10 +52,12 @@ The sweeps are views of it, with e = |S| - D + 1:
 ``extremal_sweep`` one in [2^e, 2^e + 1), attaining it;
 ``sweep_one_and_all`` the same band with the floor 2^e, so that it is
 yielded only its failures and reads the attaining multisets from the
-tally; ``zero_sum_free_sequences`` any.
+tally.  The walk pruned on a zero-count ceiling, ``symmetry.pruned_walk``,
+takes the same bands: the attaining one for the pruned ``extremal_sweep``,
+and any for ``davenport.zero_sum_free_sequences``.
 
-Memo.  Without a zero ceiling, what the walk yields and tallies below a
-multiset depends only on its vector (which fixes its length, the counts
+Memo.  What the walk yields and tallies below a multiset depends only
+on its vector (which fixes its length, the counts
 summing to 2^length) and on the next term position.  ``sweep_counts``
 stores each subtree that it walked in full without yielding under that
 key, with its (visited, flagged) totals, and adds them for a later child
@@ -64,16 +66,18 @@ stored, and at most ``MEMO_CAP`` per walk, which bounds the memory.  The
 totals may pass 2^64.  The census sweeps gain, and so do the unpruned
 ``extremal_sweep`` walks of ``subgroup-es`` and ``conjecture 2``.
 
-Symmetry.  With a ceiling, the catalog walk cuts by symmetry instead of
+Pruning and symmetry.  The catalogs walk only the multisets whose zero
+count is at most a ceiling, and cut that walk by symmetry instead of
 memoizing: the pruned catalog walks yield along most of their subtrees,
 and storing the rest made ``extremal C5xC5 --max-len 10`` slower (6.3 to
-7.3 s) and larger (58 to 64 MiB).  The zero count and the extremal
-members move with any automorphism, so the pruned ``extremal_sweep``
-walks the tree cut by Aut(G) as ``davenport_exact`` cuts its search, and
-expands each orbit that it reaches back into its members, released in
-walk order (``symmetry``, loaded on first use).  On C4xC4 at cap 9 the
-walk and the orbits take 14,935 multisets instead of 146,783 for the
-same 1,488 entries, which fall into 18 orbits.
+7.3 s) and larger (58 to 64 MiB).  The library's one pruned walk is
+``symmetry.pruned_walk``, loaded on first use.  The zero count and the
+extremal members move with any automorphism, so the pruned
+``extremal_sweep`` walks the tree cut by Aut(G) as ``davenport_exact``
+cuts its search, and expands each orbit that it reaches back into its
+members, released in walk order.  On C4xC4 at cap 9 the walk and the
+orbits take 14,935 multisets instead of 146,783 for the same 1,488
+entries, which fall into 18 orbits.
 
 Everything here is exact integer arithmetic: the statements being checked
 are equalities against powers of two, so a single rounding error would be
@@ -91,7 +95,6 @@ from math import comb
 from .groups import (
     Group,
     GroupElement,
-    _Stabilizer,
     all_elements,
     element_index,
     elem_add,
@@ -503,7 +506,7 @@ def sweep_one_and_all(G: Group, D: int, max_len: int) -> VerificationReport:
 # The most multisets a catalog walk visits unless given another budget.
 DEFAULT_BUDGET = 2_000_000
 
-# The memo of a walk without a zero ceiling (see ``sweep_counts``): only
+# The memo of ``sweep_counts``: only
 # subtrees of at least MEMO_MIN multisets are stored, and at most
 # MEMO_CAP of them per walk.
 MEMO_MIN = 16
@@ -512,16 +515,16 @@ MEMO_CAP = 1 << 18
 
 @dataclass
 class SweepStats:
-    """The accounting of one ``sweep_counts`` walk, a fresh record each:
-    ``budget`` in, the most multisets it may materialize (None: no
-    limit); ``visited`` out, the multisets of the pruned tree it visited,
-    the empty one included, and in a walk cut by symmetry also those its
-    consumer materialized; ``exhaustive`` out, False when the budget left
-    one unvisited; ``last`` out, in a walk cut by symmetry, the last
-    multiset visited once the budget is spent (None before); ``flagged``
-    out, the multisets of the walk with a count in the band of their
-    length; ``entries`` and ``hits`` out, the subtrees the memo stored and
-    the ones it answered."""
+    """The accounting of one walk, ``sweep_counts`` or
+    ``symmetry.pruned_walk``, a fresh record each: ``budget`` in, the most
+    multisets it may materialize (None: no limit); ``visited`` out, the
+    multisets of the tree it visited, the empty one included, and in a
+    pruned walk also those its consumer materialized; ``exhaustive`` out,
+    False when the budget left one unvisited; ``last`` out, set by any
+    pruned walk, the last multiset visited once the budget is spent (None
+    before); ``flagged`` out, the multisets of the walk with a count in
+    the band of their length; ``entries`` and ``hits`` out, the subtrees
+    the memo of ``sweep_counts`` stored and the ones it answered."""
 
     budget: int | None = None
     visited: int = 0
@@ -533,8 +536,6 @@ class SweepStats:
 
 
 def sweep_counts(G: Group, max_length: int, bands: list, *,
-                 zero_ceiling: int | None = None,
-                 automorphisms: _Stabilizer | None = None,
                  stats: SweepStats | None = None):
     """Walk the zero-free multisets up to ``max_length``, sharing the
     counting DP along the enumeration tree, and yield (occurrences, packed
@@ -552,29 +553,15 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
     translation and one addition per multiset.  Multisets come in
     lexicographic order of their occurrence tuples (a pre-order walk;
     lengths interleaved).  The leaves (length ``max_length``) are visited
-    in one loop without frames.  Without a ceiling and with no band at
-    any length nothing is yielded or flagged, and ``visited`` is the size
-    of the tree, C(|G| - 1 + max_length, max_length), cut to the budget:
-    no table is built and no multiset walked.
+    in one loop without frames.  With no band at any length nothing is
+    yielded or flagged, and ``visited`` is the size of the tree, C(|G| - 1
+    + max_length, max_length), cut to the budget: no table is built and
+    no multiset walked.  ``stats`` (see ``SweepStats``) carries a budget
+    in and the visited and flagged counts, ``exhaustive`` and the memo's
+    entries and hits out.  The walk pruned on the zero count is
+    ``symmetry.pruned_walk``.
 
-    With ``zero_ceiling``, a multiset whose zero count exceeds it is
-    neither visited nor extended.  Appending a can only raise the zero
-    count (N_0(S a) = N_0(S) + N_{-a}(S)), so the pruned walk is the
-    unpruned one restricted to multisets whose zero count is at most the
-    ceiling.  ``stats`` (see ``SweepStats``) carries a budget in and the
-    visited and flagged counts, ``exhaustive`` and the memo's entries and
-    hits out.
-
-    Symmetry (with a ceiling only).  ``automorphisms``, a subgroup of
-    Aut(G) such as ``groups._automorphism_group(G)``, cuts the pruned walk
-    as ``davenport_exact`` cuts its search (``symmetry.cut_walk``): the
-    walk skips every child that an automorphism fixing the subgroup
-    spanned by its parent maps below itself, or that one maps below the
-    first term.  It still visits the lex-least member of every orbit,
-    before any other, and its consumer expands the orbits.  None, the
-    default, is the trivial group: no cut.
-
-    Memo (without a ceiling only; see the module docstring).  The
+    Memo (see the module docstring).  The
     subtree below a multiset, its extensions by terms from position p on,
     is keyed by (vector, p).  A subtree walked in full that yielded
     nothing is stored with its (visited, flagged) totals, and a later
@@ -593,25 +580,17 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
     budget = stats.budget
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    if automorphisms is not None and zero_ceiling is None:
-        raise ValueError("the symmetry cut needs a zero ceiling")
-    # Nothing to visit, or a ceiling below the empty multiset's N_0 = 1.
-    if max_length < 0 or (zero_ceiling is not None and zero_ceiling < 1):
+    if max_length < 0:
         return
     if budget is not None and budget < 1:
         stats.exhaustive = False
-        return
-    if automorphisms is not None:
-        from .symmetry import cut_walk  # see the symmetry module notes
-
-        yield from cut_walk(G, max_length, bands, zero_ceiling, automorphisms, stats)
         return
     count = G.order - 1  # the nonzero terms
     # The size of the unpruned tree bounds every total.
     size = comb(count + max_length, max_length)
     if budget is None:
         budget = size
-    if zero_ceiling is None and not any(bands):
+    if not any(bands):
         # Nothing can flag, so the walk would only count the tree.
         limb_width(max_length)  # refuses a length above the cap
         stats.visited = min(size, budget)
@@ -621,29 +600,24 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
     tally = size.bit_length()
     tally_mask = (1 << tally) - 1
     limbs = limb_layout(G, max_length)
-    mask, top = limbs.mask, limbs.top
+    top = limbs.top
     offsets = [band and (limbs.offset(band[0]), limbs.offset(band[1]),
                          limbs.offset(band[2]) if len(band) > 2 else None)
                for band in bands]
-    idx = element_index(G)
     terms = all_elements(G)[1:]
     term_ops = _limb_adders(G, limbs.width)[1:]
-    # Bit offset of the limb of -a: the child's zero count is the parent's
-    # limb 0 plus its limb of -a.
-    neg_shift = [idx[elem_neg(G, a)] * limbs.width for a in terms]
     # memo_until[d]: the children of length d at positions below it,
     # those rooting subtrees of at least MEMO_MIN multisets, take the
     # memo's path.  memo[p] holds the subtrees rooted at a child appended
     # at position p.
     memo_until = [0] * (max_length + 1)
-    if zero_ceiling is None:
-        for d in range(1, max_length):
-            m = max_length - d
-            n = 1  # the term positions from p on
-            while n <= count and comb(n + m, m) < MEMO_MIN:
-                n += 1
-            memo_until[d] = count + 1 - n
-        memo = [{} for _ in range(count)]
+    for d in range(1, max_length):
+        m = max_length - d
+        n = 1  # the term positions from p on
+        while n <= count and comb(n + m, m) < MEMO_MIN:
+            n += 1
+        memo_until[d] = count + 1 - n
+    memo = [{} for _ in range(count)]
     occurrences: list[GroupElement] = []
     nodes = 1
     # flagged - held is the number of multisets yielded so far.
@@ -670,10 +644,6 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
         if depth == max_length:
             # The children are leaves: visit them here, without frames.
             leaves = range(pos, count)
-            if zero_ceiling is not None:
-                low = x & mask
-                leaves = [p for p in leaves
-                          if low + ((x >> neg_shift[p]) & mask) <= zero_ceiling]
             nodes += len(leaves)
             truncated = nodes > budget
             if truncated:
@@ -701,9 +671,6 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
                 break
         elif pos < count:
             next_pos[-1] = pos + 1
-            if (zero_ceiling is not None
-                    and (x & mask) + ((x >> neg_shift[pos]) & mask) > zero_ceiling):
-                continue
             if nodes >= budget:
                 stats.exhaustive = False
                 break

@@ -5,13 +5,14 @@ forces a nonempty zero-sum subsequence; equivalently one more than the
 longest zero-sum-free sequence.  The exact search is a DFS over multisets
 in non-decreasing element order whose state is the subset-sum set of the
 prefix, kept as a bitset over the group and translated with the 1-bit
-limb table of ``counting._limb_adders``; it is the only user of that
-table.  Appending a is legal exactly when -a is not yet a subset sum, and
+limb table of ``counting._limb_adders``, as are the subgroup joins
+below.  Appending a is legal exactly when -a is not yet a subset sum, and
 every legal append grows the sum set strictly, which yields the pruning
 bounds used below.  Everything else that asks whether a sequence is
 zero-sum free reads the zero count of ``counting.count_packed``:
 ``is_zero_sum_free`` on one sequence, ``zero_sum_free_sequences`` on the
-zero-count-ceiling sweep.
+walk pruned at zero count 1 (``symmetry.pruned_walk`` with no group,
+loaded on first use).
 
 The search also cuts by symmetry, at every depth.  The automorphisms that
 fix every term of a prefix P are those that fix the subgroup <P>, and a
@@ -23,7 +24,8 @@ whose table also skips a child below the first term.  The search carries
 the union of the cosets <P> + kc, each the last one translated by c with
 the width-1 table, until the coset is <P> again; its stabilizer is
 Stab(<P>) ∩ Stab(c), one ``groups._fix_point`` step from that of <P>.
-Joins are kept per (<P>, c) and stabilizers per joined bitmask.
+Joins are kept per (<P>, c) and stabilizers per joined bitmask, by
+``_span_joins``, which the catalog walk cut by symmetry calls too.
 
 Both cuts are sound for any set of automorphisms: they never cut a
 prefix of a multiset L that is lex-least in its orbit.  If sigma fixes
@@ -47,6 +49,7 @@ from dataclasses import dataclass
 
 from .groups import (
     Group,
+    _Stabilizer,
     all_elements,
     element_index,
     d_star,
@@ -57,7 +60,7 @@ from .groups import (
     _prime_factors,
 )
 from .sequences import Sequence, _seq_from_sorted, sequence
-from .counting import _limb_adders, sweep_counts, translate, zero_count
+from .counting import _limb_adders, translate, zero_count
 
 DAVENPORT_CAP = 36
 
@@ -88,6 +91,36 @@ def _product_of_generators(G: Group, exponents) -> Sequence:
 def _star_witness(G: Group) -> Sequence:
     """prod e_i^(n_i - 1): zero-sum free in every group, length d_star."""
     return _product_of_generators(G, (n - 1 for n in G.invariants))
+
+
+def _span_joins(G: Group, automorphisms: _Stabilizer):
+    """The subgroups <P> spanned by the prefixes P of a walk over G, as
+    bitmasks over element indices (bit 0 alone is the trivial subgroup),
+    with the automorphisms that fix each of them pointwise: the function
+    ``join`` and the dict ``stabilizers``, keyed by bitmask and starting
+    from ``automorphisms`` at the trivial subgroup.
+
+    ``join(span, c)`` is <P> + <c>, for an element index c not in <P>:
+    the union of the cosets <P> + kc, each the last one translated by c
+    with the width-1 table, until the coset is <P> again.  Its stabilizer
+    is that of <P> fixing c, one ``_fix_point`` step.  Joins are kept per
+    (<P>, c)."""
+    adders = _limb_adders(G, 1)
+    stabilizers = {1: automorphisms}
+    joins: dict[tuple[int, int], int] = {}
+
+    def join(span: int, c: int) -> int:
+        if (span, c) not in joins:
+            joined, coset = span, translate(span, adders[c])
+            while coset != span:
+                joined |= coset
+                coset = translate(coset, adders[c])
+            if joined not in stabilizers:
+                stabilizers[joined] = _fix_point(stabilizers[span], c)
+            joins[span, c] = joined
+        return joins[span, c]
+
+    return join, stabilizers
 
 
 def davenport_exact(G: Group, cap: int = DAVENPORT_CAP) -> DavenportResult:
@@ -123,22 +156,10 @@ def davenport_exact(G: Group, cap: int = DAVENPORT_CAP) -> DavenportResult:
     adders = _limb_adders(G, 1)
     neg_idx = [idx[elem_neg(G, e)] for e in elems]
     orders = [elem_order(G, e) for e in elems]
-    stabilizers = {1: _automorphism_group(G)}  # keyed by the bitmask of <P>
-    orbit_min = stabilizers[1].orbit_min
-    joins: dict[tuple[int, int], int] = {}
+    automorphisms = _automorphism_group(G)
+    orbit_min = automorphisms.orbit_min
+    join, stabilizers = _span_joins(G, automorphisms)  # keyed by the bitmask of <P>
     stack: list[int] = []
-
-    def join(span: int, c: int) -> int:
-        # <P> + <c>: the cosets of <P> through the multiples of c.
-        if (span, c) not in joins:
-            joined, coset = span, translate(span, adders[c])
-            while coset != span:
-                joined |= coset
-                coset = translate(coset, adders[c])
-            if joined not in stabilizers:
-                stabilizers[joined] = _fix_point(stabilizers[span], c)
-            joins[span, c] = joined
-        return joins[span, c]
 
     def dfs(start: int, mask: int, size: int, first: int, span: int) -> None:
         nonlocal best_len, best_occ
@@ -227,6 +248,8 @@ def zero_sum_free_sequences(G: Group, length: int):
     zero count stays 1."""
     if length < 0:
         raise ValueError("length must be >= 0")
+    from .symmetry import pruned_walk  # see the symmetry module notes
+
     bands = [None] * length + [(0, (1 << length) + 1)]
-    for occ, _ in sweep_counts(G, length, bands, zero_ceiling=1):
+    for occ, _ in pruned_walk(G, length, bands, 1, None):
         yield _seq_from_sorted(G, occ)

@@ -1,25 +1,31 @@
-"""The catalog walk cut by automorphisms, and the orbits it expands.
+"""The library's pruned walk, its cut by automorphisms, and the orbits it
+expands.
 
-The zero count of a multiset and its extremal members move with any
-automorphism of G, so a catalog need only walk one member of each orbit.
-``cut_walk`` is ``counting.sweep_counts`` with a zero ceiling, cut as
-``davenport.davenport_exact`` cuts its search: each frame carries the
-bitmask of the subgroup <P> spanned by its multiset P, and a child c is
-skipped when an automorphism that fixes <P> pointwise maps c below
-itself, or when one maps c below the first term.  The ``davenport``
-module notes show that no cut removes a prefix of the lex-least member L
-of an orbit; the ceiling removes none either, since the zero count never
-drops along a prefix.  So the cut walk visits L, before any other member
-of its orbit.
+``pruned_walk`` walks the zero-free multisets whose zero count is at
+most a ceiling, in the order of ``counting.sweep_counts`` and with its
+bands.  The zero count of a multiset and its extremal members move with
+any automorphism of G, so a catalog need only walk one member of each
+orbit: given a group of automorphisms, the walk is cut as
+``davenport.davenport_exact`` cuts its search.  Each frame carries the
+bitmask of the subgroup <P> spanned by its multiset P (joined by
+``davenport._span_joins``), and a child c is skipped when an
+automorphism that fixes <P> pointwise maps c below itself, or when one
+maps c below the first term.  The ``davenport`` module notes show that
+no cut removes a prefix of the lex-least member L of an orbit; the
+ceiling removes none either, since the zero count never drops along a
+prefix.  So the cut walk visits L, before any other member of its
+orbit.  Without a group the walk is not cut: the zero-sum-free
+enumeration, and the catalogs past ``SYMMETRY_CAP``.
 
 ``extremal_orbits`` is the pruned ``counting.extremal_sweep``.  It walks
-the tree cut by Aut(G) (for |G| <= ``SYMMETRY_CAP``) and expands each
-attaining multiset that no orbit holds yet into its orbit, a
-breadth-first search over the strong generators of Aut(G) with the
-extremal members mapped along.  A heap of the expanded orbits releases
-each member before the walk's next attaining multiset above it, so the
-stream is that of the uncut walk: the same multisets, in the same order,
-with the same members.
+the tree cut by Aut(G) (for |G| <= ``SYMMETRY_CAP``; past it, with no
+generators, each orbit is one member) and expands each attaining
+multiset that no orbit holds yet into its orbit, a breadth-first search
+over the strong generators of Aut(G) with the extremal members mapped
+along.  A heap of the expanded orbits releases each member before the
+walk's next attaining multiset above it, so the stream is that of the
+uncut walk: the same multisets, in the same order, with the same
+members.
 
 Budget.  ``SweepStats.budget`` counts the multisets materialized: those
 the walk visits and the orbit members expanded.  The walk sets
@@ -31,12 +37,12 @@ ends the walk at the multiset being expanded.  ``stats.last`` keeps the
 last multiset visited, and a truncated sweep yields exactly the entries
 lex-at-most it: a prefix of the full stream.
 
-This module is imported on first use, not with the package, and
-``davenport_exact`` keeps its own copy of the span join: compiling this
-code with the package moved where the garbage collector runs during the
-import, and the benchmark's calibration probe read that as a slowdown of
-a third on the ``lattice`` workload, which never runs it (see
-``CHANGES.md``).
+This module is imported on first use, not with the package: compiling
+this code with the package moved where the garbage collector runs during
+the import, and the benchmark's calibration probe read that as a
+slowdown of a third on the ``lattice`` workload, which never runs it
+(see ``CHANGES.md``).  ``construct`` and the family branch of ``verify
+equivalences`` load it, through the zero-sum-free enumeration.
 """
 
 from __future__ import annotations
@@ -44,20 +50,12 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from math import comb
 
-from .counting import (
-    SweepStats,
-    _attained_bands,
-    _extremal_members,
-    _limb_adders,
-    limb_layout,
-    sweep_counts,
-    translate,
-)
+from .counting import SweepStats, _attained_bands, _limb_adders, limb_layout
+from .davenport import _span_joins
 from .groups import (
     Group,
     _Stabilizer,
     _automorphism_group,
-    _fix_point,
     all_elements,
     element_index,
     elem_neg,
@@ -67,36 +65,6 @@ from .groups import (
 # Schreier–Sims chain against |Aut(G)| in closed form up to order 64, and
 # the chain of C2^10 alone takes tens of seconds and hundreds of MiB.
 SYMMETRY_CAP = 64
-
-
-def _span_joins(G: Group, automorphisms: _Stabilizer):
-    """The subgroups <P> spanned by the prefixes P of a walk over G, as
-    bitmasks over element indices (bit 0 alone is the trivial subgroup),
-    with the automorphisms that fix each of them pointwise: the function
-    ``join`` and the dict ``stabilizers``, keyed by bitmask and starting
-    from ``automorphisms`` at the trivial subgroup.
-
-    ``join(span, c)`` is <P> + <c>, for an element index c not in <P>:
-    the union of the cosets <P> + kc, each the last one translated by c
-    with the width-1 table, until the coset is <P> again.  Its stabilizer
-    is that of <P> fixing c, one ``_fix_point`` step.  Joins are kept per
-    (<P>, c)."""
-    adders = _limb_adders(G, 1)
-    stabilizers = {1: automorphisms}
-    joins: dict[tuple[int, int], int] = {}
-
-    def join(span: int, c: int) -> int:
-        if (span, c) not in joins:
-            joined, coset = span, translate(span, adders[c])
-            while coset != span:
-                joined |= coset
-                coset = translate(coset, adders[c])
-            if joined not in stabilizers:
-                stabilizers[joined] = _fix_point(stabilizers[span], c)
-            joins[span, c] = joined
-        return joins[span, c]
-
-    return join, stabilizers
 
 
 def _kept(low, aut_low, first: int) -> int:
@@ -109,15 +77,29 @@ def _kept(low, aut_low, first: int) -> int:
                if low[i] == i and aut_low[i] >= first)
 
 
-def cut_walk(G: Group, max_length: int, bands: list, zero_ceiling: int,
-             automorphisms: _Stabilizer, stats: SweepStats):
-    """``counting.sweep_counts`` with a zero ceiling, cut by
-    ``automorphisms`` (see the module notes), in the same order and with
-    the same bands; it keeps no memo.  Its caller has checked the budget
-    and the ceiling.  Without a budget it allows twice the size of the
-    tree: the walk and the orbits each hold at most the tree."""
-    count = G.order - 1  # the nonzero terms
+def pruned_walk(G: Group, max_length: int, bands: list, zero_ceiling: int,
+                automorphisms: _Stabilizer | None, stats: SweepStats | None = None):
+    """The library's pruned walk: ``counting.sweep_counts`` restricted to
+    the multisets whose zero count is at most ``zero_ceiling``, in the
+    same order, with the same bands, and cut by ``automorphisms`` (see
+    the module notes); it keeps no memo.  None, for ``automorphisms``, is
+    no cut: no span is joined, no stabilizer built and every position
+    kept.  Appending a can only raise the zero count (N_0(S a) = N_0(S) +
+    N_{-a}(S)), so a multiset above the ceiling is neither visited nor
+    extended.  ``stats`` carries a budget in (see the module notes);
+    without one the walk allows twice the size of the tree: the walk and
+    the orbits each hold at most the tree."""
+    stats = stats or SweepStats()
     budget = stats.budget
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    # Nothing to visit, or a ceiling below the empty multiset's N_0 = 1.
+    if max_length < 0 or zero_ceiling < 1:
+        return
+    if budget is not None and budget < 1:
+        stats.exhaustive = False
+        return
+    count = G.order - 1  # the nonzero terms
     if budget is None:
         budget = 2 * comb(count + max_length, max_length)
     limbs = limb_layout(G, max_length)
@@ -131,9 +113,13 @@ def cut_walk(G: Group, max_length: int, bands: list, zero_ceiling: int,
     # Bit offset of the limb of -a: the child's zero count is the parent's
     # limb 0 plus its limb of -a.
     neg_shift = [idx[elem_neg(G, a)] * limbs.width for a in terms]
-    join, stabilizers = _span_joins(G, automorphisms)
-    aut_low = automorphisms.orbit_min
-    keeps: dict[tuple[int, int], int] = {}
+    if automorphisms is None:
+        root_keep = (1 << count) - 1
+    else:
+        join, stabilizers = _span_joins(G, automorphisms)
+        aut_low = automorphisms.orbit_min
+        root_keep = _kept(aut_low, aut_low, 0)
+        keeps: dict[tuple[int, int], int] = {}
     occurrences = []
     nodes = 1
     if nodes == budget:
@@ -150,7 +136,7 @@ def cut_walk(G: Group, max_length: int, bands: list, zero_ceiling: int,
     # the subgroup it spans and the positions the cut keeps below it.
     path_counts = [1]
     next_pos = [0] if max_length else []
-    span_path, keep_path, first = [1], [_kept(aut_low, aut_low, 0)], 0
+    span_path, keep_path, first = [1], [root_keep], 0
     while next_pos:
         pos = next_pos[-1]
         x = path_counts[-1]
@@ -158,8 +144,9 @@ def cut_walk(G: Group, max_length: int, bands: list, zero_ceiling: int,
         if depth == max_length:
             # The children are leaves: visit them here, without frames.
             low, keep = x & mask, keep_path[-1]
-            leaves = [p for p in range(pos, count) if keep >> p & 1
-                      and low + ((x >> neg_shift[p]) & mask) <= zero_ceiling]
+            leaves = [p for p in range(pos, count)
+                      if low + ((x >> neg_shift[p]) & mask) <= zero_ceiling
+                      and keep >> p & 1]
             nodes += len(leaves)
             truncated = nodes > budget
             if truncated:
@@ -206,8 +193,8 @@ def cut_walk(G: Group, max_length: int, bands: list, zero_ceiling: int,
                 break
         elif pos < count:
             next_pos[-1] = pos + 1
-            if (not keep_path[-1] >> pos & 1
-                    or (x & mask) + ((x >> neg_shift[pos]) & mask) > zero_ceiling):
+            if ((x & mask) + ((x >> neg_shift[pos]) & mask) > zero_ceiling
+                    or not keep_path[-1] >> pos & 1):
                 continue
             if nodes >= budget:
                 stats.exhaustive = False
@@ -235,14 +222,16 @@ def cut_walk(G: Group, max_length: int, bands: list, zero_ceiling: int,
                             nodes = budget
                             stats.exhaustive = False
                             break
-            span = span_path[-1]
-            if not span >> pos + 1 & 1:
-                span = join(span, pos + 1)
-            if depth == 1:
-                first = pos + 1
-            keep = keeps.get((span, first))
-            if keep is None:
-                keep = keeps[span, first] = _kept(stabilizers[span].orbit_min, aut_low, first)
+            span, keep = span_path[-1], keep_path[-1]
+            if automorphisms is not None:
+                if not span >> pos + 1 & 1:
+                    span = join(span, pos + 1)
+                if depth == 1:
+                    first = pos + 1
+                keep = keeps.get((span, first))
+                if keep is None:
+                    keep = keeps[span, first] = _kept(stabilizers[span].orbit_min,
+                                                      aut_low, first)
             path_counts.append(child)
             next_pos.append(pos)
             span_path.append(span)
@@ -294,26 +283,20 @@ def extremal_orbits(G: Group, D: int, max_length: int, stats: SweepStats | None)
     """The pruned ``counting.extremal_sweep``: (occurrence tuple, extremal
     members) for each zero-free multiset up to ``max_length`` whose zero
     count is 2^(len-D+1), in walk order, from the walk cut by Aut(G) with
-    each orbit expanded (see the module notes).  Past ``SYMMETRY_CAP``
-    the walk is not cut."""
+    each orbit expanded (see the module notes).  Past ``SYMMETRY_CAP``,
+    and below cap D - 1, where the walk returns at once, it builds no
+    group: the walk is not cut and each orbit is its one member."""
     limbs = limb_layout(G, max_length)
     mask = limbs.mask
-    bands = _attained_bands(D, max_length)
     top = max_length - D + 1
     ceiling = 1 << top if top >= 0 else 0
-    if not ceiling or G.order > SYMMETRY_CAP:
-        for occ, packed in sweep_counts(G, max_length, bands, zero_ceiling=ceiling,
-                                        stats=stats):
-            exponent = len(occ) - D + 1
-            if packed & mask == 1 << exponent:
-                yield tuple(occ), _extremal_members(G, limbs, packed, exponent)
-        return
-    aut = _automorphism_group(G)
+    aut = _automorphism_group(G) if ceiling and G.order <= SYMMETRY_CAP else None
+    gens = () if aut is None else aut.gens
     stats = stats or SweepStats()
     elems, idx = all_elements(G), element_index(G)
     pending: list = []  # see _release
-    for occ, packed in sweep_counts(G, max_length, bands, zero_ceiling=ceiling,
-                                    automorphisms=aut, stats=stats):
+    for occ, packed in pruned_walk(G, max_length, _attained_bands(D, max_length),
+                                   ceiling, aut, stats):
         bound = 1 << (len(occ) - D + 1)
         if packed & mask != bound:
             continue
@@ -325,7 +308,7 @@ def extremal_orbits(G: Group, D: int, max_length: int, stats: SweepStats | None)
             _release(pending, elems)  # expanded with the least member of its orbit
         else:
             room = None if stats.budget is None else stats.budget - stats.visited
-            orbit = _orbit(aut.gens, key, members, room)
+            orbit = _orbit(gens, key, members, room)
             if orbit is None:
                 stats.visited += room + 1  # the orbit does not fit: the walk ends
             elif len(orbit) > 1:

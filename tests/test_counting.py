@@ -37,6 +37,7 @@ from zerosum.counting import (
 )
 from zerosum.groups import _automorphism_group, _Stabilizer, element_index
 from zerosum.sequences import empty_sequence
+from zerosum.symmetry import pruned_walk
 
 from helpers import (
     automorphisms,
@@ -374,11 +375,12 @@ def test_sweep_counts_matches_count_all():
 )
 def test_pruned_sweep_is_unpruned_sweep_restricted(shape, max_length, zero_ceiling,
                                                    thresholds, budget):
-    # The pruned walk, in order, is the unpruned one restricted to the
-    # multisets none of whose prefixes (the empty one included) has a zero
-    # count above the ceiling.  The stream is further restricted to the
-    # multisets with a count in the band [lo, hi) of their length, and a
-    # budget cuts the walk to its first ``budget`` multisets.
+    # The pruned walk with no group, in order, is the unpruned one
+    # restricted to the multisets none of whose prefixes (the empty one
+    # included) has a zero count above the ceiling.  The stream is further
+    # restricted to the multisets with a count in the band [lo, hi) of
+    # their length, and a budget cuts the walk to its first ``budget``
+    # multisets.
     G = make_group(list(shape))
     limbs = limb_layout(G, max_length)
     unpack = limbs.unpack
@@ -391,8 +393,8 @@ def test_pruned_sweep_is_unpruned_sweep_restricted(shape, max_length, zero_ceili
     stats = SweepStats()
     got = [
         (tuple(occ), unpack(packed))
-        for occ, packed in sweep_counts(G, max_length, every_band(max_length),
-                                        zero_ceiling=zero_ceiling, stats=stats)
+        for occ, packed in pruned_walk(G, max_length, every_band(max_length),
+                                       zero_ceiling, None, stats)
     ]
     assert got == tree
     assert (stats.visited, stats.exhaustive) == (len(tree), True)
@@ -400,8 +402,8 @@ def test_pruned_sweep_is_unpruned_sweep_restricted(shape, max_length, zero_ceili
     visited = tree if budget is None else tree[:budget]
     filtered = [
         (tuple(occ), unpack(packed))
-        for occ, packed in sweep_counts(G, max_length, thresholds,
-                                        zero_ceiling=zero_ceiling, stats=stats)
+        for occ, packed in pruned_walk(G, max_length, thresholds,
+                                       zero_ceiling, None, stats)
     ]
     assert filtered == [(occ, counts) for occ, counts in visited
                         if _in_band(occ, counts, thresholds)]
@@ -577,12 +579,12 @@ def test_extremal_sweep_matches_extremal_set(shape):
         # lex-least member of each orbit of it.  The pruned walk visits the
         # cut tree, flags its multisets with a nonempty extremal set, and
         # materializes all but one member of each orbit in the stream.
-        tree_occs = [tuple(occ) for occ, _ in sweep_counts(
-            G, max_length, every_band(max_length), zero_ceiling=ceiling)]
+        tree_occs = [tuple(occ) for occ, _ in pruned_walk(
+            G, max_length, every_band(max_length), ceiling, None)]
         cut = SweepStats()
-        cut_occs = [tuple(occ) for occ, _ in sweep_counts(
-            G, max_length, every_band(max_length), zero_ceiling=ceiling,
-            automorphisms=_automorphism_group(G), stats=cut)]
+        cut_occs = [tuple(occ) for occ, _ in pruned_walk(
+            G, max_length, every_band(max_length), ceiling,
+            _automorphism_group(G), cut)]
         assert set(cut_occs) <= set(tree_occs)
         assert {occ for occ in tree_occs if orbit_min(occ) == occ} <= set(cut_occs)
         orbits = {orbit_min(occ) for occ, _ in pruned}

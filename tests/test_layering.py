@@ -1,12 +1,12 @@
 """Module boundaries of the library, checked on the import statements.
 
 `counting` is the only module that reads packed count vectors, with
-`symmetry`, the catalog walk cut by automorphisms that `counting` loads
-on first use: no other module imports the limb layout or the predicates
-on it, nor the sweep and translation primitives that produce packed
-vectors.  `davenport` may
-import the primitives: its exact search runs on the width-1 bitset, and
-its zero-sum-free enumeration on `sweep_counts`.  The CLI only parses
+`symmetry`, the library's pruned walk, which `counting` and `davenport`
+load on first use: no other module imports the limb layout or the
+predicates on it, nor the sweep and translation primitives that produce
+packed vectors.  `davenport` may import the primitives: its exact
+search and the subgroup joins that it shares with `symmetry` run on the
+width-1 bitset.  The CLI only parses
 and renders, so it imports no private name.  `iterate_multisets` is the
 itertools oracle the tests compare the library's enumerators with, so no
 library module uses it.  The library holds no `assert` statement, since

@@ -97,7 +97,7 @@ def test_budget_keeps_the_entries_of_a_prefix_of_the_walk(monkeypatch):
     # exhaustive exactly when b >= N.  Every b below 64 and from N - 2 to
     # N + 1 is tried, and every 17th between: trying every b makes the
     # test quadratic in N.
-    from zerosum.counting import SweepStats, limb_layout, sweep_counts
+    from zerosum.counting import SweepStats, limb_layout
     from zerosum.groups import _automorphism_group, element_index
 
     walks = []
@@ -118,9 +118,8 @@ def test_budget_keeps_the_entries_of_a_prefix_of_the_walk(monkeypatch):
         # The cut walk, and the count materialized up to each multiset.
         walk, totals, orbits = [], [], set()
         total = 0
-        for occ, packed in sweep_counts(
-                G, cap, every_band(cap), zero_ceiling=1 << (cap - D + 1),
-                automorphisms=_automorphism_group(G)):
+        for occ, packed in symmetry.pruned_walk(
+                G, cap, every_band(cap), 1 << (cap - D + 1), _automorphism_group(G)):
             occ = tuple(occ)
             total += 1
             if len(occ) >= D - 1 and packed & mask == 1 << (len(occ) - D + 1):
