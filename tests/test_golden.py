@@ -69,6 +69,7 @@ COMMANDS = (
                                         "--max-len", "6"]),
     ("conjecture-2-c2xc2xc2", ["conjecture", "2", "C2xC2xC2"]),
     ("verify-es-chain-c5xc5", ["verify", "es-chain", "C5xC5", "--max-len", "8"]),
+    ("verify-es-chain-c4xc4", ["verify", "es-chain", "C4xC4", "--max-len", "8"]),
     ("verify-lower-bound-c2xc2xc2xc2", ["verify", "lower-bound", "C2xC2xC2xC2",
                                         "--max-len", "6"]),
     ("verify-one-and-all-c2xc2xc2xc2", ["verify", "one-and-all", "C2xC2xC2xC2",
