@@ -245,11 +245,11 @@ def t_bound(G: Group) -> int:
 def zero_sum_free_sequences(G: Group, length: int):
     """All zero-sum-free multisets of exactly the given length, in
     lexicographic order of their occurrence tuples: the multisets whose
-    zero count stays 1."""
+    zero count stays 1, the pruned walk with the one band [1, 2) on the
+    zero count at that length."""
     if length < 0:
         raise ValueError("length must be >= 0")
     from .symmetry import pruned_walk  # see the symmetry module notes
 
-    bands = [None] * length + [(0, (1 << length) + 1)]
-    for occ, _ in pruned_walk(G, length, bands, 1, None):
+    for occ, _ in pruned_walk(G, length, [None] * length + [(1, 2)], None):
         yield _seq_from_sorted(G, occ)

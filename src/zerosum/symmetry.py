@@ -2,8 +2,14 @@
 expands.
 
 ``pruned_walk`` walks the zero-free multisets whose zero count is at
-most a ceiling, in the order of ``counting.sweep_counts`` and with its
-bands.  The zero count of a multiset and its extremal members move with
+most a ceiling, in the order of ``counting.sweep_counts``, and yields
+those whose zero count N_0 lies in the band of their length.  Its bands
+read N_0 alone, the limb that the prune reads, and the ceiling is the top
+of the largest band less 1: N_0 never drops along a prefix, so neither a
+multiset above the ceiling nor any extension of it lies in a band.  A
+leaf's counts are computed only when it is yielded.
+
+The zero count of a multiset and its extremal members move with
 any automorphism of G, so a catalog need only walk one member of each
 orbit: given a group of automorphisms, the walk is cut as
 ``davenport.davenport_exact`` cuts its search.  Each frame carries the
@@ -77,24 +83,28 @@ def _kept(low, aut_low, first: int) -> int:
                if low[i] == i and aut_low[i] >= first)
 
 
-def pruned_walk(G: Group, max_length: int, bands: list, zero_ceiling: int,
+def pruned_walk(G: Group, max_length: int, bands: list,
                 automorphisms: _Stabilizer | None, stats: SweepStats | None = None):
     """The library's pruned walk: ``counting.sweep_counts`` restricted to
-    the multisets whose zero count is at most ``zero_ceiling``, in the
-    same order, with the same bands, and cut by ``automorphisms`` (see
-    the module notes); it keeps no memo.  None, for ``automorphisms``, is
-    no cut: no span is joined, no stabilizer built and every position
-    kept.  Appending a can only raise the zero count (N_0(S a) = N_0(S) +
-    N_{-a}(S)), so a multiset above the ceiling is neither visited nor
-    extended.  ``stats`` carries a budget in (see the module notes);
-    without one the walk allows twice the size of the tree: the walk and
-    the orbits each hold at most the tree."""
+    the multisets whose zero count is below the largest hi of the bands,
+    in the same order and cut by ``automorphisms`` (see the module notes);
+    it keeps no memo.  ``bands[n]``, for each length n from 0 to
+    ``max_length``, is None (yield nothing of length n) or (lo, hi): a
+    multiset of length n is yielded, with its packed counts, when its zero
+    count lies in [lo, hi).  Appending a can only raise the zero count
+    (N_0(S a) = N_0(S) + N_{-a}(S)), so a multiset above the ceiling is
+    neither visited nor extended.  None, for ``automorphisms``, is no cut:
+    no span is joined, no stabilizer built and every position kept.
+    ``stats`` carries a budget in (see the module notes); without one the
+    walk allows twice the size of the tree: the walk and the orbits each
+    hold at most the tree."""
     stats = stats or SweepStats()
     budget = stats.budget
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
+    ceiling = max((band[1] for band in bands if band), default=0) - 1
     # Nothing to visit, or a ceiling below the empty multiset's N_0 = 1.
-    if max_length < 0 or zero_ceiling < 1:
+    if max_length < 0 or ceiling < 1:
         return
     if budget is not None and budget < 1:
         stats.exhaustive = False
@@ -103,10 +113,7 @@ def pruned_walk(G: Group, max_length: int, bands: list, zero_ceiling: int,
     if budget is None:
         budget = 2 * comb(count + max_length, max_length)
     limbs = limb_layout(G, max_length)
-    mask, top = limbs.mask, limbs.top
-    offsets = [band and (limbs.offset(band[0]), limbs.offset(band[1]),
-                         limbs.offset(band[2]) if len(band) > 2 else None)
-               for band in bands]
+    mask = limbs.mask
     idx = element_index(G)
     terms = all_elements(G)[1:]
     term_ops = _limb_adders(G, limbs.width)[1:]
@@ -124,13 +131,10 @@ def pruned_walk(G: Group, max_length: int, bands: list, zero_ceiling: int,
     nodes = 1
     if nodes == budget:
         stats.last = ()
-    flagged = 0
-    band = offsets[0]
-    if band is not None and (1 + band[0]) & ~(1 + band[1]) & top:
-        flagged = 1
-        if band[2] is None or (1 + band[2]) & top != top:
-            stats.visited = nodes
-            yield occurrences, 1
+    band = bands[0]
+    if band is not None and band[0] <= 1 < band[1]:
+        stats.visited = nodes
+        yield occurrences, 1
     # One frame per multiset on the current path shorter than max_length:
     # its packed counts, the next term position to try, the bitmask of
     # the subgroup it spans and the positions the cut keeps below it.
@@ -145,7 +149,7 @@ def pruned_walk(G: Group, max_length: int, bands: list, zero_ceiling: int,
             # The children are leaves: visit them here, without frames.
             low, keep = x & mask, keep_path[-1]
             leaves = [p for p in range(pos, count)
-                      if low + ((x >> neg_shift[p]) & mask) <= zero_ceiling
+                      if low + ((x >> neg_shift[p]) & mask) <= ceiling
                       and keep >> p & 1]
             nodes += len(leaves)
             truncated = nodes > budget
@@ -156,25 +160,20 @@ def pruned_walk(G: Group, max_length: int, bands: list, zero_ceiling: int,
             if nodes == budget and leaves:
                 stats.last = (*occurrences, terms[leaves[-1]])
             resume = False
-            band = offsets[depth]
+            band = bands[depth]
             if band is not None:
-                lo_offset, hi_offset, floor_offset = band
-                for p in leaves:
+                for i, p in enumerate(leaves):
+                    if not band[0] <= low + ((x >> neg_shift[p]) & mask) < band[1]:
+                        continue
                     y = x
                     for lo, ls, hi, rs in term_ops[p]:
                         y = ((y << ls) & lo) | ((y >> rs) & hi)
-                    y += x
-                    if not (y + lo_offset) & ~(y + hi_offset) & top:
-                        continue
-                    flagged += 1
-                    if floor_offset is not None and (y + floor_offset) & top == top:
-                        continue
                     # Count the batch up to p, whose consumer may
                     # materialize more, and resume it after p.
                     occurrences.append(terms[p])
-                    nodes += leaves.index(p) + 1 - len(leaves)
+                    nodes += i + 1 - len(leaves)
                     stats.visited = nodes
-                    yield occurrences, y
+                    yield occurrences, x + y
                     nodes = stats.visited
                     if nodes >= budget:
                         stats.last = tuple(occurrences)
@@ -193,8 +192,8 @@ def pruned_walk(G: Group, max_length: int, bands: list, zero_ceiling: int,
                 break
         elif pos < count:
             next_pos[-1] = pos + 1
-            if ((x & mask) + ((x >> neg_shift[pos]) & mask) > zero_ceiling
-                    or not keep_path[-1] >> pos & 1):
+            zero = (x & mask) + ((x >> neg_shift[pos]) & mask)
+            if zero > ceiling or not keep_path[-1] >> pos & 1:
                 continue
             if nodes >= budget:
                 stats.exhaustive = False
@@ -207,21 +206,19 @@ def pruned_walk(G: Group, max_length: int, bands: list, zero_ceiling: int,
             occurrences.append(terms[pos])
             if nodes == budget:
                 stats.last = tuple(occurrences)
-            band = offsets[depth]
-            if band is not None and (child + band[0]) & ~(child + band[1]) & top:
-                flagged += 1
-                if band[2] is None or (child + band[2]) & top != top:
-                    stats.visited = nodes
-                    yield occurrences, child
-                    if stats.visited > nodes:
-                        # The consumer materialized more for this multiset.
-                        nodes = stats.visited
-                        if nodes >= budget:
-                            stats.last = tuple(occurrences)
-                        if nodes > budget:
-                            nodes = budget
-                            stats.exhaustive = False
-                            break
+            band = bands[depth]
+            if band is not None and band[0] <= zero < band[1]:
+                stats.visited = nodes
+                yield occurrences, child
+                if stats.visited > nodes:
+                    # The consumer materialized more for this multiset.
+                    nodes = stats.visited
+                    if nodes >= budget:
+                        stats.last = tuple(occurrences)
+                    if nodes > budget:
+                        nodes = budget
+                        stats.exhaustive = False
+                        break
             span, keep = span_path[-1], keep_path[-1]
             if automorphisms is not None:
                 if not span >> pos + 1 & 1:
@@ -244,7 +241,6 @@ def pruned_walk(G: Group, max_length: int, bands: list, zero_ceiling: int,
         if occurrences:
             occurrences.pop()
     stats.visited = nodes
-    stats.flagged = flagged
 
 
 def _orbit(gens, key: tuple[int, ...], members: list[int], room: int | None):
@@ -287,20 +283,15 @@ def extremal_orbits(G: Group, D: int, max_length: int, stats: SweepStats | None)
     and below cap D - 1, where the walk returns at once, it builds no
     group: the walk is not cut and each orbit is its one member."""
     limbs = limb_layout(G, max_length)
-    mask = limbs.mask
-    top = max_length - D + 1
-    ceiling = 1 << top if top >= 0 else 0
-    aut = _automorphism_group(G) if ceiling and G.order <= SYMMETRY_CAP else None
+    aut = (_automorphism_group(G) if max_length >= D - 1 and G.order <= SYMMETRY_CAP
+           else None)
     gens = () if aut is None else aut.gens
     stats = stats or SweepStats()
     elems, idx = all_elements(G), element_index(G)
     pending: list = []  # see _release
     for occ, packed in pruned_walk(G, max_length, _attained_bands(D, max_length),
-                                   ceiling, aut, stats):
-        bound = 1 << (len(occ) - D + 1)
-        if packed & mask != bound:
-            continue
-        members = limbs.flagged(limbs.equal(packed, bound))
+                                   aut, stats):
+        members = limbs.flagged(limbs.equal(packed, 1 << (len(occ) - D + 1)))
         key = tuple(map(idx.__getitem__, occ))
         while pending and pending[0][0] < key:
             yield _release(pending, elems)

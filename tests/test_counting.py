@@ -4,7 +4,7 @@ import random
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zerosum import (
     all_elements,
@@ -368,33 +368,36 @@ def test_sweep_counts_matches_count_all():
 @given(
     shape=st.sampled_from([(1,), (2,), (3,), (4,), (2, 2), (5,), (6,), (2, 4), (3, 3)]),
     max_length=st.integers(-1, 5),
-    zero_ceiling=st.integers(0, 40),
-    thresholds=st.lists(st.none() | st.tuples(st.integers(0, 40), st.integers(0, 40)),
-                        min_size=6, max_size=6),
+    bands=st.lists(st.none() | st.tuples(st.integers(0, 40), st.integers(0, 40)),
+                   min_size=6, max_size=6),
     budget=st.none() | st.integers(0, 80),
 )
-def test_pruned_sweep_is_unpruned_sweep_restricted(shape, max_length, zero_ceiling,
-                                                   thresholds, budget):
+# The bands differ by length, and the largest lies below the last length.
+@example(shape=(2, 4), max_length=5,
+         bands=[None, (0, 2), (2, 9), None, (1, 3), (4, 5)], budget=None)
+def test_pruned_sweep_is_unpruned_sweep_restricted(shape, max_length, bands, budget):
     # The pruned walk with no group, in order, is the unpruned one
     # restricted to the multisets none of whose prefixes (the empty one
-    # included) has a zero count above the ceiling.  The stream is further
-    # restricted to the multisets with a count in the band [lo, hi) of
-    # their length, and a budget cuts the walk to its first ``budget``
-    # multisets.
+    # included) has a zero count above the ceiling, the largest hi of the
+    # bands less 1: bands (0, ceiling + 1) at every length observe that
+    # whole tree.  The stream is further restricted to the multisets with
+    # a zero count in the band [lo, hi) of their length, and a budget
+    # cuts the walk to its first ``budget`` multisets.
     G = make_group(list(shape))
     limbs = limb_layout(G, max_length)
     unpack = limbs.unpack
-    thresholds = thresholds[:max_length + 1]
+    bands = bands[:max_length + 1]
+    ceiling = max((band[1] for band in bands if band), default=0) - 1
     rows = [(tuple(occ), unpack(packed))
             for occ, packed in sweep_counts(G, max_length, every_band(max_length))]
     zero_count = {occ: counts[0] for occ, counts in rows}
     tree = [(occ, counts) for occ, counts in rows
-            if all(zero_count[occ[:k]] <= zero_ceiling for k in range(len(occ) + 1))]
+            if all(zero_count[occ[:k]] <= ceiling for k in range(len(occ) + 1))]
     stats = SweepStats()
     got = [
         (tuple(occ), unpack(packed))
-        for occ, packed in pruned_walk(G, max_length, every_band(max_length),
-                                       zero_ceiling, None, stats)
+        for occ, packed in pruned_walk(G, max_length, [(0, ceiling + 1)] * (max_length + 1),
+                                       None, stats)
     ]
     assert got == tree
     assert (stats.visited, stats.exhaustive) == (len(tree), True)
@@ -402,11 +405,11 @@ def test_pruned_sweep_is_unpruned_sweep_restricted(shape, max_length, zero_ceili
     visited = tree if budget is None else tree[:budget]
     filtered = [
         (tuple(occ), unpack(packed))
-        for occ, packed in pruned_walk(G, max_length, thresholds,
-                                       zero_ceiling, None, stats)
+        for occ, packed in pruned_walk(G, max_length, bands, None, stats)
     ]
     assert filtered == [(occ, counts) for occ, counts in visited
-                        if _in_band(occ, counts, thresholds)]
+                        if bands[len(occ)] is not None
+                        and bands[len(occ)][0] <= counts[0] < bands[len(occ)][1]]
     assert stats.visited == len(visited)
     assert stats.exhaustive == (len(visited) == len(tree))
 
@@ -564,6 +567,7 @@ def test_extremal_sweep_matches_extremal_set(shape):
 
     for max_length in (D - 2, D - 1, D + 2):
         ceiling = 1 << (max_length - D + 1) if max_length >= D - 1 else 0
+        tree_bands = [(0, ceiling + 1)] * (max_length + 1)
         expected = []
         for occ, _ in sweep_counts(G, max_length, every_band(max_length)):
             S = sequence(G, list(occ))
@@ -577,21 +581,18 @@ def test_extremal_sweep_matches_extremal_set(shape):
         assert pruned == [(occ, E) for occ, E in expected if G.zero() in E]
         # The cut tree lies in the zero-count-ceiling tree and holds the
         # lex-least member of each orbit of it.  The pruned walk visits the
-        # cut tree, flags its multisets with a nonempty extremal set, and
-        # materializes all but one member of each orbit in the stream.
+        # cut tree and materializes all but one member of each orbit in the
+        # stream.
         tree_occs = [tuple(occ) for occ, _ in pruned_walk(
-            G, max_length, every_band(max_length), ceiling, None)]
+            G, max_length, tree_bands, None)]
         cut = SweepStats()
         cut_occs = [tuple(occ) for occ, _ in pruned_walk(
-            G, max_length, every_band(max_length), ceiling,
-            _automorphism_group(G), cut)]
+            G, max_length, tree_bands, _automorphism_group(G), cut)]
         assert set(cut_occs) <= set(tree_occs)
         assert {occ for occ in tree_occs if orbit_min(occ) == occ} <= set(cut_occs)
         orbits = {orbit_min(occ) for occ, _ in pruned}
-        attained = {occ for occ, _ in expected}
         assert (stats.visited, stats.exhaustive) == (
             cut.visited + len(pruned) - len(orbits), cut.exhaustive)
-        assert stats.flagged == sum(occ in attained for occ in cut_occs)
         if max_length == D + 2:
             assert len(cut_occs) < len(tree_occs), G
 

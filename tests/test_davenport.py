@@ -2,6 +2,7 @@ import importlib
 import json
 import pathlib
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -283,14 +284,22 @@ def test_pruning_rejections_are_sound():
 
 
 def test_zero_sum_free_sequences_enumeration():
-    for G in (C3, make_group([2, 2]), make_group([4])):
-        for length in range(0, 4):
+    # Oracle: the zero-sum-free multisets among all those of the length, on
+    # every group of order at most 16 at each length up to D(G) whose
+    # oracle enumerates at most 20,000 multisets.  Length D(G) has none.
+    for G in groups_up_to_order(16):
+        D = davenport(G).value
+        for length in range(D + 1):
             got = list(zero_sum_free_sequences(G, length))
+            if length == D:
+                assert got == [], G
+            if comb(G.order - 2 + length, length) > 20_000:
+                continue
             expected = [
                 S for S in iterate_multisets(G, length, exclude_zero=True)
                 if is_zero_sum_free(S)
             ]
-            assert got == expected
+            assert got == expected, (G, length)
 
 
 def test_mask_adders_match_set_translation():

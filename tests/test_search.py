@@ -119,7 +119,7 @@ def test_budget_keeps_the_entries_of_a_prefix_of_the_walk(monkeypatch):
         walk, totals, orbits = [], [], set()
         total = 0
         for occ, packed in symmetry.pruned_walk(
-                G, cap, every_band(cap), 1 << (cap - D + 1), _automorphism_group(G)):
+                G, cap, [(0, (1 << (cap - D + 1)) + 1)] * (cap + 1), _automorphism_group(G)):
             occ = tuple(occ)
             total += 1
             if len(occ) >= D - 1 and packed & mask == 1 << (len(occ) - D + 1):
