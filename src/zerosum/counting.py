@@ -53,8 +53,9 @@ The sweeps are views of it, with e = |S| - D + 1:
 ``sweep_one_and_all`` the same band with the floor 2^e, so that it is
 yielded only its failures and reads the attaining multisets from the
 tally.  The walk pruned on a zero-count ceiling, ``symmetry.pruned_walk``,
-takes the same bands: the attaining one for the pruned ``extremal_sweep``,
-and any for ``davenport.zero_sum_free_sequences``.
+takes bands that read the zero count alone, and its ceiling is the top of
+the largest: the attaining one for the pruned ``extremal_sweep``, and [1,
+2) at the one length of ``davenport.zero_sum_free_sequences``.
 
 Memo.  What the walk yields and tallies below a multiset depends only
 on its vector (which fixes its length, the counts
@@ -520,11 +521,12 @@ class SweepStats:
     multisets it may materialize (None: no limit); ``visited`` out, the
     multisets of the tree it visited, the empty one included, and in a
     pruned walk also those its consumer materialized; ``exhaustive`` out,
-    False when the budget left one unvisited; ``last`` out, set by any
-    pruned walk, the last multiset visited once the budget is spent (None
-    before); ``flagged`` out, the multisets of the walk with a count in
-    the band of their length; ``entries`` and ``hits`` out, the subtrees
-    the memo of ``sweep_counts`` stored and the ones it answered."""
+    False when the budget left one unvisited.  Set by the pruned walk
+    alone: ``last`` out, the last multiset visited once the budget is
+    spent (None before).  Set by ``sweep_counts`` alone: ``flagged`` out,
+    the multisets of the walk with a count in the band of their length;
+    ``entries`` and ``hits`` out, the subtrees its memo stored and the
+    ones it answered."""
 
     budget: int | None = None
     visited: int = 0
