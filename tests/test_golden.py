@@ -114,6 +114,9 @@ COMMANDS = (
                                         "--g", "(1,0,0,0,0,0,1)", "--m", "9"]),
     ("extremal-c2xc2xc2xc2xc2xc2-len3", ["extremal", "C2xC2xC2xC2xC2xC2",
                                          "--max-len", "3"]),
+    ("conjecture-1-c5xc5", ["conjecture", "1", "C5xC5", "--max-len", "9"]),
+    ("verify-odd-structure-c5xc5", ["verify", "odd-structure", "C5xC5", "--max-len", "9"]),
+    ("verify-corollary-c5xc5", ["verify", "corollary", "C5xC5", "--max-len", "9"]),
 )
 
 
