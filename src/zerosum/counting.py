@@ -724,7 +724,7 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
 
 def extremal_sweep(G: Group, D: int, max_length: int, *, prune: bool = False,
                    stats: SweepStats | None = None):
-    """Yield (occurrence tuple, extremal members) for each zero-free
+    """Yield (occurrence tuple, extremal members, orbit) for each zero-free
     multiset up to ``max_length`` with a count of exactly 2^(len-D+1), in
     ``sweep_counts`` order; the members are the elements with that count.
 
@@ -734,7 +734,11 @@ def extremal_sweep(G: Group, D: int, max_length: int, *, prune: bool = False,
     and expands each orbit it reaches, with the same stream
     (``symmetry.extremal_orbits``): the budget counts the multisets walked
     and the orbit members expanded, and a truncated sweep yields exactly
-    the entries up to ``stats.last``.
+    the entries up to ``stats.last``.  ``orbit`` is the occurrence tuple
+    of the least member of the entry's Aut(G) orbit, yielded before the
+    rest of it, so a check that Aut(G) preserves need run only once per
+    key; it is None for an entry that is alone in its orbit, and for every
+    entry of the unpruned sweep.
     """
     if prune:
         from .symmetry import extremal_orbits  # see the symmetry module notes
@@ -745,4 +749,4 @@ def extremal_sweep(G: Group, D: int, max_length: int, *, prune: bool = False,
     for occ, packed in sweep_counts(G, max_length, _attained_bands(D, max_length),
                                     stats=stats):
         exponent = len(occ) - D + 1
-        yield tuple(occ), _extremal_members(G, limbs, packed, exponent)
+        yield tuple(occ), _extremal_members(G, limbs, packed, exponent), None

@@ -11,7 +11,10 @@ odd-order groups, the growth of the extremal set under term removal, the
 shape of subgroups inside extremal sets, and the quotient condition that
 separates groups with bounded extremal length from those carrying an
 unbounded extremal family.  Each sweep sits beside the checks it drives
-and streams ``extremal_sweep`` on its own D.
+and streams ``extremal_sweep`` on its own D.  The statements hold or fail
+together on an orbit of Aut(G), which maps N_g(S) to N_{sigma g}(sigma S)
+and minimal zero-sum subsequences onto minimal zero-sum subsequences, so
+the catalog sweeps check each orbit once (``_orbit_verdicts``).
 """
 
 from __future__ import annotations
@@ -131,18 +134,33 @@ def check_odd_group_structure(S: Sequence, D: int) -> VerificationReport:
     )
 
 
+def _orbit_verdicts(G: Group, D: int, max_len: int, stats: SweepStats | None, check):
+    """(occurrence tuple, ``check(S, D)``) for each extremal S of the
+    pruned ``extremal_sweep`` up to ``max_len``, in walk order.  The check
+    must give every member of an Aut(G) orbit the same verdict: it runs
+    on the orbit's least member, which the walk yields first, and that
+    verdict serves the rest (see ``extremal_sweep``)."""
+    verdicts = {}
+    for occ, _, orbit in extremal_sweep(G, D, max_len, prune=True, stats=stats):
+        verdict = verdicts.get(orbit)
+        if verdict is None:
+            verdict = check(_seq_from_sorted(G, occ), D)
+            if orbit is not None:
+                verdicts[orbit] = verdict
+        yield occ, verdict
+
+
 def sweep_odd_structure(G: Group, D: int, max_len: int) -> VerificationReport:
     """``check_odd_group_structure`` on every extremal S up to ``max_len``,
-    in walk order, to the first that fails.  On a group of even order the
-    check skips every S: the behavior is recorded and nothing is asserted.
-    The walk stops after ``DEFAULT_BUDGET`` multisets (see
-    ``extremal_sweep``)."""
+    in walk order, to the first that fails, once per orbit (see
+    ``_orbit_verdicts``).  On a group of even order the check skips every
+    S: the behavior is recorded and nothing is asserted.  The walk stops
+    after ``DEFAULT_BUDGET`` multisets (see ``extremal_sweep``)."""
     stats = SweepStats(DEFAULT_BUDGET)
     checked = skipped = 0
-    for occ, _ in extremal_sweep(G, D, max_len, prune=True, stats=stats):
-        S = _seq_from_sorted(G, occ)
-        rep = check_odd_group_structure(S, D)
+    for occ, rep in _orbit_verdicts(G, D, max_len, stats, check_odd_group_structure):
         if rep.failed:
+            S = _seq_from_sorted(G, occ)
             return VerificationReport.fail(
                 "odd-structure-sweep", (S,), group=G.spec(), max_len=max_len,
                 counterexample=format_sequence(S),
@@ -198,20 +216,19 @@ def check_corollary_decomposition(S: Sequence, D: int) -> VerificationReport:
 
 def sweep_corollary(G: Group, D: int, max_len: int) -> VerificationReport:
     """``check_corollary_decomposition`` on every extremal S up to
-    ``max_len``, in walk order, to the first that fails;
-    ``decompositions_checked`` counts the S that the check does not skip
-    (those whose extremal set is exactly {0} on a group of odd order).
-    The walk stops after ``DEFAULT_BUDGET`` multisets (see
-    ``extremal_sweep``)."""
+    ``max_len``, in walk order, to the first that fails, once per orbit
+    (see ``_orbit_verdicts``); ``decompositions_checked`` counts the S
+    that the check does not skip (those whose extremal set is exactly {0}
+    on a group of odd order).  The walk stops after ``DEFAULT_BUDGET``
+    multisets (see ``extremal_sweep``)."""
     stats = SweepStats(DEFAULT_BUDGET)
     checked = 0
-    for occ, _ in extremal_sweep(G, D, max_len, prune=True, stats=stats):
-        S = _seq_from_sorted(G, occ)
-        rep = check_corollary_decomposition(S, D)
+    for occ, rep in _orbit_verdicts(G, D, max_len, stats, check_corollary_decomposition):
         if rep.status == "skipped":
             continue
         checked += 1
         if rep.failed:
+            S = _seq_from_sorted(G, occ)
             return VerificationReport.fail(
                 "corollary-sweep", (S,), group=G.spec(),
                 sequence=format_sequence(S),
@@ -262,13 +279,14 @@ def check_es_chain(S: Sequence, D: int) -> VerificationReport:
 
 
 def sweep_es_chain(G: Group, D: int, max_len: int) -> VerificationReport:
-    """``check_es_chain`` once on every extremal S up to ``max_len``;
-    ``pairs_checked`` is the sum of the checks' ``terms_checked``."""
+    """``check_es_chain`` once per orbit of the extremal S up to
+    ``max_len`` (see ``_orbit_verdicts``), to the first S that fails;
+    ``pairs_checked`` is the sum of the checks' ``terms_checked`` over
+    every S."""
     checked = 0
-    for occ, _ in extremal_sweep(G, D, max_len, prune=True):
-        S = _seq_from_sorted(G, occ)
-        rep = check_es_chain(S, D)
+    for occ, rep in _orbit_verdicts(G, D, max_len, None, check_es_chain):
         if rep.failed:
+            S = _seq_from_sorted(G, occ)
             return VerificationReport.fail(
                 "es-chain-sweep", (S,), group=G.spec(),
                 sequence=format_sequence(S), removed=rep.details["removed"],
@@ -330,7 +348,7 @@ def sweep_subgroup_es(G: Group, D: int, max_len: int) -> VerificationReport:
     checked = 0
     nontrivial_found = 0
     seen = {}
-    for occ, members in extremal_sweep(G, D, max_len):
+    for occ, members, _ in extremal_sweep(G, D, max_len):
         if members not in seen:
             seen[members] = max_subgroups_in_extremal_set(
                 ExtremalSet(G, members, len(occ) - D + 1))
@@ -438,7 +456,7 @@ def sweep_equivalences(G: Group, max_len: int, family_k: int) -> VerificationRep
     cap = min(max_len, profile.t)
     stats = SweepStats(DEFAULT_BUDGET)
     walk = extremal_sweep(G, davenport(G).value, cap, prune=True, stats=stats)
-    lengths = sorted({len(occ) for occ, _ in walk})
+    lengths = sorted({len(occ) for occ, *_ in walk})
     longest = max(lengths, default=0)
     details["sweep_cap"] = cap
     details["extremal_lengths"] = lengths
@@ -464,7 +482,7 @@ def check_cyclic_characterization(n: int, max_len: int) -> VerificationReport:
         raise ValueError(f"max_len must be at least n + 1 = {n + 1}")
     G = make_group([n])
     # D(C_n) = n.
-    found = [_seq_from_sorted(G, occ) for occ, _ in extremal_sweep(G, n, max_len, prune=True)]
+    found = [_seq_from_sorted(G, occ) for occ, *_ in extremal_sweep(G, n, max_len, prune=True)]
     generators = [a for a in range(1, n) if gcd(a, n) == 1]
     expected = {
         seq_key(sequence(G, {(a,): reps}))

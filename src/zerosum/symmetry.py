@@ -31,7 +31,10 @@ over the strong generators of Aut(G) with the extremal members mapped
 along.  A heap of the expanded orbits releases each member before the
 walk's next attaining multiset above it, so the stream is that of the
 uncut walk: the same multisets, in the same order, with the same
-members.
+members.  Each entry also names its orbit by the occurrences of the
+orbit's least member, the one the walk visits, yielded before the rest;
+the catalog sweeps check a statement that Aut(G) preserves once per
+name (``structure._orbit_verdicts``).
 
 Budget.  ``SweepStats.budget`` counts the multisets materialized: those
 the walk visits and the orbit members expanded.  The walk sets
@@ -265,23 +268,28 @@ def _orbit(gens, key: tuple[int, ...], members: list[int], room: int | None):
 
 def _release(pending: list, elems) -> tuple:
     """Pop the least pending orbit member, as (occurrence tuple, extremal
-    members), and queue the next member of its orbit.  ``pending`` is a
-    heap of (sorted element indices, member indices, iterator over the
-    orbit's members above them)."""
-    key, members, rest = heappop(pending)
+    members, orbit key), and queue the next member of its orbit.
+    ``pending`` is a heap of (sorted element indices, member indices,
+    orbit key, iterator over the orbit's members above them)."""
+    key, members, orbit, rest = heappop(pending)
     image = next(rest, None)
     if image is not None:
-        heappush(pending, (*image, rest))
-    return tuple(map(elems.__getitem__, key)), frozenset(map(elems.__getitem__, members))
+        heappush(pending, (*image, orbit, rest))
+    return (tuple(map(elems.__getitem__, key)),
+            frozenset(map(elems.__getitem__, members)), orbit)
 
 
 def extremal_orbits(G: Group, D: int, max_length: int, stats: SweepStats | None):
     """The pruned ``counting.extremal_sweep``: (occurrence tuple, extremal
-    members) for each zero-free multiset up to ``max_length`` whose zero
-    count is 2^(len-D+1), in walk order, from the walk cut by Aut(G) with
-    each orbit expanded (see the module notes).  Past ``SYMMETRY_CAP``,
-    and below cap D - 1, where the walk returns at once, it builds no
-    group: the walk is not cut and each orbit is its one member."""
+    members, orbit key) for each zero-free multiset up to ``max_length``
+    whose zero count is 2^(len-D+1), in walk order, from the walk cut by
+    Aut(G) with each orbit expanded (see the module notes).  The orbit key
+    is the occurrence tuple of the orbit's least member, which comes before
+    every other member; it is None for a multiset alone in its orbit,
+    which includes one whose orbit did not fit in the budget.  Past
+    ``SYMMETRY_CAP``, and below cap D - 1, where the walk returns at once,
+    it builds no group: the walk is not cut and each orbit is its one
+    member."""
     limbs = limb_layout(G, max_length)
     aut = (_automorphism_group(G) if max_length >= D - 1 and G.order <= SYMMETRY_CAP
            else None)
@@ -295,19 +303,23 @@ def extremal_orbits(G: Group, D: int, max_length: int, stats: SweepStats | None)
         key = tuple(map(idx.__getitem__, occ))
         while pending and pending[0][0] < key:
             yield _release(pending, elems)
+        occ = tuple(occ)
         if pending and pending[0][0] == key:
-            _release(pending, elems)  # expanded with the least member of its orbit
+            # Expanded with the least member of its orbit.
+            orbit = _release(pending, elems)[2]
         else:
             room = None if stats.budget is None else stats.budget - stats.visited
-            orbit = _orbit(gens, key, members, room)
-            if orbit is None:
+            expanded = _orbit(gens, key, members, room)
+            orbit = None
+            if expanded is None:
                 stats.visited += room + 1  # the orbit does not fit: the walk ends
-            elif len(orbit) > 1:
-                stats.visited += len(orbit) - 1
-                rest = iter(orbit)
+            elif len(expanded) > 1:
+                stats.visited += len(expanded) - 1
+                rest = iter(expanded)
                 next(rest)  # key, the least member
-                heappush(pending, (*next(rest), rest))
-        yield tuple(occ), frozenset(map(elems.__getitem__, members))
+                orbit = occ
+                heappush(pending, (*next(rest), orbit, rest))
+        yield occ, frozenset(map(elems.__getitem__, members)), orbit
     # Past the budget, only the members up to the last multiset visited.
     last = None if stats.exhaustive else tuple(map(idx.__getitem__, stats.last or ()))
     while pending and (last is None or pending[0][0] <= last):

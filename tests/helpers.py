@@ -22,8 +22,16 @@ from zerosum import (
     sequence,
     subsums,
 )
+from zerosum.counting import SweepStats, extremal_sweep
 from zerosum.groups import element_index
 from zerosum.search import splitmix64
+from zerosum.structure import (
+    check_corollary_decomposition,
+    check_es_chain,
+    check_odd_group_structure,
+    condition_profile,
+    minimal_zero_sums,
+)
 
 
 def groups_up_to_order(n):
@@ -363,3 +371,71 @@ def matmul(A, B):
         [sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]))]
         for i in range(len(A))
     ]
+
+
+def per_entry_sweep(kind, G, D, max_len, budget=None):
+    """The (status, details, witnesses) that the catalog sweep ``kind``
+    must report on G with Davenport constant D up to ``max_len``: its
+    check run on every entry of the pruned ``extremal_sweep``, in walk
+    order, with the orbit keys ignored, and the walk stopped after
+    ``budget`` multisets (None: no limit; ``es-chain`` walks with none).
+    The kinds are the sweeps of
+    ``verify odd-structure``, ``corollary`` and ``es-chain`` (their first
+    failure in walk order) and ``conjecture1_harness``, with D = D(G) (the
+    least failing entry by length, then occurrences).
+    """
+    spec = G.spec()
+    if kind == "conjecture-1":
+        details = {"group": spec, "length_cap": max_len,
+                   "qualifies": condition_profile(G).cond_iii}
+        if not details["qualifies"]:
+            details["reason"] = "an order-2 quotient drops the Davenport constant by only 1"
+            return "skipped", details, ()
+    stats = SweepStats(None if kind == "es-chain" else budget)
+    entries = [sequence(G, list(occ)) for occ, _, _ in
+               extremal_sweep(G, D, max_len, prune=True, stats=stats)]
+    partial = "pass" if stats.exhaustive else "partial"
+    if kind == "conjecture-1":
+        failures = []
+        for S in entries:
+            rep = minimal_zero_sums(S)
+            if len(rep.minimals) != len(S) - D + 1 or not rep.pairwise_disjoint:
+                failures.append(S)
+        details.update(extremal_checked=len(entries), exhaustive=stats.exhaustive)
+        if failures:
+            S = min(failures, key=lambda T: (len(T), T.expanded()))
+            details["counterexample"] = format_sequence(S)
+            return "fail", details, (S,)
+        details["result"] = "no counterexample up to cap"
+        return partial, details, ()
+    if kind == "odd-structure":
+        reports = [check_odd_group_structure(S, D) for S in entries]
+        for S, rep in zip(entries, reports):
+            if rep.failed:
+                return "fail", {"group": spec, "max_len": max_len,
+                                "counterexample": format_sequence(S)}, (S,)
+        details = {"group": spec, "max_len": max_len, "extremal_checked": len(entries),
+                   "skipped": sum(rep.status == "skipped" for rep in reports),
+                   "stats": {"exhaustive": stats.exhaustive}}
+        if G.order % 2 == 0:
+            details["note"] = "group order is even; behavior recorded, nothing asserted"
+        return partial, details, ()
+    if kind == "corollary":
+        checked = 0
+        for S in entries:
+            rep = check_corollary_decomposition(S, D)
+            checked += rep.status != "skipped"
+            if rep.failed:
+                return "fail", {"group": spec, "sequence": format_sequence(S)}, (S,)
+        return partial, {"group": spec, "max_len": max_len,
+                         "decompositions_checked": checked,
+                         "stats": {"exhaustive": stats.exhaustive}}, ()
+    assert kind == "es-chain", kind
+    pairs = 0
+    for S in entries:
+        rep = check_es_chain(S, D)
+        if rep.failed:
+            return "fail", {"group": spec, "sequence": format_sequence(S),
+                            "removed": rep.details["removed"]}, (S,)
+        pairs += rep.details.get("terms_checked", 0)
+    return "pass", {"group": spec, "max_len": max_len, "pairs_checked": pairs}, ()

@@ -575,9 +575,10 @@ def test_extremal_sweep_matches_extremal_set(shape):
             E = extremal_set(S, D).members if len(S) >= D - 1 else frozenset()
             if E:
                 expected.append((tuple(occ), E))
-        assert list(extremal_sweep(G, D, max_length)) == expected
+        assert list(extremal_sweep(G, D, max_length)) == [(occ, E, None) for occ, E in expected]
         stats = SweepStats()
-        pruned = list(extremal_sweep(G, D, max_length, prune=True, stats=stats))
+        pruned = [(occ, E) for occ, E, _ in extremal_sweep(G, D, max_length, prune=True,
+                                                          stats=stats)]
         assert pruned == [(occ, E) for occ, E in expected if G.zero() in E]
         # The cut tree lies in the zero-count-ceiling tree and holds the
         # lex-least member of each orbit of it.  The pruned walk visits the
@@ -607,18 +608,50 @@ def test_symmetry_cut_keeps_the_pruned_stream(monkeypatch):
         D = davenport(G).value
         for cap in range(D - 1, D + 3):
             stats = SweepStats()
-            real[G, D, cap] = list(extremal_sweep(G, D, cap, prune=True, stats=stats)), stats
+            real[G, D, cap] = [(occ, E) for occ, E, _ in extremal_sweep(
+                G, D, cap, prune=True, stats=stats)], stats
     monkeypatch.setattr(symmetry, "_automorphism_group",
                         lambda G: _Stabilizer((), 1, tuple(range(G.order))))
     for (G, D, cap), (stream, cut) in real.items():
         stats = SweepStats()
-        assert list(extremal_sweep(G, D, cap, prune=True, stats=stats)) == stream, (G, cap)
+        assert [(occ, E) for occ, E, _ in extremal_sweep(
+            G, D, cap, prune=True, stats=stats)] == stream, (G, cap)
         assert cut.exhaustive and stats.exhaustive
     # C4xC4 at cap 9: 1,488 entries in 18 orbits; the walk cut by Aut(G),
     # of order 96, and the orbits take 14,935 multisets instead of 146,783.
     stream, cut = real[make_group([4, 4]), 7, 9]
     assert (cut.visited, len(stream)) == (14_935, 1_488)
     assert len(real) == 4 * 24
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 4), (3, 3), (2, 2, 2)])
+def test_pruned_stream_keys_each_entry_by_its_orbit(shape):
+    # Oracle: the orbits under every automorphism, found by brute force
+    # (helpers.automorphisms).  An entry alone in its orbit has the key
+    # None; any other has the occurrences of its orbit's least member,
+    # which comes first.  The unpruned stream keys nothing.
+    G = make_group(list(shape))
+    D = davenport(G).value
+    auts = automorphisms(G)
+    elems, idx = all_elements(G), element_index(G)
+    for cap in (D - 1, D + 2):
+        seen = set()
+        for occ, _, orbit in extremal_sweep(G, D, cap, prune=True):
+            members = {tuple(sorted(elems[perm[idx[g]]] for g in occ)) for perm in auts}
+            if len(members) == 1:
+                assert orbit is None, occ
+            else:
+                assert orbit == min(members), occ
+                assert orbit in seen or orbit == occ, occ
+            seen.add(occ)
+        assert all(orbit is None for *_, orbit in extremal_sweep(G, D, cap))
+    # The first orbit of C3xC3 at cap 6, of 48 members, does not fit in a
+    # budget of 50: its least member, the one entry, is keyed None.
+    C33 = make_group([3, 3])
+    full = next(extremal_sweep(C33, 5, 6, prune=True))
+    assert full[2] == full[0]
+    assert list(extremal_sweep(C33, 5, 6, prune=True, stats=SweepStats(50))) == [
+        (*full[:2], None)]
 
 
 def test_sweep_counts_yields_immutable_vectors():

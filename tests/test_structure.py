@@ -1,8 +1,10 @@
 import importlib
 import random
-from itertools import product
+from functools import lru_cache
+from itertools import islice, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zerosum import (
     all_elements,
@@ -28,9 +30,14 @@ from zerosum import (
     sequence,
     subgroup_closure,
 )
-from zerosum.counting import ExtremalSet, extremal_sweep
+import helpers
+from zerosum import conjecture1_harness, search, structure
+from zerosum.counting import DEFAULT_BUDGET, ExtremalSet, SweepStats, extremal_sweep
+from zerosum.groups import _automorphism_group, element_index
 from zerosum.reports import VerificationReport
+from zerosum.sequences import format_element
 from zerosum.structure import (
+    MinZeroSumReport,
     _family_base,
     is_minimal_zero_sum,
     sweep_corollary,
@@ -39,7 +46,7 @@ from zerosum.structure import (
     sweep_subgroup_es,
 )
 
-from helpers import es_chain_terms, groups_up_to_order, seq_gcd
+from helpers import es_chain_terms, groups_up_to_order, per_entry_sweep, seq_gcd
 
 C2 = make_group([2])
 C3 = make_group([3])
@@ -336,7 +343,7 @@ def test_family_base_matches_the_multiset_scan():
 
 def unmemoized_subgroup_es(G, D, max_len):
     checked = nontrivial = 0
-    for occ, members in extremal_sweep(G, D, max_len):
+    for occ, members, _ in extremal_sweep(G, D, max_len):
         if members:
             contained, verdict = max_subgroups_in_extremal_set(
                 ExtremalSet(G, members, len(occ) - D + 1))
@@ -354,7 +361,7 @@ def test_subgroup_es_sweep_checks_each_member_set_once(monkeypatch, spec, max_le
     structure = importlib.import_module("zerosum.structure")
     G = make_group(spec)
     D = davenport(G).value
-    sets = {members for _, members in extremal_sweep(G, D, max_len) if members}
+    sets = {members for _, members, _ in extremal_sweep(G, D, max_len) if members}
     assert len(sets) == distinct
     expected = unmemoized_subgroup_es(G, D, max_len)
     real = structure.max_subgroups_in_extremal_set
@@ -370,7 +377,7 @@ def test_subgroup_es_sweep_reports_the_first_failing_sequence(monkeypatch):
     structure = importlib.import_module("zerosum.structure")
     G = make_group([2, 4])
     D = davenport(G).value
-    sweep = [(occ, m) for occ, m in extremal_sweep(G, D, 8) if m]
+    sweep = [(occ, m) for occ, m, _ in extremal_sweep(G, D, 8) if m]
     bad = list(dict.fromkeys(m for _, m in sweep))[5]  # fail the sixth distinct set
     first = next(occ for occ, m in sweep if m == bad)
     real = structure.max_subgroups_in_extremal_set
@@ -408,3 +415,141 @@ def test_cyclic_characterization():
         check_cyclic_characterization(2, 6)
     with pytest.raises(ValueError):
         check_cyclic_characterization(5, 4)
+
+
+# The catalog sweeps that check each Aut(G) orbit once, by the name of
+# their kind in ``helpers.per_entry_sweep``.
+CATALOG_SWEEPS = ("odd-structure", "corollary", "es-chain", "conjecture-1")
+# The per-entry reference checks catalogs of at most this many entries:
+# C2^4 at caps 6 and 7 (33,628 and 126,568 entries) and C2xC2xC4 at cap 8
+# (18,232) would take it about two minutes.
+REFERENCE_ENTRIES = 12_000
+
+
+def run_catalog_sweep(kind, G, D, cap, budget):
+    """The report of the catalog sweep ``kind``; the verify sweeps read
+    their budget from ``structure.DEFAULT_BUDGET``, patched by the caller."""
+    if kind == "conjecture-1":
+        return conjecture1_harness(G, cap, budget)
+    sweep = {"odd-structure": sweep_odd_structure, "corollary": sweep_corollary,
+             "es-chain": sweep_es_chain}[kind]
+    return sweep(G, D, cap)
+
+
+@lru_cache(maxsize=None)
+def reference_catalogs():
+    """(G, D, cap, multisets materialized) for every group of order <= 16
+    at each cap from D - 1 to D + 2 whose catalog has at most
+    ``REFERENCE_ENTRIES`` entries."""
+    cases = []
+    for G in groups_up_to_order(16):
+        D = davenport(G).value
+        for cap in range(D - 1, D + 3):
+            stats = SweepStats()
+            stream = extremal_sweep(G, D, cap, prune=True, stats=stats)
+            if sum(1 for _ in islice(stream, REFERENCE_ENTRIES + 1)) <= REFERENCE_ENTRIES:
+                cases.append((G, D, cap, stats.visited))
+    return tuple(cases)
+
+
+@pytest.mark.parametrize("kind", CATALOG_SWEEPS)
+def test_catalog_sweeps_match_the_per_entry_reference(monkeypatch, kind):
+    # Oracle: helpers.per_entry_sweep, which runs the check on every entry
+    # of the stream.  Each sweep checks an orbit once and must give the
+    # same status, details and witnesses, uncut and, where the sweep has a
+    # budget, cut at half its walk: such cuts end the walk inside orbits
+    # (ones that do not fit, and ones expanded but released only up to the
+    # last multiset visited).
+    cases = reference_catalogs()
+    assert len(cases) == 4 * 24 - 3
+    for G, D, cap, visited in cases:
+        budgets = [DEFAULT_BUDGET]
+        if kind != "es-chain":  # es-chain walks with no budget
+            budgets.append(visited // 2)
+        for budget in budgets:
+            monkeypatch.setattr(structure, "DEFAULT_BUDGET", budget)
+            rep = run_catalog_sweep(kind, G, D, cap, budget)
+            expected = per_entry_sweep(kind, G, D, cap, budget)
+            assert (rep.status, rep.details, rep.witnesses) == expected, (G, cap, budget)
+
+
+def image_under(G, occ, word):
+    """The occurrences of the image of ``occ`` under the product of the
+    permutations of element indices in ``word``."""
+    elems, idx = all_elements(G), element_index(G)
+    indices = [idx[g] for g in occ]
+    for perm in word:
+        indices = [perm[i] for i in indices]
+    return [elems[i] for i in indices]
+
+
+@lru_cache(maxsize=None)
+def catalog_entries(G):
+    D = davenport(G).value
+    return D, [occ for occ, _, _ in extremal_sweep(G, D, D + 1, prune=True)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_each_catalog_check_gives_an_automorphic_image_the_same_verdict(data):
+    # Oracle: the check on S itself.  sigma, a random product of the strong
+    # generators of Aut(G), maps an extremal S to sigma S, and every check
+    # that a catalog sweep runs once per orbit must give sigma S the same
+    # status and counts; only the text naming S's terms may differ.
+    G = data.draw(st.sampled_from(groups_up_to_order(16)), label="G")
+    D, entries = catalog_entries(G)
+    occ = data.draw(st.sampled_from(entries), label="S")
+    gens = _automorphism_group(G).gens
+    word = data.draw(st.lists(st.sampled_from(gens), max_size=6)) if gens else []
+    S = sequence(G, list(occ))
+    T = sequence(G, image_under(G, occ, word))
+    named = ("sequence", "minimals", "product", "removed")
+    for check in (check_odd_group_structure, check_corollary_decomposition, check_es_chain):
+        a, b = check(S, D), check(T, D)
+        assert a.status == b.status, check
+        assert ({k: v for k, v in a.details.items() if k not in named}
+                == {k: v for k, v in b.details.items() if k not in named}), check
+    a, b = minimal_zero_sums(S), minimal_zero_sums(T)
+    assert (len(a.minimals), a.pairwise_disjoint) == (len(b.minimals), b.pairwise_disjoint)
+
+
+def test_a_failing_check_names_the_entry_of_the_per_entry_reference(monkeypatch):
+    # Every check is patched to fail on the S with exactly three distinct
+    # terms, which Aut(G) keeps.  Each sweep must report what the
+    # per-entry reference does: the first failure in walk order for the
+    # verify sweeps, and the least by length, then occurrences, for
+    # conjecture 1.  On C4xC4 at cap 9 the two differ.
+    def fails(S):
+        return len(S.terms) == 3
+
+    def failing(check):
+        def fake(S, D):
+            if not fails(S):
+                return check(S, D)
+            return VerificationReport("x", "fail", {
+                "removed": format_element(S.group, S.support()[0])}, (S,))
+        return fake
+
+    for name in ("check_odd_group_structure", "check_corollary_decomposition",
+                 "check_es_chain"):
+        fake = failing(getattr(structure, name))
+        monkeypatch.setattr(structure, name, fake)
+        monkeypatch.setattr(helpers, name, fake)
+    real = minimal_zero_sums
+
+    def fake_minimals(S):
+        return MinZeroSumReport(S, (), True) if fails(S) else real(S)
+
+    monkeypatch.setattr(search, "minimal_zero_sums", fake_minimals)
+    monkeypatch.setattr(helpers, "minimal_zero_sums", fake_minimals)
+    for G, cap in ((make_group([4, 4]), 9), (C33, 7), (make_group([2, 2, 4]), 7)):
+        D = davenport(G).value
+        for kind in CATALOG_SWEEPS:
+            rep = run_catalog_sweep(kind, G, D, cap, DEFAULT_BUDGET)
+            expected = per_entry_sweep(kind, G, D, cap, DEFAULT_BUDGET)
+            assert (rep.status, rep.details, rep.witnesses) == expected, (G, kind)
+            qualifies = kind != "conjecture-1" or condition_profile(G).cond_iii
+            assert rep.status == ("fail" if qualifies else "skipped"), (G, kind)
+    stream = [occ for occ, _, _ in extremal_sweep(make_group([4, 4]), 7, 9, prune=True)
+              if len(set(occ)) == 3]
+    assert stream[0] != min(stream, key=lambda occ: (len(occ), occ))
