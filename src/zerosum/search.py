@@ -265,13 +265,12 @@ def random_search(G: Group, length: int, trials: int, seed: int) -> ExtremalCata
     allowed = all_elements(G)[1:]
     count = len(allowed)
     exponent = length - D + 1
-    hits = []
+    found = {}  # the extremal members of each hit, by its positions
     # Below length D - 1 nothing attains the bound, and the trivial group
     # has nothing to draw.
     if trials and count and exponent >= 0:
         probe = _extremal_probe(G, length, exponent)
         state = seed & _M64
-        seen = set()
         for _ in range(trials):
             # A draw is the sorted tuple of its positions in ``allowed``:
             # the same order as its occurrences, so the same multiset.
@@ -281,13 +280,15 @@ def random_search(G: Group, length: int, trials: int, seed: int) -> ExtremalCata
                 positions.append(value % count)
             positions.sort()
             key = tuple(positions)
-            if key in seen:
-                continue
-            seen.add(key)
-            members = probe(key)
-            if members is not None:
-                S = _seq_from_sorted(G, [allowed[p] for p in key])
-                hits.append((S, ExtremalSet(G, members, exponent)))
-    hits.sort(key=lambda pair: seq_key(pair[0]))
-    max_length = max((len(S) for S, _ in hits), default=0)
-    return ExtremalCatalog(G, D, tuple(hits), max_length, length, False)
+            # Only the hits are kept: a draw that repeats a miss is probed
+            # again, so memory does not grow with the trials.
+            if key not in found:
+                members = probe(key)
+                if members is not None:
+                    found[key] = members
+    # Sorted positions order the hits as seq_key does: one length, and
+    # positions in element order.
+    hits = tuple((_seq_from_sorted(G, [allowed[p] for p in key]),
+                  ExtremalSet(G, members, exponent))
+                 for key, members in sorted(found.items()))
+    return ExtremalCatalog(G, D, hits, length if hits else 0, length, False)
