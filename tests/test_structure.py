@@ -538,7 +538,7 @@ def test_a_failing_check_names_the_entry_of_the_per_entry_reference(monkeypatch)
     real = minimal_zero_sums
 
     def fake_minimals(S):
-        return MinZeroSumReport(S, (), True) if fails(S) else real(S)
+        return MinZeroSumReport(S, (), False) if fails(S) else real(S)
 
     monkeypatch.setattr(search, "minimal_zero_sums", fake_minimals)
     monkeypatch.setattr(helpers, "minimal_zero_sums", fake_minimals)
