@@ -355,19 +355,6 @@ def _length(text: str) -> int:
     return value
 
 
-_PARSER: argparse.ArgumentParser | None = None
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and reused after it:
-    parse_args leaves a parser unchanged, so a process that runs `main`
-    many times pays for the build once."""
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = _new_parser()
-    return _PARSER
-
-
 def _new_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--json", action="store_true", help="emit the report as JSON")
@@ -453,9 +440,14 @@ def _new_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once, at import: parse_args leaves a parser unchanged, so a
+# process that runs `main` many times pays for the build once, and `main`
+# sets no module attribute.
+_PARSER = _new_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         report = args.run(args)
     except (ValueError, ArithmeticError) as exc:

@@ -555,10 +555,14 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
     translation and one addition per multiset.  Multisets come in
     lexicographic order of their occurrence tuples (a pre-order walk;
     lengths interleaved).  The leaves (length ``max_length``) are visited
-    in one loop without frames.  With no band at any length nothing is
+    in one loop without frames: this census walk tests every leaf, and
+    visiting them by the step of the inner nodes, as ``pruned_walk`` does,
+    made ``verify lower-bound C4xC4 --max-len 8`` slower (0.131-0.143 s
+    became 0.141-0.161 s over four alternating fresh processes on a shared
+    2-vCPU VM; see ``CHANGES.md``).  With no band at any length nothing is
     yielded or flagged, and ``visited`` is the size of the tree, C(|G| - 1
-    + max_length, max_length), cut to the budget: no table is built and
-    no multiset walked.  ``stats`` (see ``SweepStats``) carries a budget
+    + max_length, max_length), cut to the budget: no table is built and no
+    multiset walked.  ``stats`` (see ``SweepStats``) carries a budget
     in and the visited and flagged counts, ``exhaustive`` and the memo's
     entries and hits out.  The walk pruned on the zero count is
     ``symmetry.pruned_walk``.

@@ -6,8 +6,11 @@ most a ceiling, in the order of ``counting.sweep_counts``, and yields
 those whose zero count N_0 lies in the band of their length.  Its bands
 read N_0 alone, the limb that the prune reads, and the ceiling is the top
 of the largest band less 1: N_0 never drops along a prefix, so neither a
-multiset above the ceiling nor any extension of it lies in a band.  A
-leaf's counts are computed only when it is yielded.
+multiset above the ceiling nor any extension of it lies in a band.  It
+visits every node, leaf or not, by one step: the ceiling and cut tests,
+the budget, the band test, and the translation that computes the node's
+counts only when it is yielded or extended, so a leaf is translated only
+when it is yielded.
 
 The zero count of a multiset and its extremal members move with
 any automorphism of G, so a catalog need only walk one member of each
@@ -96,8 +99,10 @@ def pruned_walk(G: Group, max_length: int, bands: list,
     multiset of length n is yielded, with its packed counts, when its zero
     count lies in [lo, hi).  Appending a can only raise the zero count
     (N_0(S a) = N_0(S) + N_{-a}(S)), so a multiset above the ceiling is
-    neither visited nor extended.  None, for ``automorphisms``, is no cut:
-    no span is joined, no stabilizer built and every position kept.
+    neither visited nor extended.  Every node takes the same step, and a
+    leaf outside its band is counted but never translated.  None, for
+    ``automorphisms``, is no cut: no span is joined, no stabilizer built
+    and every position kept.
     ``stats`` carries a budget in (see the module notes); without one the
     walk allows twice the size of the tree: the walk and the orbits each
     hold at most the tree."""
@@ -146,71 +151,28 @@ def pruned_walk(G: Group, max_length: int, bands: list,
     span_path, keep_path, first = [1], [root_keep], 0
     while next_pos:
         pos = next_pos[-1]
-        x = path_counts[-1]
-        depth = len(next_pos)  # the length of this frame's children
-        if depth == max_length:
-            # The children are leaves: visit them here, without frames.
-            low, keep = x & mask, keep_path[-1]
-            leaves = [p for p in range(pos, count)
-                      if low + ((x >> neg_shift[p]) & mask) <= ceiling
-                      and keep >> p & 1]
-            nodes += len(leaves)
-            truncated = nodes > budget
-            if truncated:
-                # Cut to the budget; the walk ends after this batch.
-                leaves = leaves[:len(leaves) + budget - nodes]
-                nodes = budget
-            if nodes == budget and leaves:
-                stats.last = (*occurrences, terms[leaves[-1]])
-            resume = False
-            band = bands[depth]
-            if band is not None:
-                for i, p in enumerate(leaves):
-                    if not band[0] <= low + ((x >> neg_shift[p]) & mask) < band[1]:
-                        continue
-                    y = x
-                    for lo, ls, hi, rs in term_ops[p]:
-                        y = ((y << ls) & lo) | ((y >> rs) & hi)
-                    # Count the batch up to p, whose consumer may
-                    # materialize more, and resume it after p.
-                    occurrences.append(terms[p])
-                    nodes += i + 1 - len(leaves)
-                    stats.visited = nodes
-                    yield occurrences, x + y
-                    nodes = stats.visited
-                    if nodes >= budget:
-                        stats.last = tuple(occurrences)
-                    occurrences.pop()
-                    truncated = nodes > budget
-                    if truncated:
-                        nodes = budget
-                    else:
-                        next_pos[-1] = p + 1
-                        resume = True
-                    break
-            if resume:
-                continue
-            if truncated:
-                stats.exhaustive = False
-                break
-        elif pos < count:
+        if pos < count:
             next_pos[-1] = pos + 1
+            x = path_counts[-1]
             zero = (x & mask) + ((x >> neg_shift[pos]) & mask)
             if zero > ceiling or not keep_path[-1] >> pos & 1:
                 continue
             if nodes >= budget:
                 stats.exhaustive = False
                 break
-            y = x
-            for lo, ls, hi, rs in term_ops[pos]:
-                y = ((y << ls) & lo) | ((y >> rs) & hi)
-            child = x + y
             nodes += 1
             occurrences.append(terms[pos])
             if nodes == budget:
                 stats.last = tuple(occurrences)
+            depth = len(next_pos)  # the child's length
             band = bands[depth]
-            if band is not None and band[0] <= zero < band[1]:
+            yielded = band is not None and band[0] <= zero < band[1]
+            if yielded or depth < max_length:
+                y = x
+                for lo, ls, hi, rs in term_ops[pos]:
+                    y = ((y << ls) & lo) | ((y >> rs) & hi)
+                child = x + y
+            if yielded:
                 stats.visited = nodes
                 yield occurrences, child
                 if stats.visited > nodes:
@@ -222,6 +184,9 @@ def pruned_walk(G: Group, max_length: int, bands: list,
                         nodes = budget
                         stats.exhaustive = False
                         break
+            if depth == max_length:
+                occurrences.pop()  # a leaf: no frame
+                continue
             span, keep = span_path[-1], keep_path[-1]
             if automorphisms is not None:
                 if not span >> pos + 1 & 1:

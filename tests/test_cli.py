@@ -449,3 +449,25 @@ print("zerosum.symmetry" in sys.modules)
                           env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False", "True"]
+
+
+def test_main_leaves_the_cli_module_unchanged():
+    # The parser is built at import, so a `main` call in a fresh
+    # interpreter sets, rebinds and deletes no attribute of `zerosum.cli`.
+    script = """
+import contextlib, io, sys
+import zerosum.cli as cli
+
+before = dict(vars(cli))
+with contextlib.redirect_stdout(io.StringIO()):
+    status = cli.main(["extremal", "C3xC3", "--max-len", "5", "--json", "--no-timestamp"])
+after = vars(cli)
+print(status, sorted(name for name in before.keys() | after.keys()
+                     if before.get(name, before) is not after.get(name, before)))
+"""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "[]"]

@@ -382,7 +382,8 @@ def test_pruned_sweep_is_unpruned_sweep_restricted(shape, max_length, bands, bud
     # bands less 1: bands (0, ceiling + 1) at every length observe that
     # whole tree.  The stream is further restricted to the multisets with
     # a zero count in the band [lo, hi) of their length, and a budget
-    # cuts the walk to its first ``budget`` multisets.
+    # cuts the walk to its first ``budget`` multisets, the last of which
+    # it keeps when the tree has that many.
     G = make_group(list(shape))
     limbs = limb_layout(G, max_length)
     unpack = limbs.unpack
@@ -412,6 +413,7 @@ def test_pruned_sweep_is_unpruned_sweep_restricted(shape, max_length, bands, bud
                         and bands[len(occ)][0] <= counts[0] < bands[len(occ)][1]]
     assert stats.visited == len(visited)
     assert stats.exhaustive == (len(visited) == len(tree))
+    assert stats.last == (tree[budget - 1][0] if budget and budget <= len(tree) else None)
 
 
 def _walk(G, max_length, bands, budget):

@@ -109,7 +109,7 @@ def test_budget_keeps_the_entries_of_a_prefix_of_the_walk(monkeypatch):
             walks.append(self)
 
     monkeypatch.setattr(search, "SweepStats", Recorded)
-    inside_leaf_batch = orbit_cuts = 0
+    between_sibling_leaves = orbit_cuts = 0
     for G in groups_up_to_order(8):
         D = davenport(G).value
         cap = D + 2
@@ -151,8 +151,8 @@ def test_budget_keeps_the_entries_of_a_prefix_of_the_walk(monkeypatch):
                 orbit_cuts += 1  # the orbit of walk[k] did not fit
             elif b and len(walk[k]) == len(walk[k + 1]) == cap \
                     and walk[k][:-1] == walk[k + 1][:-1]:
-                inside_leaf_batch += 1  # the walk ends between two leaves of one parent
-    assert inside_leaf_batch and orbit_cuts
+                between_sibling_leaves += 1  # the walk ends between two leaves of one parent
+    assert between_sibling_leaves and orbit_cuts
 
 
 def test_pruned_catalog_matches_unpruned_sweep():
