@@ -518,15 +518,15 @@ MEMO_CAP = 1 << 18
 class SweepStats:
     """The accounting of one walk, ``sweep_counts`` or
     ``symmetry.pruned_walk``, a fresh record each: ``budget`` in, the most
-    multisets it may materialize (None: no limit); ``visited`` out, the
-    multisets of the tree it visited, the empty one included, and in a
-    pruned walk also those its consumer materialized; ``exhaustive`` out,
-    False when the budget left one unvisited.  Set by the pruned walk
-    alone: ``last`` out, the last multiset visited once the budget is
-    spent (None before).  Set by ``sweep_counts`` alone: ``flagged`` out,
-    the multisets of the walk with a count in the band of their length;
-    ``entries`` and ``hits`` out, the subtrees its memo stored and the
-    ones it answered."""
+    multisets it may materialize (None: no limit; a negative one raises
+    ValueError); ``visited`` out, the multisets of the tree it visited,
+    the empty one included, and in a pruned walk also those its consumer
+    materialized; ``exhaustive`` out, False when the budget left one
+    unvisited.  Set by the pruned walk alone: ``last`` out, the last
+    multiset visited once the budget is spent (None before).  Set by
+    ``sweep_counts`` alone: ``flagged`` out, the multisets of the walk
+    with a count in the band of their length; ``entries`` and ``hits``
+    out, the subtrees its memo stored and the ones it answered."""
 
     budget: int | None = None
     visited: int = 0
@@ -535,6 +535,10 @@ class SweepStats:
     flagged: int = 0
     entries: int = 0
     hits: int = 0
+
+    def __post_init__(self):
+        if self.budget is not None and self.budget < 0:
+            raise ValueError(f"budget must be >= 0, got {self.budget}")
 
 
 def sweep_counts(G: Group, max_length: int, bands: list, *,
@@ -584,8 +588,6 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
     """
     stats = stats or SweepStats()
     budget = stats.budget
-    if budget is not None and budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
     if max_length < 0:
         return
     if budget is not None and budget < 1:

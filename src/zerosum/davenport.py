@@ -26,6 +26,7 @@ the width-1 table, until the coset is <P> again; its stabilizer is
 Stab(<P>) ∩ Stab(c), one ``groups._fix_point`` step from that of <P>.
 Joins are kept per (<P>, c) and stabilizers per joined bitmask, by
 ``_span_joins``, which the catalog walk cut by symmetry calls too.
+``symmetry.pruned_walk`` tests a child the same way, on the same tables.
 
 Both cuts are sound for any set of automorphisms: they never cut a
 prefix of a multiset L that is lex-least in its orbit.  If sigma fixes
@@ -157,7 +158,7 @@ def davenport_exact(G: Group, cap: int = DAVENPORT_CAP) -> DavenportResult:
     neg_idx = [idx[elem_neg(G, e)] for e in elems]
     orders = [elem_order(G, e) for e in elems]
     automorphisms = _automorphism_group(G)
-    orbit_min = automorphisms.orbit_min
+    aut_low = automorphisms.orbit_min
     join, stabilizers = _span_joins(G, automorphisms)  # keyed by the bitmask of <P>
     stack: list[int] = []
 
@@ -173,15 +174,15 @@ def davenport_exact(G: Group, cap: int = DAVENPORT_CAP) -> DavenportResult:
         if size + min(headroom, budget) <= best_len:
             return
         low = stabilizers[span].orbit_min
-        for i in range(start, n):
-            if (mask >> neg_idx[i]) & 1 or low[i] < i or orbit_min[i] < first:
+        for c in range(start, n):
+            if (mask >> neg_idx[c]) & 1 or low[c] < c or aut_low[c] < first:
                 continue
-            stack.append(i)
+            stack.append(c)
             if size + 1 > best_len:
                 best_len = size + 1
                 best_occ = tuple(elems[j] for j in stack)
-            child = span if span >> i & 1 else join(span, i)
-            dfs(i, mask | translate(mask, adders[i]), size + 1, first or i, child)
+            child = span if span >> c & 1 else join(span, c)
+            dfs(c, mask | translate(mask, adders[c]), size + 1, first or c, child)
             stack.pop()
 
     dfs(1, 1, 0, 0, 1)

@@ -15,16 +15,17 @@ when it is yielded.
 The zero count of a multiset and its extremal members move with
 any automorphism of G, so a catalog need only walk one member of each
 orbit: given a group of automorphisms, the walk is cut as
-``davenport.davenport_exact`` cuts its search.  Each frame carries the
-bitmask of the subgroup <P> spanned by its multiset P (joined by
-``davenport._span_joins``), and a child c is skipped when an
-automorphism that fixes <P> pointwise maps c below itself, or when one
-maps c below the first term.  The ``davenport`` module notes show that
-no cut removes a prefix of the lex-least member L of an orbit; the
-ceiling removes none either, since the zero count never drops along a
-prefix.  So the cut walk visits L, before any other member of its
-orbit.  Without a group the walk is not cut: the zero-sum-free
-enumeration, and the catalogs past ``SYMMETRY_CAP``.
+``davenport.davenport_exact`` cuts its search, on the same state: each
+frame carries the bitmask of the subgroup <P> spanned by its multiset P
+(joined by ``davenport._span_joins``) and ``low``, the ``orbit_min``
+table of the automorphisms fixing <P> pointwise, and a child c is cut by
+``low[c] < c or aut_low[c] < first``: an automorphism fixing <P> maps c
+below itself, or one maps c below the first term.  The ``davenport``
+module notes show that no cut removes a prefix of the lex-least member
+L of an orbit; the ceiling removes none either, since the zero count
+never drops along a prefix.  So the cut walk visits L, before any other
+member of its orbit.  Without a group both tables are the identity: the
+zero-sum-free enumeration, and the catalogs past ``SYMMETRY_CAP``.
 
 ``extremal_orbits`` is the pruned ``counting.extremal_sweep``.  It walks
 the tree cut by Aut(G) (for |G| <= ``SYMMETRY_CAP``; past it, with no
@@ -79,16 +80,6 @@ from .groups import (
 SYMMETRY_CAP = 64
 
 
-def _kept(low, aut_low, first: int) -> int:
-    """The bitmask of the term positions p that the cut keeps below a
-    multiset: those whose element p + 1 is the least of its orbit under
-    the stabilizer with the orbit-minimum table ``low``, and whose Aut(G)
-    orbit (table ``aut_low``) reaches nothing below ``first``, the element
-    index of the first term (0 at the root)."""
-    return sum(1 << i - 1 for i in range(1, len(low))
-               if low[i] == i and aut_low[i] >= first)
-
-
 def pruned_walk(G: Group, max_length: int, bands: list,
                 automorphisms: _Stabilizer | None, stats: SweepStats | None = None):
     """The library's pruned walk: ``counting.sweep_counts`` restricted to
@@ -100,16 +91,15 @@ def pruned_walk(G: Group, max_length: int, bands: list,
     count lies in [lo, hi).  Appending a can only raise the zero count
     (N_0(S a) = N_0(S) + N_{-a}(S)), so a multiset above the ceiling is
     neither visited nor extended.  Every node takes the same step, and a
-    leaf outside its band is counted but never translated.  None, for
-    ``automorphisms``, is no cut: no span is joined, no stabilizer built
-    and every position kept.
+    leaf outside its band is counted but never translated.  One frame per
+    multiset on the path carries the state of ``davenport_exact``, whose
+    test cuts a child; None, for ``automorphisms``, is no cut: no span is
+    joined and no stabilizer built.
     ``stats`` carries a budget in (see the module notes); without one the
     walk allows twice the size of the tree: the walk and the orbits each
     hold at most the tree."""
     stats = stats or SweepStats()
     budget = stats.budget
-    if budget is not None and budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
     ceiling = max((band[1] for band in bands if band), default=0) - 1
     # Nothing to visit, or a ceiling below the empty multiset's N_0 = 1.
     if max_length < 0 or ceiling < 1:
@@ -117,24 +107,21 @@ def pruned_walk(G: Group, max_length: int, bands: list,
     if budget is not None and budget < 1:
         stats.exhaustive = False
         return
-    count = G.order - 1  # the nonzero terms
+    n = G.order
     if budget is None:
-        budget = 2 * comb(count + max_length, max_length)
+        budget = 2 * comb(n - 1 + max_length, max_length)
     limbs = limb_layout(G, max_length)
     mask = limbs.mask
-    idx = element_index(G)
-    terms = all_elements(G)[1:]
-    term_ops = _limb_adders(G, limbs.width)[1:]
+    elems, idx = all_elements(G), element_index(G)
+    term_ops = _limb_adders(G, limbs.width)
     # Bit offset of the limb of -a: the child's zero count is the parent's
     # limb 0 plus its limb of -a.
-    neg_shift = [idx[elem_neg(G, a)] * limbs.width for a in terms]
+    neg_shift = [idx[elem_neg(G, a)] * limbs.width for a in elems]
     if automorphisms is None:
-        root_keep = (1 << count) - 1
+        aut_low = range(n)
     else:
         join, stabilizers = _span_joins(G, automorphisms)
         aut_low = automorphisms.orbit_min
-        root_keep = _kept(aut_low, aut_low, 0)
-        keeps: dict[tuple[int, int], int] = {}
     occurrences = []
     nodes = 1
     if nodes == budget:
@@ -143,33 +130,37 @@ def pruned_walk(G: Group, max_length: int, bands: list,
     if band is not None and band[0] <= 1 < band[1]:
         stats.visited = nodes
         yield occurrences, 1
-    # One frame per multiset on the current path shorter than max_length:
-    # its packed counts, the next term position to try, the bitmask of
-    # the subgroup it spans and the positions the cut keeps below it.
-    path_counts = [1]
-    next_pos = [0] if max_length else []
-    span_path, keep_path, first = [1], [root_keep], 0
-    while next_pos:
-        pos = next_pos[-1]
-        if pos < count:
-            next_pos[-1] = pos + 1
-            x = path_counts[-1]
-            zero = (x & mask) + ((x >> neg_shift[pos]) & mask)
-            if zero > ceiling or not keep_path[-1] >> pos & 1:
+    # One frame per multiset P on the current path shorter than
+    # max_length: its packed counts, the element index of the next term to
+    # try, the bitmask of <P> and low.  The root's low is aut_low itself,
+    # so there a stale first never cuts a child that low keeps.
+    frames = [[1, 1, 1, aut_low]] if max_length else []
+    first = 0
+    while frames:
+        frame = frames[-1]
+        c = frame[1]
+        if c < n:
+            frame[1] = c + 1
+            x = frame[0]
+            zero = (x & mask) + ((x >> neg_shift[c]) & mask)
+            if zero > ceiling:
+                continue
+            low = frame[3]
+            if low[c] < c or aut_low[c] < first:
                 continue
             if nodes >= budget:
                 stats.exhaustive = False
                 break
             nodes += 1
-            occurrences.append(terms[pos])
+            occurrences.append(elems[c])
             if nodes == budget:
                 stats.last = tuple(occurrences)
-            depth = len(next_pos)  # the child's length
+            depth = len(frames)  # the child's length
             band = bands[depth]
             yielded = band is not None and band[0] <= zero < band[1]
             if yielded or depth < max_length:
                 y = x
-                for lo, ls, hi, rs in term_ops[pos]:
+                for lo, ls, hi, rs in term_ops[c]:
                     y = ((y << ls) & lo) | ((y >> rs) & hi)
                 child = x + y
             if yielded:
@@ -187,25 +178,15 @@ def pruned_walk(G: Group, max_length: int, bands: list,
             if depth == max_length:
                 occurrences.pop()  # a leaf: no frame
                 continue
-            span, keep = span_path[-1], keep_path[-1]
-            if automorphisms is not None:
-                if not span >> pos + 1 & 1:
-                    span = join(span, pos + 1)
-                if depth == 1:
-                    first = pos + 1
-                keep = keeps.get((span, first))
-                if keep is None:
-                    keep = keeps[span, first] = _kept(stabilizers[span].orbit_min,
-                                                      aut_low, first)
-            path_counts.append(child)
-            next_pos.append(pos)
-            span_path.append(span)
-            keep_path.append(keep)
+            if depth == 1:
+                first = c
+            span = frame[2]
+            if automorphisms is not None and not span >> c & 1:
+                span = join(span, c)
+                low = stabilizers[span].orbit_min
+            frames.append([child, c, span, low])
             continue
-        next_pos.pop()
-        path_counts.pop()
-        span_path.pop()
-        keep_path.pop()
+        frames.pop()
         if occurrences:
             occurrences.pop()
     stats.visited = nodes

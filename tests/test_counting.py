@@ -555,9 +555,10 @@ def test_extremal_sweep_matches_extremal_set(shape):
     # sweep.  Unpruned, the stream is every multiset with a nonempty
     # extremal set, with that set; pruned, it is those where zero attains
     # the bound.  The pruned walk cuts the zero-count-ceiling tree by
-    # Aut(G): the cut tree keeps the lex-least member of every orbit (from
-    # the listed automorphisms), and the walk materializes it plus the
-    # rest of each orbit in the stream.
+    # Aut(G): the cut tree is exactly what the cut's rule keeps and holds
+    # the lex-least member of every orbit (both from the listed
+    # automorphisms), and the walk materializes it plus the rest of each
+    # orbit in the stream.
     G = make_group(list(shape))
     D = davenport(G).value
     auts = automorphisms(G)
@@ -566,6 +567,19 @@ def test_extremal_sweep_matches_extremal_set(shape):
 
     def orbit_min(occ):
         return min(tuple(sorted(elems[perm[idx[g]]] for g in occ)) for perm in auts)
+
+    def kept(occ):
+        # The cut's rule, read off the listed automorphisms: each term c is
+        # least in its orbit under those that fix the earlier terms, and
+        # past the first term none maps c below the first term.
+        terms = [idx[g] for g in occ]
+        for k, c in enumerate(terms):
+            if any(perm[c] < c for perm in auts
+                   if all(perm[t] == t for t in terms[:k])):
+                return False
+            if k and any(perm[c] < terms[0] for perm in auts):
+                return False
+        return True
 
     for max_length in (D - 2, D - 1, D + 2):
         ceiling = 1 << (max_length - D + 1) if max_length >= D - 1 else 0
@@ -582,16 +596,17 @@ def test_extremal_sweep_matches_extremal_set(shape):
         pruned = [(occ, E) for occ, E, _ in extremal_sweep(G, D, max_length, prune=True,
                                                           stats=stats)]
         assert pruned == [(occ, E) for occ, E in expected if G.zero() in E]
-        # The cut tree lies in the zero-count-ceiling tree and holds the
-        # lex-least member of each orbit of it.  The pruned walk visits the
-        # cut tree and materializes all but one member of each orbit in the
-        # stream.
+        # The cut tree is, in walk order, the multisets of the
+        # zero-count-ceiling tree whose every term passes the rule, and it
+        # holds the lex-least member of each orbit of that tree.  The
+        # pruned walk visits the cut tree and materializes all but one
+        # member of each orbit in the stream.
         tree_occs = [tuple(occ) for occ, _ in pruned_walk(
             G, max_length, tree_bands, None)]
         cut = SweepStats()
         cut_occs = [tuple(occ) for occ, _ in pruned_walk(
             G, max_length, tree_bands, _automorphism_group(G), cut)]
-        assert set(cut_occs) <= set(tree_occs)
+        assert cut_occs == [occ for occ in tree_occs if kept(occ)]
         assert {occ for occ in tree_occs if orbit_min(occ) == occ} <= set(cut_occs)
         orbits = {orbit_min(occ) for occ, _ in pruned}
         assert (stats.visited, stats.exhaustive) == (
