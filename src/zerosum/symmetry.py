@@ -130,10 +130,10 @@ def pruned_walk(G: Group, max_length: int, bands: list,
     if band is not None and band[0] <= 1 < band[1]:
         stats.visited = nodes
         yield occurrences, 1
-    # One frame per multiset P on the current path shorter than
-    # max_length: its packed counts, the element index of the next term to
-    # try, the bitmask of <P> and low.  The root's low is aut_low itself,
-    # so there a stale first never cuts a child that low keeps.
+    # One frame per multiset P on the current path shorter than max_length:
+    # its packed counts, the next term's element index, the bitmask of <P>
+    # and low.  The root's low is aut_low itself, so a root child that low
+    # keeps has aut_low[c] = c, above every stale first.
     frames = [[1, 1, 1, aut_low]] if max_length else []
     first = 0
     while frames:
