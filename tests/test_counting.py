@@ -468,8 +468,10 @@ def test_memo_changes_no_result(shape, max_length, bands, budget):
 
 def test_memo_is_bounded_and_on(monkeypatch):
     # The census job one-and-all C2^4 up to length 8 reports the answer
-    # recorded in perfbench/golden.json with the memo capped at 8 entries,
-    # and with the default constants the memo answers some subtrees.
+    # recorded in perfbench/golden.json with the memo capped at 8 entries.
+    # With the default constants the memo makes the same decisions on both
+    # census jobs as the walk that first pinned them: the same subtrees
+    # stored and answered, so a mark put on the wrong multiset shows here.
     walks = []
 
     @dataclasses.dataclass
@@ -488,7 +490,13 @@ def test_memo_is_bounded_and_on(monkeypatch):
     assert 0 < walks[-1].entries <= 8
     report = counting.sweep_one_and_all(G, 5, 8)
     assert (report.status, report.details) == ("pass", expected)
-    assert walks[-1].hits > 0
+    stats = walks[-1]
+    assert (stats.visited, stats.flagged, stats.entries, stats.hits) == (
+        490_314, 404_323, 539, 1_455)
+    assert counting.sweep_lower_bound(make_group([4, 4]), 7, 8).passed
+    stats = walks[-1]
+    assert (stats.visited, stats.flagged, stats.entries, stats.hits) == (
+        490_314, 0, 5_877, 3_171)
 
 
 def _spanning_multisets(r: int, n: int) -> int:
