@@ -59,7 +59,8 @@ the largest: the attaining one for the pruned ``extremal_sweep``, and [1,
 
 Memo.  What the walk yields and tallies below a multiset depends only
 on its vector (which fixes its length, the counts
-summing to 2^length) and on the next term position.  ``sweep_counts``
+summing to 2^length) and on the element index of the next term, both
+kept in the multiset's frame on the walk's path.  ``sweep_counts``
 stores each subtree that it walked in full without yielding under that
 key, with its (visited, flagged) totals, and adds them for a later child
 with the same key.  Only subtrees of at least ``MEMO_MIN`` multisets are
@@ -558,7 +559,9 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
     The vectors are packed in ``limb_layout(G, max_length)``, at one
     translation and one addition per multiset.  Multisets come in
     lexicographic order of their occurrence tuples (a pre-order walk;
-    lengths interleaved).  The leaves (length ``max_length``) are visited
+    lengths interleaved).  As in ``pruned_walk``, one frame per multiset
+    on the path carries its counts, the element index of its next term and
+    the memo's mark.  The leaves (length ``max_length``) are visited
     in one loop without frames: this census walk tests every leaf, and
     visiting them by the step of the inner nodes, as ``pruned_walk`` does,
     made ``verify lower-bound C4xC4 --max-len 8`` slower (0.131-0.143 s
@@ -572,19 +575,18 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
     ``symmetry.pruned_walk``.
 
     Memo (see the module docstring).  The
-    subtree below a multiset, its extensions by terms from position p on,
-    is keyed by (vector, p).  A subtree walked in full that yielded
+    subtree below a multiset, its extensions by terms from index c on,
+    is keyed by (vector, c).  A subtree walked in full that yielded
     nothing is stored with its (visited, flagged) totals, and a later
     child with the same key adds them instead of being walked if they fit
     in the budget; otherwise it is walked.  So the stream, its order,
     ``visited``, ``flagged`` and ``exhaustive`` are those of the walk
     without the memo.  A subtree is stored only if it holds at least
-    ``MEMO_MIN`` multisets (below position p at length d, C(|G| - 1 - p +
-    m, m) of them, m = max_length - d) and the walk has stored fewer than
+    ``MEMO_MIN`` multisets (from index c on at length d, C(|G| - c + m, m)
+    of them, m = max_length - d) and the walk has stored fewer than
     ``MEMO_CAP``.
     The children of the root are never stored: no later child is
-    appended at their position, so that position's table is dropped
-    with them.
+    appended with their term, so that term's table is dropped with them.
     """
     stats = stats or SweepStats()
     budget = stats.budget
@@ -593,9 +595,8 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
     if budget is not None and budget < 1:
         stats.exhaustive = False
         return
-    count = G.order - 1  # the nonzero terms
     # The size of the unpruned tree bounds every total.
-    size = comb(count + max_length, max_length)
+    size = comb(G.order - 1 + max_length, max_length)
     if budget is None:
         budget = size
     if not any(bands):
@@ -612,20 +613,17 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
     offsets = [band and (limbs.offset(band[0]), limbs.offset(band[1]),
                          limbs.offset(band[2]) if len(band) > 2 else None)
                for band in bands]
-    terms = all_elements(G)[1:]
-    term_ops = _limb_adders(G, limbs.width)[1:]
-    # memo_until[d]: the children of length d at positions below it,
-    # those rooting subtrees of at least MEMO_MIN multisets, take the
-    # memo's path.  memo[p] holds the subtrees rooted at a child appended
-    # at position p.
-    memo_until = [0] * (max_length + 1)
-    for d in range(1, max_length):
-        m = max_length - d
-        n = 1  # the term positions from p on
-        while n <= count and comb(n + m, m) < MEMO_MIN:
-            n += 1
-        memo_until[d] = count + 1 - n
-    memo = [{} for _ in range(count)]
+    n = G.order
+    terms = all_elements(G)
+    term_ops = _limb_adders(G, limbs.width)
+    # memo_until[d]: the children of length d appended with a term below
+    # it, those rooting subtrees of at least MEMO_MIN multisets (k = n - c
+    # terms from c on), take the memo's path.  memo[c] holds the subtrees
+    # rooted at a child appended with term c.
+    memo_until = [n + 1 - next((k for k in range(1, n)
+                                if comb(k + max_length - d, k) >= MEMO_MIN), n)
+                  for d in range(max_length + 1)]
+    memo = [{} for _ in range(n)]
     occurrences: list[GroupElement] = []
     nodes = 1
     # flagged - held is the number of multisets yielded so far.
@@ -638,20 +636,18 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
         else:
             yield occurrences, 1
     # One frame per multiset on the current path shorter than max_length:
-    # its packed counts and the next term position to try.  Terms are
-    # appended in nondecreasing position, so each multiset is reached
-    # once.  marks: for each frame whose subtree the memo may store,
-    # (frame height, key, position, nodes, flagged, held) on entry.
-    path_counts = [1]
-    next_pos = [0] if max_length else []
-    marks = []
-    while next_pos:
-        pos = next_pos[-1]
-        x = path_counts[-1]
-        depth = len(next_pos)  # the length of this frame's children
+    # its packed counts, the next term's element index and its mark, (term,
+    # nodes, flagged, held) on entry when the memo may store its subtree
+    # and None otherwise.  Terms are appended in nondecreasing index, so
+    # each multiset is reached once.
+    frames = [[1, 1, None]] if max_length else []
+    while frames:
+        frame = frames[-1]
+        x, c, _ = frame
+        depth = len(frames)  # the length of this frame's children
         if depth == max_length:
             # The children are leaves: visit them here, without frames.
-            leaves = range(pos, count)
+            leaves = range(c, n)
             nodes += len(leaves)
             truncated = nodes > budget
             if truncated:
@@ -662,9 +658,9 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
             band = offsets[depth]
             if band is not None:
                 lo_offset, hi_offset, floor_offset = band
-                for p in leaves:
+                for c in leaves:
                     y = x
-                    for lo, ls, hi, rs in term_ops[p]:
+                    for lo, ls, hi, rs in term_ops[c]:
                         y = ((y << ls) & lo) | ((y >> rs) & hi)
                     y += x
                     if (y + lo_offset) & ~(y + hi_offset) & top:
@@ -672,23 +668,24 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
                         if floor_offset is not None and (y + floor_offset) & top == top:
                             held += 1
                             continue
-                        occurrences.append(terms[p])
+                        occurrences.append(terms[c])
                         yield occurrences, y
                         occurrences.pop()
             if truncated:
                 break
-        elif pos < count:
-            next_pos[-1] = pos + 1
+        elif c < n:
+            frame[1] = c + 1
             if nodes >= budget:
                 stats.exhaustive = False
                 break
             # translate() inlined: this is the per-node step.
             y = x
-            for lo, ls, hi, rs in term_ops[pos]:
+            for lo, ls, hi, rs in term_ops[c]:
                 y = ((y << ls) & lo) | ((y >> rs) & hi)
             child = x + y
-            if pos < memo_until[depth]:
-                total = memo[pos].get(child)
+            mark = None
+            if c < memo_until[depth]:
+                total = memo[c].get(child)
                 if total is not None and nodes + (total & tally_mask) <= budget:
                     nodes += total & tally_mask
                     total >>= tally
@@ -696,9 +693,9 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
                     held += total
                     hits += 1
                     continue
-                marks.append((depth + 1, child, pos, nodes, flagged, held))
+                mark = (c, nodes, flagged, held)
             nodes += 1
-            occurrences.append(terms[pos])
+            occurrences.append(terms[c])
             band = offsets[depth]
             if band is not None and (child + band[0]) & ~(child + band[1]) & top:
                 flagged += 1
@@ -706,19 +703,17 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
                     held += 1
                 else:
                     yield occurrences, child
-            path_counts.append(child)
-            next_pos.append(pos)
+            frames.append([child, c, mark])
             continue
-        next_pos.pop()
-        path_counts.pop()
-        if marks and marks[-1][0] == depth:
-            _, key, p, visited0, flagged0, held0 = marks.pop()
+        frames.pop()
+        if frame[2] is not None:
+            c, visited0, flagged0, held0 = frame[2]
             if depth == 2:
-                # A child of the root: no later child is appended at p.
-                memo[p] = None
+                # A child of the root: no later child is appended with c.
+                memo[c] = None
             elif entries < MEMO_CAP and flagged - flagged0 == held - held0:
                 # Store a subtree walked in full that yielded nothing.
-                memo[p][key] = (flagged - flagged0) << tally | (nodes - visited0)
+                memo[c][x] = (flagged - flagged0) << tally | (nodes - visited0)
                 entries += 1
         if occurrences:
             occurrences.pop()
