@@ -49,12 +49,12 @@ walk with no band at any length flags nothing, and its total is the size
 of the tree, C(|G| - 1 + L, L) up to length L, counted without walking.
 The sweeps are views of it, with e = |S| - D + 1:
 ``sweep_lower_bound`` seeks a count in [1, 2^e), breaking the bound;
-``extremal_sweep`` one in [2^e, 2^e + 1), attaining it;
+``attaining_sweep`` one in [2^e, 2^e + 1), attaining it;
 ``sweep_one_and_all`` the same band with the floor 2^e, so that it is
 yielded only its failures and reads the attaining multisets from the
 tally.  The walk pruned on a zero-count ceiling, ``symmetry.pruned_walk``,
 takes bands that read the zero count alone, and its ceiling is the top of
-the largest: the attaining one for the pruned ``extremal_sweep``, and [1,
+the largest: the attaining one for ``extremal_sweep``, and [1,
 2) at the one length of ``davenport.zero_sum_free_sequences``.
 
 Memo.  What the walk yields and tallies below a multiset depends only
@@ -65,8 +65,8 @@ stores each subtree that it walked in full without yielding under that
 key, with its (visited, flagged) totals, and adds them for a later child
 with the same key.  Only subtrees of at least ``MEMO_MIN`` multisets are
 stored, and at most ``MEMO_CAP`` per walk, which bounds the memory.  The
-totals may pass 2^64.  The census sweeps gain, and so do the unpruned
-``extremal_sweep`` walks of ``subgroup-es`` and ``conjecture 2``.
+totals may pass 2^64.  The census sweeps gain, and so do the
+``attaining_sweep`` walks of ``subgroup-es`` and ``conjecture 2``.
 
 Pruning and symmetry.  The catalogs walk only the multisets whose zero
 count is at most a ceiling, and cut that walk by symmetry instead of
@@ -74,7 +74,7 @@ memoizing: the pruned catalog walks yield along most of their subtrees,
 and storing the rest made ``extremal C5xC5 --max-len 10`` slower (6.3 to
 7.3 s) and larger (58 to 64 MiB).  The library's one pruned walk is
 ``symmetry.pruned_walk``, loaded on first use.  The zero count and the
-extremal members move with any automorphism, so the pruned
+extremal members move with any automorphism, so
 ``extremal_sweep`` walks the tree cut by Aut(G) as ``davenport_exact``
 cuts its search, and expands each orbit that it reaches back into its
 members, released in walk order.  On C4xC4 at cap 9 the walk and the
@@ -723,31 +723,32 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
     stats.hits = hits
 
 
-def extremal_sweep(G: Group, D: int, max_length: int, *, prune: bool = False,
-                   stats: SweepStats | None = None):
-    """Yield (occurrence tuple, extremal members, orbit) for each zero-free
-    multiset up to ``max_length`` with a count of exactly 2^(len-D+1), in
-    ``sweep_counts`` order; the members are the elements with that count.
-
-    With ``prune`` the sweep is for extremal sequences only: it skips every
-    multiset whose zero count exceeds 2^(max_length-D+1) and yields only
-    those where zero itself attains the bound.  It cuts the walk by Aut(G)
-    and expands each orbit it reaches, with the same stream
-    (``symmetry.extremal_orbits``): the budget counts the multisets walked
-    and the orbit members expanded, and a truncated sweep yields exactly
-    the entries up to ``stats.last``.  ``orbit`` is the occurrence tuple
-    of the least member of the entry's Aut(G) orbit, yielded before the
-    rest of it, so a check that Aut(G) preserves need run only once per
-    key; it is None for an entry that is alone in its orbit, and for every
-    entry of the unpruned sweep.
-    """
-    if prune:
-        from .symmetry import extremal_orbits  # see the symmetry module notes
-
-        yield from extremal_orbits(G, D, max_length, stats)
-        return
+def attaining_sweep(G: Group, D: int, max_length: int,
+                    stats: SweepStats | None = None):
+    """Yield (occurrence tuple, members) for each zero-free multiset up to
+    ``max_length`` with a count of exactly 2^(len-D+1), in ``sweep_counts``
+    order, walked by it; the members are the elements with that count."""
     limbs = limb_layout(G, max_length)
     for occ, packed in sweep_counts(G, max_length, _attained_bands(D, max_length),
                                     stats=stats):
-        exponent = len(occ) - D + 1
-        yield tuple(occ), _extremal_members(G, limbs, packed, exponent), None
+        yield tuple(occ), _extremal_members(G, limbs, packed, len(occ) - D + 1)
+
+
+def extremal_sweep(G: Group, D: int, max_length: int,
+                   stats: SweepStats | None = None):
+    """Yield (occurrence tuple, extremal members, orbit) for each extremal
+    sequence up to ``max_length``: a zero-free multiset whose zero count is
+    2^(len-D+1), in ``sweep_counts`` order; the members are the elements
+    with that count.  It skips every multiset whose zero count exceeds
+    2^(max_length-D+1), cuts the walk by Aut(G) and expands each orbit it
+    reaches, with the same stream (``symmetry.extremal_orbits``): the
+    budget counts the multisets walked and the orbit members expanded, and
+    a truncated sweep yields exactly the entries up to ``stats.last``.
+    ``orbit`` is the occurrence tuple of the least member of the entry's
+    Aut(G) orbit, yielded before the rest of it, so a check that Aut(G)
+    preserves need run only once per key; it is None for an entry that is
+    alone in its orbit.
+    """
+    from .symmetry import extremal_orbits  # see the symmetry module notes
+
+    yield from extremal_orbits(G, D, max_length, stats)

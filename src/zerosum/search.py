@@ -32,6 +32,7 @@ from .counting import (
     SweepStats,
     _extremal_probe,
     _transform_probe,
+    attaining_sweep,
     count_all,
     extremal_set,
     extremal_sweep,
@@ -69,7 +70,7 @@ def find_extremals(G: Group, length_cap: int,
     stats = SweepStats(budget)
     entries = [
         (_seq_from_sorted(G, occ), ExtremalSet(G, members, len(occ) - D + 1))
-        for occ, members, _ in extremal_sweep(G, D, length_cap, prune=True, stats=stats)
+        for occ, members, _ in extremal_sweep(G, D, length_cap, stats=stats)
     ]
     entries.sort(key=lambda pair: seq_key(pair[0]))
     max_length = max((len(S) for S, _ in entries), default=0)
@@ -169,7 +170,7 @@ def conjecture2_harness(G: Group, length_cap: int,
     qualifying = 0
     violation = None
     stats = SweepStats(budget)
-    for occ, members, _ in extremal_sweep(G, D, length_cap, stats=stats):
+    for occ, members in attaining_sweep(G, D, length_cap, stats=stats):
         if any(H.elements <= members for H in nontrivial):
             continue
         length = len(occ)

@@ -11,10 +11,11 @@ odd-order groups, the growth of the extremal set under term removal, the
 shape of subgroups inside extremal sets, and the quotient condition that
 separates groups with bounded extremal length from those carrying an
 unbounded extremal family.  Each sweep sits beside the checks it drives
-and streams ``extremal_sweep`` on its own D.  The statements hold or fail
-together on an orbit of Aut(G), which maps N_g(S) to N_{sigma g}(sigma S)
-and minimal zero-sum subsequences onto minimal zero-sum subsequences, so
-the catalog sweeps check each orbit once (``_orbit_verdicts``).
+and streams ``extremal_sweep`` (``subgroup-es``: ``attaining_sweep``)
+on its own D.  The statements hold or fail together on an orbit of
+Aut(G), which maps N_g(S) to N_{sigma g}(sigma S) and minimal zero-sum
+subsequences onto minimal zero-sum subsequences, so the catalog sweeps
+check each orbit once (``_orbit_verdicts``).
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .counting import (
     DEFAULT_BUDGET,
     ExtremalSet,
     SweepStats,
+    attaining_sweep,
     count_all,
     extremal_set,
     extremal_sweep,
@@ -135,13 +137,13 @@ def check_odd_group_structure(S: Sequence, D: int) -> VerificationReport:
 
 
 def _orbit_verdicts(G: Group, D: int, max_len: int, stats: SweepStats | None, check):
-    """(occurrence tuple, ``check(S, D)``) for each extremal S of the
-    pruned ``extremal_sweep`` up to ``max_len``, in walk order.  The check
+    """(occurrence tuple, ``check(S, D)``) for each extremal S of
+    ``extremal_sweep`` up to ``max_len``, in walk order.  The check
     must give every member of an Aut(G) orbit the same verdict: it runs
     on the orbit's least member, which the walk yields first, and that
     verdict serves the rest (see ``extremal_sweep``)."""
     verdicts = {}
-    for occ, _, orbit in extremal_sweep(G, D, max_len, prune=True, stats=stats):
+    for occ, _, orbit in extremal_sweep(G, D, max_len, stats=stats):
         verdict = verdicts.get(orbit)
         if verdict is None:
             verdict = check(_seq_from_sorted(G, occ), D)
@@ -348,7 +350,7 @@ def sweep_subgroup_es(G: Group, D: int, max_len: int) -> VerificationReport:
     checked = 0
     nontrivial_found = 0
     seen = {}
-    for occ, members, _ in extremal_sweep(G, D, max_len):
+    for occ, members in attaining_sweep(G, D, max_len):
         if members not in seen:
             seen[members] = max_subgroups_in_extremal_set(
                 ExtremalSet(G, members, len(occ) - D + 1))
@@ -455,7 +457,7 @@ def sweep_equivalences(G: Group, max_len: int, family_k: int) -> VerificationRep
         return VerificationReport("equivalences", "pass", details)
     cap = min(max_len, profile.t)
     stats = SweepStats(DEFAULT_BUDGET)
-    walk = extremal_sweep(G, davenport(G).value, cap, prune=True, stats=stats)
+    walk = extremal_sweep(G, davenport(G).value, cap, stats=stats)
     lengths = sorted({len(occ) for occ, *_ in walk})
     longest = max(lengths, default=0)
     details["sweep_cap"] = cap
@@ -482,7 +484,7 @@ def check_cyclic_characterization(n: int, max_len: int) -> VerificationReport:
         raise ValueError(f"max_len must be at least n + 1 = {n + 1}")
     G = make_group([n])
     # D(C_n) = n.
-    found = [_seq_from_sorted(G, occ) for occ, *_ in extremal_sweep(G, n, max_len, prune=True)]
+    found = [_seq_from_sorted(G, occ) for occ, *_ in extremal_sweep(G, n, max_len)]
     generators = [a for a in range(1, n) if gcd(a, n) == 1]
     expected = {
         seq_key(sequence(G, {(a,): reps}))

@@ -27,7 +27,7 @@ never drops along a prefix.  So the cut walk visits L, before any other
 member of its orbit.  Without a group both tables are the identity: the
 zero-sum-free enumeration, and the catalogs past ``SYMMETRY_CAP``.
 
-``extremal_orbits`` is the pruned ``counting.extremal_sweep``.  It walks
+``extremal_orbits`` is ``counting.extremal_sweep``.  It walks
 the tree cut by Aut(G) (for |G| <= ``SYMMETRY_CAP``; past it, with no
 generators, each orbit is one member) and expands each attaining
 multiset that no orbit holds yet into its orbit, a breadth-first search
@@ -226,7 +226,7 @@ def _release(pending: list, elems) -> tuple:
 
 
 def extremal_orbits(G: Group, D: int, max_length: int, stats: SweepStats | None):
-    """The pruned ``counting.extremal_sweep``: (occurrence tuple, extremal
+    """``counting.extremal_sweep``: (occurrence tuple, extremal
     members, orbit key) for each zero-free multiset up to ``max_length``
     whose zero count is 2^(len-D+1), in walk order, from the walk cut by
     Aut(G) with each orbit expanded (see the module notes).  The orbit key

@@ -393,7 +393,7 @@ def per_entry_sweep(kind, G, D, max_len, budget=None):
             return "skipped", details, ()
     stats = SweepStats(None if kind == "es-chain" else budget)
     entries = [sequence(G, list(occ)) for occ, _, _ in
-               extremal_sweep(G, D, max_len, prune=True, stats=stats)]
+               extremal_sweep(G, D, max_len, stats=stats)]
     partial = "pass" if stats.exhaustive else "partial"
     if kind == "conjecture-1":
         failures = []

@@ -28,6 +28,7 @@ from zerosum.counting import (
     MAX_LENGTH,
     Limbs,
     SweepStats,
+    attaining_sweep,
     count_packed,
     extremal_sweep,
     limb_layout,
@@ -560,8 +561,8 @@ def test_a_walk_no_band_reaches_builds_no_table(monkeypatch, capsys):
 @pytest.mark.parametrize("shape", [(3,), (4,), (5,), (6,), (2, 2), (2, 4), (3, 3)])
 def test_extremal_sweep_matches_extremal_set(shape):
     # Oracle: extremal_set and zero_count on each multiset of the unpruned
-    # sweep.  Unpruned, the stream is every multiset with a nonempty
-    # extremal set, with that set; pruned, it is those where zero attains
+    # sweep.  attaining_sweep streams every multiset with a nonempty
+    # extremal set, with that set; extremal_sweep those where zero attains
     # the bound.  The pruned walk cuts the zero-count-ceiling tree by
     # Aut(G): the cut tree is exactly what the cut's rule keeps and holds
     # the lex-least member of every orbit (both from the listed
@@ -599,10 +600,9 @@ def test_extremal_sweep_matches_extremal_set(shape):
             E = extremal_set(S, D).members if len(S) >= D - 1 else frozenset()
             if E:
                 expected.append((tuple(occ), E))
-        assert list(extremal_sweep(G, D, max_length)) == [(occ, E, None) for occ, E in expected]
+        assert list(attaining_sweep(G, D, max_length)) == expected
         stats = SweepStats()
-        pruned = [(occ, E) for occ, E, _ in extremal_sweep(G, D, max_length, prune=True,
-                                                          stats=stats)]
+        pruned = [(occ, E) for occ, E, _ in extremal_sweep(G, D, max_length, stats=stats)]
         assert pruned == [(occ, E) for occ, E in expected if G.zero() in E]
         # The cut tree is, in walk order, the multisets of the
         # zero-count-ceiling tree whose every term passes the rule, and it
@@ -634,13 +634,13 @@ def test_symmetry_cut_keeps_the_pruned_stream(monkeypatch):
         for cap in range(D - 1, D + 3):
             stats = SweepStats()
             real[G, D, cap] = [(occ, E) for occ, E, _ in extremal_sweep(
-                G, D, cap, prune=True, stats=stats)], stats
+                G, D, cap, stats=stats)], stats
     monkeypatch.setattr(symmetry, "_automorphism_group",
                         lambda G: _Stabilizer((), 1, tuple(range(G.order))))
     for (G, D, cap), (stream, cut) in real.items():
         stats = SweepStats()
         assert [(occ, E) for occ, E, _ in extremal_sweep(
-            G, D, cap, prune=True, stats=stats)] == stream, (G, cap)
+            G, D, cap, stats=stats)] == stream, (G, cap)
         assert cut.exhaustive and stats.exhaustive
     # C4xC4 at cap 9: 1,488 entries in 18 orbits; the walk cut by Aut(G),
     # of order 96, and the orbits take 14,935 multisets instead of 146,783.
@@ -654,14 +654,14 @@ def test_pruned_stream_keys_each_entry_by_its_orbit(shape):
     # Oracle: the orbits under every automorphism, found by brute force
     # (helpers.automorphisms).  An entry alone in its orbit has the key
     # None; any other has the occurrences of its orbit's least member,
-    # which comes first.  The unpruned stream keys nothing.
+    # which comes first.
     G = make_group(list(shape))
     D = davenport(G).value
     auts = automorphisms(G)
     elems, idx = all_elements(G), element_index(G)
     for cap in (D - 1, D + 2):
         seen = set()
-        for occ, _, orbit in extremal_sweep(G, D, cap, prune=True):
+        for occ, _, orbit in extremal_sweep(G, D, cap):
             members = {tuple(sorted(elems[perm[idx[g]]] for g in occ)) for perm in auts}
             if len(members) == 1:
                 assert orbit is None, occ
@@ -669,13 +669,12 @@ def test_pruned_stream_keys_each_entry_by_its_orbit(shape):
                 assert orbit == min(members), occ
                 assert orbit in seen or orbit == occ, occ
             seen.add(occ)
-        assert all(orbit is None for *_, orbit in extremal_sweep(G, D, cap))
     # The first orbit of C3xC3 at cap 6, of 48 members, does not fit in a
     # budget of 50: its least member, the one entry, is keyed None.
     C33 = make_group([3, 3])
-    full = next(extremal_sweep(C33, 5, 6, prune=True))
+    full = next(extremal_sweep(C33, 5, 6))
     assert full[2] == full[0]
-    assert list(extremal_sweep(C33, 5, 6, prune=True, stats=SweepStats(50))) == [
+    assert list(extremal_sweep(C33, 5, 6, stats=SweepStats(50))) == [
         (*full[:2], None)]
 
 

@@ -32,7 +32,9 @@ from zerosum import (
 )
 import helpers
 from zerosum import conjecture1_harness, search, structure
-from zerosum.counting import DEFAULT_BUDGET, ExtremalSet, SweepStats, extremal_sweep
+from zerosum.counting import (
+    DEFAULT_BUDGET, ExtremalSet, SweepStats, attaining_sweep, extremal_sweep,
+)
 from zerosum.groups import _automorphism_group, element_index
 from zerosum.reports import VerificationReport
 from zerosum.sequences import format_element
@@ -260,7 +262,7 @@ def test_catalog_sweeps_walk_the_d_they_are_given():
     C5 = make_group([5])
     rep = sweep_odd_structure(C5, 4, 7)
     assert rep.details["extremal_checked"] == 12
-    assert sum(1 for _ in extremal_sweep(C5, 4, 7, prune=True)) == 12
+    assert sum(1 for _ in extremal_sweep(C5, 4, 7)) == 12
     rep = sweep_odd_structure(C33, 4, 7)
     assert rep.failed
     assert rep.details["counterexample"] == "(0,1)^4 (1,0) (1,1) (2,0)"
@@ -343,7 +345,7 @@ def test_family_base_matches_the_multiset_scan():
 
 def unmemoized_subgroup_es(G, D, max_len):
     checked = nontrivial = 0
-    for occ, members, _ in extremal_sweep(G, D, max_len):
+    for occ, members in attaining_sweep(G, D, max_len):
         if members:
             contained, verdict = max_subgroups_in_extremal_set(
                 ExtremalSet(G, members, len(occ) - D + 1))
@@ -361,7 +363,7 @@ def test_subgroup_es_sweep_checks_each_member_set_once(monkeypatch, spec, max_le
     structure = importlib.import_module("zerosum.structure")
     G = make_group(spec)
     D = davenport(G).value
-    sets = {members for _, members, _ in extremal_sweep(G, D, max_len) if members}
+    sets = {members for _, members in attaining_sweep(G, D, max_len) if members}
     assert len(sets) == distinct
     expected = unmemoized_subgroup_es(G, D, max_len)
     real = structure.max_subgroups_in_extremal_set
@@ -377,7 +379,7 @@ def test_subgroup_es_sweep_reports_the_first_failing_sequence(monkeypatch):
     structure = importlib.import_module("zerosum.structure")
     G = make_group([2, 4])
     D = davenport(G).value
-    sweep = [(occ, m) for occ, m, _ in extremal_sweep(G, D, 8) if m]
+    sweep = [(occ, m) for occ, m in attaining_sweep(G, D, 8) if m]
     bad = list(dict.fromkeys(m for _, m in sweep))[5]  # fail the sixth distinct set
     first = next(occ for occ, m in sweep if m == bad)
     real = structure.max_subgroups_in_extremal_set
@@ -446,7 +448,7 @@ def reference_catalogs():
         D = davenport(G).value
         for cap in range(D - 1, D + 3):
             stats = SweepStats()
-            stream = extremal_sweep(G, D, cap, prune=True, stats=stats)
+            stream = extremal_sweep(G, D, cap, stats=stats)
             if sum(1 for _ in islice(stream, REFERENCE_ENTRIES + 1)) <= REFERENCE_ENTRIES:
                 cases.append((G, D, cap, stats.visited))
     return tuple(cases)
@@ -486,7 +488,7 @@ def image_under(G, occ, word):
 @lru_cache(maxsize=None)
 def catalog_entries(G):
     D = davenport(G).value
-    return D, [occ for occ, _, _ in extremal_sweep(G, D, D + 1, prune=True)]
+    return D, [occ for occ, _, _ in extremal_sweep(G, D, D + 1)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -550,6 +552,6 @@ def test_a_failing_check_names_the_entry_of_the_per_entry_reference(monkeypatch)
             assert (rep.status, rep.details, rep.witnesses) == expected, (G, kind)
             qualifies = kind != "conjecture-1" or condition_profile(G).cond_iii
             assert rep.status == ("fail" if qualifies else "skipped"), (G, kind)
-    stream = [occ for occ, _, _ in extremal_sweep(make_group([4, 4]), 7, 9, prune=True)
+    stream = [occ for occ, _, _ in extremal_sweep(make_group([4, 4]), 7, 9)
               if len(set(occ)) == 3]
     assert stream[0] != min(stream, key=lambda occ: (len(occ), occ))
