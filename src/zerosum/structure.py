@@ -433,10 +433,10 @@ def _family_base(G: Group, H: Subgroup) -> Sequence:
 
 def sweep_equivalences(G: Group, max_len: int, family_k: int) -> VerificationReport:
     """The quotient condition decides between bounded and unbounded
-    extremal lengths: when it holds, no extremal S up to min(max_len, t)
-    for D = D(G) is longer than t, and the walk stops after
-    ``DEFAULT_BUDGET`` multisets; when it fails, the first
-    ``family_k`` members of the unbounded family are exhibited."""
+    extremal lengths: when it holds, no extremal S up to min(max_len,
+    t + 1) for D = D(G) is longer than t, so a longer one fails the sweep,
+    and the walk stops after ``DEFAULT_BUDGET`` multisets; when it fails,
+    the first ``family_k`` members of the unbounded family are exhibited."""
     profile = condition_profile(G)
     details = {
         "group": G.spec(),
@@ -455,7 +455,7 @@ def sweep_equivalences(G: Group, max_len: int, family_k: int) -> VerificationRep
         details["family_verified"] = True  # construct re-verifies each member
         details["note"] = "extremal lengths unbounded; family exhibited"
         return VerificationReport("equivalences", "pass", details)
-    cap = min(max_len, profile.t)
+    cap = min(max_len, profile.t + 1)
     stats = SweepStats(DEFAULT_BUDGET)
     walk = extremal_sweep(G, davenport(G).value, cap, stats=stats)
     lengths = sorted({len(occ) for occ, *_ in walk})

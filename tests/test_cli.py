@@ -211,6 +211,19 @@ def test_verify_equivalences_true_case(capsys):
     assert details["max_extremal_length"] == 4
 
 
+def test_verify_equivalences_fails_on_an_extremal_longer_than_t(capsys, monkeypatch):
+    # The sweep walks one length past t, so an extremal S longer than t
+    # fails it: a stream yielding one multiset as long as its cap fails C4
+    # (t = 7) at --max-len 9, where the walk is capped at 8.
+    monkeypatch.setattr(structure, "extremal_sweep",
+                        lambda G, D, cap, stats=None: iter([(((1,),) * cap, frozenset(), None)]))
+    code, payload, _ = run_json(capsys, "verify", "equivalences", "C4", "--max-len", "9")
+    details = payload["result"]["details"]
+    assert (code, payload["status"], details["t_bound"]) == (1, "fail", 7)
+    assert (details["sweep_cap"], details["max_extremal_length"]) == (8, 8)
+    assert details["ceiling_within_t_bound"] is False
+
+
 def test_conjecture_commands(capsys):
     code, payload, _ = run_json(capsys, "conjecture", "1", "C3xC3", "--max-len", "7")
     assert code == 0 and payload["result"]["details"]["result"] == "no counterexample up to cap"
