@@ -595,8 +595,9 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
     if budget is not None and budget < 1:
         stats.exhaustive = False
         return
+    n = G.order
     # The size of the unpruned tree bounds every total.
-    size = comb(G.order - 1 + max_length, max_length)
+    size = comb(n - 1 + max_length, max_length)
     if budget is None:
         budget = size
     if not any(bands):
@@ -613,7 +614,6 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
     offsets = [band and (limbs.offset(band[0]), limbs.offset(band[1]),
                          limbs.offset(band[2]) if len(band) > 2 else None)
                for band in bands]
-    n = G.order
     terms = all_elements(G)
     term_ops = _limb_adders(G, limbs.width)
     # memo_until[d]: the children of length d appended with a term below
@@ -643,7 +643,7 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
     frames = [[1, 1, None]] if max_length else []
     while frames:
         frame = frames[-1]
-        x, c, _ = frame
+        x, c, mark = frame
         depth = len(frames)  # the length of this frame's children
         if depth == max_length:
             # The children are leaves: visit them here, without frames.
@@ -706,8 +706,8 @@ def sweep_counts(G: Group, max_length: int, bands: list, *,
             frames.append([child, c, mark])
             continue
         frames.pop()
-        if frame[2] is not None:
-            c, visited0, flagged0, held0 = frame[2]
+        if mark is not None:
+            c, visited0, flagged0, held0 = mark
             if depth == 2:
                 # A child of the root: no later child is appended with c.
                 memo[c] = None
