@@ -161,14 +161,13 @@ class Limbs:
     a given limb width (16, 32 or a multiple of 64), with the SWAR
     predicates on it."""
 
-    __slots__ = ("width", "mask", "ones", "top", "_offsets", "_words")
+    __slots__ = ("width", "mask", "ones", "top", "_words")
 
     def __init__(self, order: int, width: int):
         self.width = width
         self.mask = (1 << width) - 1
         self.ones = ((1 << (order * width)) - 1) // self.mask
         self.top = self.ones << (width - 1)
-        self._offsets: dict[int, int] = {}
         if width < 64:
             self._words = struct.Struct(f"<{order}{'H' if width == 16 else 'I'}")
         else:
@@ -177,14 +176,10 @@ class Limbs:
     def offset(self, b: int) -> int:
         """The addend whose sum with a packed vector sets the sentinel bit
         of exactly the limbs whose count is >= b."""
-        offset = self._offsets.get(b)
-        if offset is None:
-            # Counts are < 2^(W-1): b <= 0 flags every limb, and
-            # b > 2^(W-1) (offset 0) flags none.
-            half = 1 << (self.width - 1)
-            offset = self.ones * (half - min(max(b, 0), half))
-            self._offsets[b] = offset
-        return offset
+        # Counts are < 2^(W-1): b <= 0 flags every limb, and b > 2^(W-1)
+        # (offset 0) flags none.
+        half = 1 << (self.width - 1)
+        return self.ones * (half - min(max(b, 0), half))
 
     def at_least(self, packed: int, b: int) -> int:
         """The sentinel bits of the limbs whose count is >= b."""

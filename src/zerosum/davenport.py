@@ -7,12 +7,13 @@ in non-decreasing element order whose state is the subset-sum set of the
 prefix, kept as a bitset over the group and translated with the 1-bit
 limb table of ``counting._limb_adders``, as are the subgroup joins
 below.  Appending a is legal exactly when -a is not yet a subset sum, and
-every legal append grows the sum set strictly, which yields the pruning
-bounds used below.  Everything else that asks whether a sequence is
-zero-sum free reads the zero count of ``counting.count_packed``:
-``is_zero_sum_free`` on one sequence, ``zero_sum_free_sequences`` on the
-walk pruned at zero count 1 (``symmetry.pruned_walk`` with no group,
-loaded on first use).
+every legal append grows the sum set strictly, which yields the search's
+one bound, the headroom: a prefix whose sum set misses k elements
+extends by at most k terms.  Everything else that asks whether a
+sequence is zero-sum free reads the zero count of
+``counting.count_packed``: ``is_zero_sum_free`` on one sequence,
+``zero_sum_free_sequences`` on the walk pruned at zero count 1
+(``symmetry.pruned_walk`` with no group, loaded on first use).
 
 The search also cuts by symmetry, at every depth.  The automorphisms that
 fix every term of a prefix P are those that fix the subgroup <P>, and a
@@ -55,7 +56,6 @@ from .groups import (
     element_index,
     d_star,
     elem_neg,
-    elem_order,
     _automorphism_group,
     _fix_point,
     _prime_factors,
@@ -130,7 +130,8 @@ def davenport_exact(G: Group, cap: int = DAVENPORT_CAP) -> DavenportResult:
     DFS over multisets in non-decreasing element order, carrying the
     subset-sum bitset.  Branches are cut when they cannot beat the best
     length found so far: each append grows the sum set by at least one
-    element, and element a can repeat at most order(a) - 1 times in total.
+    element, so a prefix extends by at most the headroom, the number of
+    elements that are not yet its subset sums.
     Children are also cut by symmetry: c is skipped when an automorphism
     that fixes every element of the subgroup <P> generated by the prefix
     maps it below itself, or when an automorphism maps it below the first
@@ -141,22 +142,21 @@ def davenport_exact(G: Group, cap: int = DAVENPORT_CAP) -> DavenportResult:
     those of the uncut search (see the module notes).
     The search starts from the known-zero-sum-free prod e_i^(n_i - 1), so
     groups whose constant meets that floor are confirmed, not rediscovered;
-    where d* = |G| - 1 (the cyclic groups) the root bound returns it before
-    any table is built.
+    where d* = |G| - 1 (the cyclic groups) the bound at the root returns it
+    before any table is built.
     """
     if G.order > cap:
         raise ValueError(f"davenport_exact: |G| = {G.order} exceeds cap {cap}")
     n = G.order
     star = _star_witness(G)
     best_len = d_star(G)
-    if n - 1 <= best_len:  # the root bound: the sum set {0} grows by n - 1 at most
+    if n - 1 <= best_len:  # the headroom bound at the root, whose sum set is {0}
         return DavenportResult(G, best_len + 1, "exact-search", star)
     elems = all_elements(G)
     idx = element_index(G)
     best_occ = star.expanded()
     adders = _limb_adders(G, 1)
     neg_idx = [idx[elem_neg(G, e)] for e in elems]
-    orders = [elem_order(G, e) for e in elems]
     automorphisms = _automorphism_group(G)
     aut_low = automorphisms.orbit_min
     join, stabilizers = _span_joins(G, automorphisms)  # keyed by the bitmask of <P>
@@ -164,14 +164,7 @@ def davenport_exact(G: Group, cap: int = DAVENPORT_CAP) -> DavenportResult:
 
     def dfs(start: int, mask: int, size: int, first: int, span: int) -> None:
         nonlocal best_len, best_occ
-        headroom = n - mask.bit_count()
-        if size + headroom <= best_len:
-            return
-        budget = 0
-        for i in range(start, n):
-            if not (mask >> neg_idx[i]) & 1:
-                budget += orders[i] - 1
-        if size + min(headroom, budget) <= best_len:
+        if size + n - mask.bit_count() <= best_len:  # the headroom bound
             return
         low = stabilizers[span].orbit_min
         for c in range(start, n):

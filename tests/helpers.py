@@ -120,6 +120,29 @@ def automorphism_count(G):
     return total
 
 
+def davenport_by_plain_dfs(G):
+    """D(G) by a DFS with no bound and no cut: over nondecreasing element
+    indices, appending a only while -a is not yet a subset sum, the sums
+    kept as a set of element indices that starts as {0}; one more than the
+    longest sequence reached."""
+    elems = all_elements(G)
+    idx = element_index(G)
+    adds = [[idx[elem_add(G, s, a)] for s in elems] for a in elems]
+    negs = [idx[elem_neg(G, a)] for a in elems]
+    longest = 0
+
+    def extend(start, sums, length):
+        nonlocal longest
+        longest = max(longest, length)
+        for i in range(start, len(elems)):
+            if negs[i] not in sums:
+                add = adds[i]
+                extend(i, sums | {add[s] for s in sums}, length + 1)
+
+    extend(0, {0}, 0)
+    return longest + 1
+
+
 def subgroups_by_closure(G):
     """Every subgroup of G as a frozenset of elements, by closing every set
     of at most rank(G) elements under addition: a subgroup of an abelian

@@ -24,10 +24,10 @@ from zerosum import (
     t_bound,
 )
 from zerosum.counting import _limb_adders, limb_width, translate
-from zerosum.davenport import zero_sum_free_sequences
-from zerosum.groups import _Stabilizer, element_index
+from zerosum.davenport import _span_joins, zero_sum_free_sequences
+from zerosum.groups import _Stabilizer, _automorphism_group, element_index, subgroup_closure
 
-from helpers import groups_up_to_order
+from helpers import automorphisms, davenport_by_plain_dfs, groups_up_to_order
 
 C3 = make_group([3])
 
@@ -196,7 +196,7 @@ def test_root_bound_ends_a_cyclic_search_before_any_table(monkeypatch):
 
 def test_exact_search_improves_on_d_star_plus_one():
     # D(C2^4 x C6) = 11 > d* + 1 = 10, so the search finds a zero-sum-free
-    # sequence longer than d*.  The 4-5 s search runs once, as a golden.
+    # sequence longer than d*.  The search takes seconds, so it runs once, as a golden.
     golden = pathlib.Path(__file__).parent / "golden" / "davenport-c2xc2xc2xc2xc6.json"
     G = make_group([2, 2, 2, 2, 6])
     witness = parse_sequence(G, json.loads(golden.read_text())["result"]["witness"])
@@ -232,6 +232,44 @@ def test_exact_search_against_enumeration_oracle():
             ):
                 longest = length
         assert davenport_exact(G).value == longest + 1
+
+
+def test_exact_search_against_a_plain_dfs():
+    # The search's one bound, its symmetry cuts and its d* start against a
+    # DFS that applies the legality rule alone, on every group of order at
+    # most 24 and the trivial one; C2xC2xC6 has no settled closed form.
+    groups = [make_group([])] + groups_up_to_order(24)
+    assert len(groups) == 37
+    assert davenport_formula(make_group([2, 2, 6])) is None
+    for G in groups:
+        assert davenport_exact(G).value == davenport_by_plain_dfs(G), G
+
+
+def test_span_joins_against_closure_and_listed_automorphisms():
+    # Along random chains of element indices, each join is the element
+    # bitmask of the subgroup closure, and its stabilizer has the order
+    # and the orbit_min of the listed automorphisms fixing it pointwise.
+    rng = random.Random(13)
+    for G in groups_up_to_order(16):
+        elems = all_elements(G)
+        idx = element_index(G)
+        n = G.order
+        listed = automorphisms(G)
+        join, stabilizers = _span_joins(G, _automorphism_group(G))
+        assert stabilizers[1].order == len(listed), G
+        for _ in range(6):
+            span, members = 1, []
+            while span != (1 << n) - 1:
+                c = rng.choice([c for c in range(n) if not span >> c & 1])
+                members.append(elems[c])
+                span = join(span, c)
+                closure = subgroup_closure(G, members).elements
+                assert span == sum(1 << idx[e] for e in closure), (G, members)
+                fixing = [p for p in listed if all(p[idx[e]] == idx[e] for e in closure)]
+                stab = stabilizers[span]
+                assert stab.order == len(fixing), (G, members)
+                assert stab.orbit_min == tuple(min(p[a] for p in fixing)
+                                               for a in range(n)), (G, members)
 
 
 def test_formula_classes():
