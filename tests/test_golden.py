@@ -106,6 +106,9 @@ COMMANDS = (
                                "--trials", "40", "--seed", "1"]),
     ("verify-transform-c2xc2xc4", ["verify", "transform", "C2xC2xC4", "--max-len", "100",
                                    "--trials", "60", "--seed", "7"]),
+    ("verify-transform-c2xc2xc4-len1000", ["verify", "transform", "C2xC2xC4",
+                                           "--max-len", "1000", "--trials", "40",
+                                           "--seed", "7"]),
     ("verify-lower-bound-c1000", ["verify", "lower-bound", "C1000", "--max-len", "100"]),
     ("verify-subgroup-es-c1000", ["verify", "subgroup-es", "C1000", "--max-len", "60"]),
     ("conjecture-1-c4xc4", ["conjecture", "1", "C4xC4", "--max-len", "9"]),
