@@ -387,16 +387,16 @@ def extremal_set(S: Sequence, D: int) -> ExtremalSet:
 
 def _extremal_probe(G: Group, length: int, exponent: int):
     """For multisets of ``length`` nonzero elements of G, the function that
-    maps the tuple of their positions in ``all_elements(G)[1:]`` to
-    their extremal members (the elements whose count is 2^exponent) when
-    their zero count is 2^exponent, and to None otherwise.  Raises
-    ValueError for a length above ``MAX_LENGTH``."""
+    maps the tuple of their element indices to their extremal members (the
+    elements whose count is 2^exponent) when their zero count is
+    2^exponent, and to None otherwise.  Raises ValueError for a length
+    above ``MAX_LENGTH``."""
     limbs = limb_layout(G, length)
-    term_ops = _limb_adders(G, limbs.width)[1:]
+    term_ops = _limb_adders(G, limbs.width)
     mask, bound = limbs.mask, 1 << exponent
 
-    def probe(positions):
-        packed = _append(1, [term_ops[p] for p in positions])
+    def probe(terms):
+        packed = _append(1, [term_ops[c] for c in terms])
         if packed & mask != bound:
             return None
         return _extremal_members(G, limbs, packed, exponent)

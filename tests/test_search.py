@@ -6,6 +6,7 @@ from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zerosum import (
     all_elements,
@@ -43,6 +44,9 @@ C3 = make_group([3])
 C5 = make_group([5])
 C22 = make_group([2, 2])
 C33 = make_group([3, 3])
+B = search.BLOCK_LANES
+GAMMA = 0x9E3779B97F4A7C15
+M64 = (1 << 64) - 1
 
 
 def test_find_extremals_c3():
@@ -438,6 +442,35 @@ def test_random_search_matches_reference(shape, length, trials, seed):
         reference_random_search(G, length, trials, seed)
 
 
+@pytest.mark.parametrize("length,trials", [
+    (B + 88, 3),  # each trial spans two blocks
+    (B // 2 + 1, 5),  # one trial per block
+    (7, 2 * (B // 7) + 4),  # the last call draws four trials
+])
+def test_random_search_draws_the_scalar_stream(monkeypatch, length, trials):
+    # The brute-force reference cannot count 2^length subsets here, so the
+    # keys the probe receives are compared with keys drawn by the scalar
+    # step, as the README states the sampler.
+    real = search._extremal_probe
+    keys = []
+
+    def recording(G, n, exponent):
+        probe = real(G, n, exponent)
+
+        def record(key):
+            keys.append(key)
+            return probe(key)
+
+        return record
+
+    monkeypatch.setattr(search, "_extremal_probe", recording)
+    catalog = random_search(C33, length, trials, seed=5)
+    outputs = _scalar_outputs(5, trials * length)[1]
+    assert keys == [tuple(sorted(v % 8 + 1 for v in outputs[start:start + length]))
+                    for start in range(0, trials * length, length)]
+    assert catalog.entries == ()
+
+
 def test_random_search_memory_does_not_grow_with_the_trials():
     # Only the hits are kept, so the traced peak of 20,000 draws stays
     # within a small constant of the peak of 2,000 (about 3 KiB against
@@ -501,6 +534,8 @@ def _record_probe(monkeypatch, G, disagree_on=None):
     ((8, 8), 30, 60, 3),
     ((2, 2, 4), 20, 60, 7),
     ((2, 2, 4), 100, 10, 7),  # 128-bit limbs
+    ((6,), 14, 200, 3),  # trials cross block boundaries
+    ((2, 2, 4), 1000, 6, 7),  # trials longer than a block
 ])
 def test_transform_sweep_draws_the_reference_stream(monkeypatch, shape, max_len,
                                                     trials, seed):
@@ -558,3 +593,26 @@ def test_splitmix64_known_stream():
         0x6E789E6AA1B965F4,
         0x06C45D188009454F,
     ]
+    assert search.splitmix64_outputs(0, 3) == (state, out)
+
+
+def _scalar_outputs(state, k):
+    out = []
+    for _ in range(k):
+        state, v = splitmix64(state)
+        out.append(v)
+    return state, out
+
+
+@pytest.mark.parametrize("k", [0, 1, B - 1, B, B + 1, 3 * B + 5])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_block_outputs_are_the_scalar_stream(k, data):
+    # Any seed, and seeds where some lane's sum state + j·γ, 1 <= j <= k,
+    # lies within 2 of a multiple of 2^64, where it wraps.
+    seed = data.draw(st.one_of(
+        st.integers(0, M64),
+        st.tuples(st.integers(1, max(k, 1)), st.integers(-2, 2)).map(
+            lambda pair: (pair[1] - pair[0] * GAMMA) & M64),
+    ))
+    assert search.splitmix64_outputs(seed, k) == _scalar_outputs(seed, k)
